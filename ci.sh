@@ -6,7 +6,8 @@
 #   3. go build     everything compiles
 #   4. go test -race  full test suite under the race detector
 #   5. results      reproduce -quick regenerated and diffed against the
-#                   checked-in results/quick snapshot (drift guard)
+#                   checked-in results/quick snapshot (drift guard); the
+#                   examples' stdout diffed against examples/*/output.txt
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes plus the interprocedural determinism contracts
 #                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc);
@@ -118,6 +119,17 @@ go build -o "$obsdir/serve" ./cmd/serve
 "$obsdir/serve" -quick -requests 20000 -j 1 > "$obsdir/serve1.txt"
 "$obsdir/serve" -quick -requests 20000 -j 0 > "$obsdir/serveN.txt"
 diff "$obsdir/serve1.txt" "$obsdir/serveN.txt"
+
+# Example drift guard: the examples are the only programs that run the CPU
+# MHD solver, the user-law scalar solver and the docking engine end to end,
+# so each one's stdout must match its checked-in examples/<name>/output.txt.
+echo "==> example drift guard (examples/* vs examples/*/output.txt)"
+for dir in examples/*/; do
+    ex=$(basename "$dir")
+    go build -o "$obsdir/example-$ex" "./examples/$ex"
+    "$obsdir/example-$ex" > "$obsdir/example-$ex.txt"
+    diff "examples/$ex/output.txt" "$obsdir/example-$ex.txt"
+done
 
 # Self-lint: the full domain-aware suite over the whole module. The JSON
 # report is archived for inspection; the text run is the hard gate and must

@@ -11,7 +11,17 @@ import (
 	"fmt"
 	"testing"
 
-	"dsenergy"
+	"dsenergy/internal/cluster"
+	"dsenergy/internal/core"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/experiments"
+	"dsenergy/internal/faults"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
+	"dsenergy/internal/ml"
+	"dsenergy/internal/obs"
+	"dsenergy/internal/sched"
+	"dsenergy/internal/synergy"
 )
 
 // characterize runs one small LiGen + Cronos characterization campaign on a
@@ -20,7 +30,7 @@ import (
 // must never change the bytes.
 func characterize(t *testing.T, seed uint64, workers int) []byte {
 	t.Helper()
-	tb, err := dsenergy.NewTestbed(seed)
+	tb, err := synergy.NewPlatform(seed, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,22 +39,22 @@ func characterize(t *testing.T, seed uint64, workers int) []byte {
 
 	var buf bytes.Buffer
 
-	var ligenWLs []dsenergy.FeaturedWorkload
-	for _, in := range []dsenergy.LiGenInput{
+	var ligenWLs []core.FeaturedWorkload
+	for _, in := range []ligen.Input{
 		{Ligands: 256, Atoms: 31, Fragments: 4},
 		{Ligands: 512, Atoms: 63, Fragments: 8},
 	} {
-		w, err := dsenergy.NewLiGenWorkload(in)
+		w, err := ligen.NewWorkload(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ligenWLs = append(ligenWLs, dsenergy.FeaturedWorkload{
+		ligenWLs = append(ligenWLs, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(in.Ligands), float64(in.Atoms), float64(in.Fragments)},
 		})
 	}
-	ds, err := dsenergy.BuildDataset(v100, dsenergy.LiGenSchema(), ligenWLs,
-		dsenergy.BuildConfig{Freqs: freqs, Reps: 2, Workers: workers})
+	ds, err := core.BuildDataset(v100, core.LiGenSchema(), ligenWLs,
+		core.BuildConfig{Freqs: freqs, Reps: 2, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +62,19 @@ func characterize(t *testing.T, seed uint64, workers int) []byte {
 		t.Fatal(err)
 	}
 
-	var cronosWLs []dsenergy.FeaturedWorkload
+	var cronosWLs []core.FeaturedWorkload
 	for _, g := range [][3]int{{10, 4, 4}, {16, 8, 8}} {
-		w, err := dsenergy.NewCronosWorkload(g[0], g[1], g[2], 3)
+		w, err := cronos.NewWorkload(g[0], g[1], g[2], 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cronosWLs = append(cronosWLs, dsenergy.FeaturedWorkload{
+		cronosWLs = append(cronosWLs, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(g[0]), float64(g[1]), float64(g[2])},
 		})
 	}
-	ds, err = dsenergy.BuildDataset(v100, dsenergy.CronosSchema(), cronosWLs,
-		dsenergy.BuildConfig{Freqs: freqs, Reps: 2, Workers: workers})
+	ds, err = core.BuildDataset(v100, core.CronosSchema(), cronosWLs,
+		core.BuildConfig{Freqs: freqs, Reps: 2, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +88,21 @@ func characterize(t *testing.T, seed uint64, workers int) []byte {
 // serializes every Result field, resilience accounting included.
 func resilientRun(t *testing.T, clusterSeed, faultSeed uint64) []byte {
 	t.Helper()
-	c, err := dsenergy.NewCluster(clusterSeed, dsenergy.V100Spec(), 4, dsenergy.DefaultInterconnect())
+	c, err := cluster.New(clusterSeed, gpusim.V100Spec(), 4, cluster.DefaultInterconnect())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := dsenergy.FaultPlan{
+	plan := faults.Plan{
 		Seed:          faultSeed,
 		TransientProb: 0.02,
-		Failures:      []dsenergy.DeviceFailure{{Device: 3, AfterSubmits: 9}},
-		Throttles:     []dsenergy.ThermalThrottle{{Device: 1, FromSubmit: 5, ToSubmit: 20, CapMHz: 1000}},
+		Failures:      []faults.DeviceFailure{{Device: 3, AfterSubmits: 9}},
+		Throttles:     []faults.Throttle{{Device: 1, FromSubmit: 5, ToSubmit: 20, CapMHz: 1000}},
 	}
-	if err := c.SetFaultPlan(plan, dsenergy.DefaultResilienceConfig()); err != nil {
+	if err := c.SetFaultPlan(plan, cluster.DefaultResilienceConfig()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	lr, err := c.ScreenLiGen(dsenergy.LiGenInput{Ligands: 1024, Atoms: 63, Fragments: 8})
+	lr, err := c.ScreenLiGen(ligen.Input{Ligands: 1024, Atoms: 63, Fragments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,39 +120,39 @@ func resilientRun(t *testing.T, clusterSeed, faultSeed uint64) []byte {
 // trace) as bytes.
 func scheduleRun(t *testing.T, seed uint64) []byte {
 	t.Helper()
-	tb, err := dsenergy.NewTestbed(seed)
+	tb, err := synergy.NewPlatform(seed, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
 	freqs := []int{832, 1087, 1297, 1597}
 
-	train := func(schema dsenergy.Schema, wls []dsenergy.FeaturedWorkload, modelSeed uint64) *dsenergy.Model {
-		ds, err := dsenergy.BuildDataset(v100, schema, wls, dsenergy.BuildConfig{Freqs: freqs, Reps: 1})
+	train := func(schema core.Schema, wls []core.FeaturedWorkload, modelSeed uint64) *core.Model {
+		ds, err := core.BuildDataset(v100, schema, wls, core.BuildConfig{Freqs: freqs, Reps: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := dsenergy.Train(ds, dsenergy.RandomForestSpec(), modelSeed)
+		m, err := core.Train(ds, ml.Spec{Algorithm: "forest"}, modelSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	var ligenWLs []dsenergy.FeaturedWorkload
-	for _, in := range []dsenergy.LiGenInput{
+	var ligenWLs []core.FeaturedWorkload
+	for _, in := range []ligen.Input{
 		{Ligands: 1024, Atoms: 63, Fragments: 8},
 		{Ligands: 4096, Atoms: 89, Fragments: 8},
 	} {
-		w, err := dsenergy.NewLiGenWorkload(in)
+		w, err := ligen.NewWorkload(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ligenWLs = append(ligenWLs, dsenergy.FeaturedWorkload{
+		ligenWLs = append(ligenWLs, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(in.Ligands), float64(in.Atoms), float64(in.Fragments)},
 		})
 	}
-	var cronosWLs []dsenergy.FeaturedWorkload
+	var cronosWLs []core.FeaturedWorkload
 	for _, g := range []struct {
 		grid  [3]int
 		steps int
@@ -150,40 +160,40 @@ func scheduleRun(t *testing.T, seed uint64) []byte {
 		{[3]int{128, 64, 64}, 8},
 		{[3]int{192, 96, 96}, 10},
 	} {
-		w, err := dsenergy.NewCronosWorkload(g.grid[0], g.grid[1], g.grid[2], g.steps)
+		w, err := cronos.NewWorkload(g.grid[0], g.grid[1], g.grid[2], g.steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cronosWLs = append(cronosWLs, dsenergy.FeaturedWorkload{
+		cronosWLs = append(cronosWLs, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(g.grid[0]), float64(g.grid[1]), float64(g.grid[2])},
 		})
 	}
-	models := &dsenergy.SchedModelSet{
-		LiGen:  train(dsenergy.LiGenSchema(), ligenWLs, seed+1),
-		Cronos: train(dsenergy.CronosSchema(), cronosWLs, seed+2),
+	models := &sched.ModelSet{
+		LiGen:  train(core.LiGenSchema(), ligenWLs, seed+1),
+		Cronos: train(core.CronosSchema(), cronosWLs, seed+2),
 	}
 
-	jobs, err := dsenergy.GenerateJobStream(dsenergy.JobStreamConfig{Seed: seed + 3, Jobs: 24}, dsenergy.V100Spec())
+	jobs, err := sched.GenerateStream(sched.StreamConfig{Seed: seed + 3, Jobs: 24}, gpusim.V100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dsenergy.NewCluster(seed, dsenergy.V100Spec(), 2, dsenergy.DefaultInterconnect())
+	c, err := cluster.New(seed, gpusim.V100Spec(), 2, cluster.DefaultInterconnect())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := dsenergy.FaultPlan{
+	plan := faults.Plan{
 		Seed:          seed + 4,
 		TransientProb: 0.05,
-		Failures:      []dsenergy.DeviceFailure{{Device: 1, AfterSubmits: 12}},
-		Throttles:     []dsenergy.ThermalThrottle{{Device: 0, FromSubmit: 4, ToSubmit: 30, CapMHz: 1005}},
+		Failures:      []faults.DeviceFailure{{Device: 1, AfterSubmits: 12}},
+		Throttles:     []faults.Throttle{{Device: 0, FromSubmit: 4, ToSubmit: 30, CapMHz: 1005}},
 	}
-	if err := c.SetFaultPlan(plan, dsenergy.DefaultResilienceConfig()); err != nil {
+	if err := c.SetFaultPlan(plan, cluster.DefaultResilienceConfig()); err != nil {
 		t.Fatal(err)
 	}
-	o := dsenergy.NewObserver()
+	o := obs.NewObserver()
 	c.SetObserver(o)
-	s, err := dsenergy.NewScheduler(c, dsenergy.SchedConfig{Freqs: freqs, Models: models, Obs: o})
+	s, err := sched.New(c, sched.Config{Freqs: freqs, Models: models, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +249,16 @@ func TestFaultInjectionSeedDeterminism(t *testing.T) {
 // cluster that never heard of fault injection.
 func TestEmptyFaultPlanPreservesFaultFreeResults(t *testing.T) {
 	run := func(attach bool) []byte {
-		c, err := dsenergy.NewCluster(42, dsenergy.V100Spec(), 4, dsenergy.DefaultInterconnect())
+		c, err := cluster.New(42, gpusim.V100Spec(), 4, cluster.DefaultInterconnect())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if attach {
-			if err := c.SetFaultPlan(dsenergy.FaultPlan{Seed: 7}, dsenergy.DefaultResilienceConfig()); err != nil {
+			if err := c.SetFaultPlan(faults.Plan{Seed: 7}, cluster.DefaultResilienceConfig()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		lr, err := c.ScreenLiGen(dsenergy.LiGenInput{Ligands: 1024, Atoms: 63, Fragments: 8})
+		lr, err := c.ScreenLiGen(ligen.Input{Ligands: 1024, Atoms: 63, Fragments: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +288,7 @@ func TestCharacterizationSeedDeterminism(t *testing.T) {
 }
 
 // TestParallelCharacterizationMatchesSerial pins the parallel engine's
-// facade-level contract: the same campaign run serially (Workers=1), on the
+// end-to-end contract: the same campaign run serially (Workers=1), on the
 // full GOMAXPROCS pool (Workers=0) and on an awkward worker count produces
 // byte-identical CSV datasets, because every measurement's randomness is
 // pre-split in task order before any worker starts.
@@ -296,11 +306,11 @@ func TestParallelCharacterizationMatchesSerial(t *testing.T) {
 // and returns the SLO report plus the full observability export as bytes.
 func serveRun(t *testing.T, seed uint64, workers int) []byte {
 	t.Helper()
-	cfg := dsenergy.QuickExperimentConfig()
+	cfg := experiments.QuickConfig()
 	cfg.Seed = seed
 	cfg.ServeRequests = 4000
 	cfg.Jobs = workers
-	o := dsenergy.NewObserver()
+	o := obs.NewObserver()
 	cfg.Obs = o
 	r, err := cfg.Serve()
 	if err != nil {

@@ -4,23 +4,25 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/synergy"
 )
 
 // Example demonstrates the minimal measurement flow: open the simulated
 // testbed and compare a workload's energy at two clocks.
 func Example() {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
-	w, err := dsenergy.NewCronosWorkload(160, 64, 64, 10)
+	w, err := cronos.NewWorkload(160, 64, 64, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, _ := dsenergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
-	low, _ := dsenergy.MeasureAt(v100, w, v100.Spec().NearestFreqMHz(900), 5)
+	base, _ := synergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
+	low, _ := synergy.MeasureAt(v100, w, v100.Spec().NearestFreqMHz(900), 5)
 	fmt.Printf("down-clocking a memory-bound stencil saves energy: %v\n",
 		low.EnergyJ < base.EnergyJ)
 	fmt.Printf("while losing under 2%% performance: %v\n",
@@ -28,60 +30,4 @@ func Example() {
 	// Output:
 	// down-clocking a memory-bound stencil saves energy: true
 	// while losing under 2% performance: true
-}
-
-// ExampleParetoFront extracts the Pareto-optimal frequency configurations
-// from a set of measured (speedup, normalized energy) outcomes.
-func ExampleParetoFront() {
-	points := []dsenergy.ParetoPoint{
-		{FreqMHz: 1597, Speedup: 1.20, NormEnergy: 1.35},
-		{FreqMHz: 1297, Speedup: 1.00, NormEnergy: 1.00},
-		{FreqMHz: 1000, Speedup: 0.82, NormEnergy: 0.88},
-		{FreqMHz: 900, Speedup: 0.75, NormEnergy: 0.95}, // dominated by 1000
-	}
-	for _, p := range dsenergy.ParetoFront(points) {
-		fmt.Printf("%d MHz: speedup %.2f, energy %.2f\n", p.FreqMHz, p.Speedup, p.NormEnergy)
-	}
-	// Output:
-	// 1597 MHz: speedup 1.20, energy 1.35
-	// 1297 MHz: speedup 1.00, energy 1.00
-	// 1000 MHz: speedup 0.82, energy 0.88
-}
-
-// ExampleEnergyTarget shows SYnergy's energy-target policy selecting the
-// fastest configuration within an energy budget.
-func ExampleEnergyTarget() {
-	curve := []dsenergy.CurvePoint{
-		{FreqMHz: 1000, Speedup: 0.82, NormEnergy: 0.88},
-		{FreqMHz: 1200, Speedup: 0.93, NormEnergy: 0.92},
-		{FreqMHz: 1297, Speedup: 1.00, NormEnergy: 1.00},
-		{FreqMHz: 1597, Speedup: 1.20, NormEnergy: 1.35},
-	}
-	policy := dsenergy.EnergyTarget(0.95) // ask for >= 5% energy reduction
-	choice := policy.Select(curve)
-	fmt.Printf("%d MHz (speedup %.2f at %.0f%% of baseline energy)\n",
-		choice.FreqMHz, choice.Speedup, choice.NormEnergy*100)
-	// Output:
-	// 1200 MHz (speedup 0.93 at 92% of baseline energy)
-}
-
-// ExampleScreen runs a tiny CPU-reference virtual-screening campaign.
-func ExampleScreen() {
-	pocket, err := dsenergy.GenPocket(7, 16, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lib, err := dsenergy.GenLigandLibrary(11, 4, 20, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ranking, err := dsenergy.Screen(lib, pocket, dsenergy.FastDockParams(), 2, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("screened %d ligands; best candidate %s\n", len(ranking), ranking[0].Name)
-	fmt.Printf("ranking is descending: %v\n", ranking[0].Score >= ranking[len(ranking)-1].Score)
-	// Output:
-	// screened 4 ligands; best candidate lig-000000
-	// ranking is descending: true
 }

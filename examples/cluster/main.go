@@ -8,22 +8,25 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/cluster"
+	"dsenergy/internal/faults"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
 )
 
 func main() {
 	const devices = 8
-	cl, err := dsenergy.NewCluster(42, dsenergy.V100Spec(), devices, dsenergy.DefaultInterconnect())
+	cl, err := cluster.New(42, gpusim.V100Spec(), devices, cluster.DefaultInterconnect())
 	if err != nil {
 		log.Fatal(err)
 	}
-	single, err := dsenergy.NewCluster(42, dsenergy.V100Spec(), 1, dsenergy.DefaultInterconnect())
+	single, err := cluster.New(42, gpusim.V100Spec(), 1, cluster.DefaultInterconnect())
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// --- LiGen campaign: embarrassingly parallel ---
-	in := dsenergy.LiGenInput{Ligands: 65536, Atoms: 63, Fragments: 8}
+	in := ligen.Input{Ligands: 65536, Atoms: 63, Fragments: 8}
 	r1, err := single.ScreenLiGen(in)
 	if err != nil {
 		log.Fatal(err)
@@ -68,17 +71,17 @@ func main() {
 	// throttled, and 1% of kernels fault transiently. The cluster retries,
 	// requeues the dead device's shards, checkpoints and restarts Cronos —
 	// and reports what surviving cost.
-	faulty, err := dsenergy.NewCluster(42, dsenergy.V100Spec(), devices, dsenergy.DefaultInterconnect())
+	faulty, err := cluster.New(42, gpusim.V100Spec(), devices, cluster.DefaultInterconnect())
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan := dsenergy.FaultPlan{
+	plan := faults.Plan{
 		Seed:          7,
 		TransientProb: 0.01,
-		Failures:      []dsenergy.DeviceFailure{{Device: 3, AfterSubmits: 8}},
-		Throttles:     []dsenergy.ThermalThrottle{{Device: 1, FromSubmit: 5, ToSubmit: 30, CapMHz: 1005}},
+		Failures:      []faults.DeviceFailure{{Device: 3, AfterSubmits: 8}},
+		Throttles:     []faults.Throttle{{Device: 1, FromSubmit: 5, ToSubmit: 30, CapMHz: 1005}},
 	}
-	if err := faulty.SetFaultPlan(plan, dsenergy.DefaultResilienceConfig()); err != nil {
+	if err := faulty.SetFaultPlan(plan, cluster.DefaultResilienceConfig()); err != nil {
 		log.Fatal(err)
 	}
 	rf, err := faulty.ScreenLiGen(in)

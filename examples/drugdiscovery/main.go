@@ -12,20 +12,25 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/core"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
+	"dsenergy/internal/ml"
+	"dsenergy/internal/synergy"
+	"dsenergy/internal/xrand"
 )
 
 func main() {
 	// --- Part 1: the science — dock a small library on the CPU ----------
-	pocket, err := dsenergy.GenPocket(7, 24, 12)
+	pocket, err := ligen.GenPocket(xrand.New(7), 24, 12)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := dsenergy.GenLigandLibrary(11, 24, 31, 4)
+	lib, err := ligen.GenLibrary(xrand.New(11), 24, 31, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ranking, err := dsenergy.Screen(lib, pocket, dsenergy.FastDockParams(), 0, 99)
+	ranking, err := ligen.Screen(lib, pocket, ligen.TestParams(), 0, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,21 +41,21 @@ func main() {
 
 	// --- Part 2: energy modeling for the full campaign ------------------
 	// The production campaign screens 10000 ligands per batch on the GPU.
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
 
 	// Training phase (Figure 11): measure a grid of campaign shapes.
-	var wls []dsenergy.FeaturedWorkload
+	var wls []core.FeaturedWorkload
 	for _, l := range []int{256, 1024, 4096, 10000} {
 		for _, a := range []int{31, 63, 89} {
-			w, err := dsenergy.NewLiGenWorkload(dsenergy.LiGenInput{Ligands: l, Atoms: a, Fragments: 8})
+			w, err := ligen.NewWorkload(ligen.Input{Ligands: l, Atoms: a, Fragments: 8})
 			if err != nil {
 				log.Fatal(err)
 			}
-			wls = append(wls, dsenergy.FeaturedWorkload{
+			wls = append(wls, core.FeaturedWorkload{
 				Workload: w,
 				Features: []float64{float64(l), 8, float64(a)},
 			})
@@ -58,12 +63,12 @@ func main() {
 	}
 	sweep := everyNth(v100.Spec().FreqsAbove(0.4), 6)
 	sweep = append(sweep, v100.BaselineFreqMHz())
-	ds, err := dsenergy.BuildDataset(v100, dsenergy.LiGenSchema(), wls,
-		dsenergy.BuildConfig{Freqs: dedupSorted(sweep), Reps: 5})
+	ds, err := core.BuildDataset(v100, core.LiGenSchema(), wls,
+		core.BuildConfig{Freqs: dedupSorted(sweep), Reps: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := dsenergy.TrainNormalized(ds, dsenergy.RandomForestSpec(), 1)
+	model, err := core.TrainNormalized(ds, ml.Spec{Algorithm: "forest"}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,9 +91,9 @@ func main() {
 		best.FreqMHz, best.Speedup, best.NormEnergy)
 
 	// Verify against the simulated ground truth.
-	w, _ := dsenergy.NewLiGenWorkload(dsenergy.LiGenInput{Ligands: 8000, Atoms: 74, Fragments: 8})
-	ref, _ := dsenergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
-	got, _ := dsenergy.MeasureAt(v100, w, best.FreqMHz, 5)
+	w, _ := ligen.NewWorkload(ligen.Input{Ligands: 8000, Atoms: 74, Fragments: 8})
+	ref, _ := synergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
+	got, _ := synergy.MeasureAt(v100, w, best.FreqMHz, 5)
 	fmt.Printf("   measured:        speedup %.3f, normalized energy %.3f\n",
 		ref.TimeS/got.TimeS, got.EnergyJ/ref.EnergyJ)
 }

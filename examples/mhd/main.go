@@ -9,18 +9,21 @@ import (
 	"log"
 	"math"
 
-	"dsenergy"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/pareto"
+	"dsenergy/internal/synergy"
 )
 
 func main() {
 	// --- Part 1: the science — a blast wave on the CPU -------------------
-	s, err := dsenergy.NewMHDSolver(dsenergy.MHDConfig{
-		NX: 32, NY: 32, NZ: 32, Boundary: dsenergy.MHDPeriodic,
+	s, err := cronos.NewSolver(cronos.Config{
+		NX: 32, NY: 32, NZ: 32, Boundary: cronos.Periodic,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dsenergy.InitMHDBlastWave(s.Grid, 0.1, 10, 0.15)
+	cronos.InitBlastWave(s.Grid, 0.1, 10, 0.15)
 	mass0 := s.Grid.TotalMass()
 	if err := s.Run(0.05, 50); err != nil {
 		log.Fatal(err)
@@ -43,12 +46,12 @@ func main() {
 
 	// --- Part 2: energy characterization of the production run -----------
 	// The production simulation uses the paper's large grid.
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
-	w, err := dsenergy.NewCronosWorkload(160, 64, 64, 20)
+	w, err := cronos.NewWorkload(160, 64, 64, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,26 +63,26 @@ func main() {
 	}
 	sweep = append(sweep, v100.BaselineFreqMHz(), v100.Spec().FMaxMHz())
 
-	ms, err := dsenergy.Sweep(v100, w, sweep, 5)
+	ms, err := synergy.Sweep(v100, w, sweep, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var ref dsenergy.Measurement
+	var ref synergy.Measurement
 	for _, m := range ms {
 		if m.FreqMHz == v100.BaselineFreqMHz() {
 			ref = m
 		}
 	}
 
-	var pts []dsenergy.ParetoPoint
+	var pts []pareto.Point
 	for _, m := range ms {
-		pts = append(pts, dsenergy.ParetoPoint{
+		pts = append(pts, pareto.Point{
 			FreqMHz:    m.FreqMHz,
 			Speedup:    ref.TimeS / m.TimeS,
 			NormEnergy: m.EnergyJ / ref.EnergyJ,
 		})
 	}
-	front := dsenergy.ParetoFront(pts)
+	front := pareto.Front(pts)
 	fmt.Println("Pareto-optimal frequency configurations (160x64x64):")
 	for _, p := range front {
 		fmt.Printf("   %5d MHz  speedup %.3f  normalized energy %.3f\n",
@@ -92,7 +95,7 @@ func main() {
 	// --- Part 3: a user-provided conservation law -------------------------
 	// Cronos also solves user-supplied conservation laws; here the inviscid
 	// Burgers equation steepens a smooth wave into a shock.
-	bs, err := dsenergy.NewScalarSolver(dsenergy.BurgersLaw{}, 128, 1, 1, dsenergy.MHDPeriodic)
+	bs, err := cronos.NewScalarSolver(cronos.BurgersLaw{}, 128, 1, 1, cronos.Periodic)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,40 +8,44 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
+	"dsenergy/internal/pareto"
+	"dsenergy/internal/synergy"
 )
 
 func main() {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	workloads := []struct {
 		name string
-		w    dsenergy.Workload
+		w    synergy.Workload
 	}{}
-	for _, in := range []dsenergy.LiGenInput{
+	for _, in := range []ligen.Input{
 		{Ligands: 256, Atoms: 31, Fragments: 4},
 		{Ligands: 10000, Atoms: 89, Fragments: 20},
 	} {
-		w, err := dsenergy.NewLiGenWorkload(in)
+		w, err := ligen.NewWorkload(in)
 		if err != nil {
 			log.Fatal(err)
 		}
 		workloads = append(workloads, struct {
 			name string
-			w    dsenergy.Workload
+			w    synergy.Workload
 		}{"LiGen " + in.String(), w})
 	}
 	for _, g := range [][3]int{{10, 4, 4}, {160, 64, 64}} {
-		w, err := dsenergy.NewCronosWorkload(g[0], g[1], g[2], 10)
+		w, err := cronos.NewWorkload(g[0], g[1], g[2], 10)
 		if err != nil {
 			log.Fatal(err)
 		}
 		workloads = append(workloads, struct {
 			name string
-			w    dsenergy.Workload
+			w    synergy.Workload
 		}{fmt.Sprintf("Cronos %dx%dx%d", g[0], g[1], g[2]), w})
 	}
 
@@ -57,25 +61,25 @@ func main() {
 
 		fmt.Printf("==== %s (baseline %d MHz) ====\n", spec.Name, q.BaselineFreqMHz())
 		for _, wl := range workloads {
-			ms, err := dsenergy.Sweep(q, wl.w, sweep, 3)
+			ms, err := synergy.Sweep(q, wl.w, sweep, 3)
 			if err != nil {
 				log.Fatal(err)
 			}
-			var ref dsenergy.Measurement
+			var ref synergy.Measurement
 			for _, m := range ms {
 				if m.FreqMHz == q.BaselineFreqMHz() {
 					ref = m
 				}
 			}
-			var pts []dsenergy.ParetoPoint
+			var pts []pareto.Point
 			for _, m := range ms {
-				pts = append(pts, dsenergy.ParetoPoint{
+				pts = append(pts, pareto.Point{
 					FreqMHz:    m.FreqMHz,
 					Speedup:    ref.TimeS / m.TimeS,
 					NormEnergy: m.EnergyJ / ref.EnergyJ,
 				})
 			}
-			front := dsenergy.ParetoFront(pts)
+			front := pareto.Front(pts)
 			fmt.Printf("-- %s: %d Pareto-optimal of %d swept --\n", wl.name, len(front), len(pts))
 			for _, p := range front {
 				fmt.Printf("   %5d MHz  speedup %6.3f  normE %6.3f\n", p.FreqMHz, p.Speedup, p.NormEnergy)

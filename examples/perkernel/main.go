@@ -8,11 +8,16 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/core"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ml"
+	"dsenergy/internal/synergy"
+	"dsenergy/internal/tuner"
 )
 
 func main() {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -20,13 +25,13 @@ func main() {
 
 	// Training inputs: the Cronos grid ladder (the 160x64x64 target is
 	// deliberately included only in the sweep, not special-cased).
-	var wls []dsenergy.FeaturedWorkload
+	var wls []core.FeaturedWorkload
 	for _, g := range [][3]int{{20, 8, 8}, {40, 16, 16}, {80, 32, 32}, {160, 64, 64}} {
-		w, err := dsenergy.NewCronosWorkload(g[0], g[1], g[2], 8)
+		w, err := cronos.NewWorkload(g[0], g[1], g[2], 8)
 		if err != nil {
 			log.Fatal(err)
 		}
-		wls = append(wls, dsenergy.FeaturedWorkload{
+		wls = append(wls, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(g[0]), float64(g[1]), float64(g[2])},
 		})
@@ -40,10 +45,10 @@ func main() {
 	sweep = append(sweep, v100.BaselineFreqMHz(), v100.Spec().FMaxMHz())
 
 	// Keep at most 1% predicted slowdown per kernel.
-	policy := dsenergy.PerfConstraint(0.99)
-	pk, err := dsenergy.TrainPerKernel(v100, dsenergy.CronosSchema(), wls,
-		dsenergy.BuildConfig{Freqs: dedup(sweep), Reps: 5},
-		dsenergy.RandomForestSpec(), policy, 1)
+	policy := tuner.PerfConstraint{MinSpeedup: 0.99}
+	pk, err := tuner.TrainPerKernel(v100, core.CronosSchema(), wls,
+		core.BuildConfig{Freqs: dedup(sweep), Reps: 5},
+		ml.Spec{Algorithm: "forest"}, policy, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func main() {
 			k, plan.FreqByKernel[k], c.Speedup, c.NormEnergy)
 	}
 
-	w, _ := dsenergy.NewCronosWorkload(160, 64, 64, 8)
+	w, _ := cronos.NewWorkload(160, 64, 64, 8)
 	out, err := pk.Execute(v100, w, plan, 5)
 	if err != nil {
 		log.Fatal(err)

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"log"
 
-	"dsenergy"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
+	"dsenergy/internal/synergy"
 )
 
 func main() {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -20,7 +22,7 @@ func main() {
 		v100.Spec().Name, len(v100.SupportedFreqsMHz()),
 		v100.Spec().FMinMHz(), v100.Spec().FMaxMHz(), v100.BaselineFreqMHz())
 
-	w, err := dsenergy.NewLiGenWorkload(dsenergy.LiGenInput{Ligands: 1024, Atoms: 63, Fragments: 8})
+	w, err := ligen.NewWorkload(ligen.Input{Ligands: 1024, Atoms: 63, Fragments: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,9 +32,9 @@ func main() {
 	high := v100.Spec().FMaxMHz()
 
 	fmt.Printf("\n%-14s %12s %12s %10s\n", "frequency", "time (s)", "energy (J)", "avg W")
-	var ref dsenergy.Measurement
+	var ref synergy.Measurement
 	for i, f := range []int{low, base, high} {
-		m, err := dsenergy.MeasureAt(v100, w, f, 5)
+		m, err := synergy.MeasureAt(v100, w, f, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,8 +44,8 @@ func main() {
 		fmt.Printf("%9d MHz %12.5f %12.3f %10.1f\n", m.FreqMHz, m.TimeS, m.EnergyJ, m.EnergyJ/m.TimeS)
 	}
 
-	mLow, _ := dsenergy.MeasureAt(v100, w, low, 5)
-	mHigh, _ := dsenergy.MeasureAt(v100, w, high, 5)
+	mLow, _ := synergy.MeasureAt(v100, w, low, 5)
+	mHigh, _ := synergy.MeasureAt(v100, w, high, 5)
 	fmt.Printf("\ndown-clocking to %d MHz: %+.1f%% time, %+.1f%% energy\n",
 		low, (mLow.TimeS/ref.TimeS-1)*100, (mLow.EnergyJ/ref.EnergyJ-1)*100)
 	fmt.Printf("up-clocking to %d MHz:  %+.1f%% time, %+.1f%% energy\n",

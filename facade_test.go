@@ -1,28 +1,38 @@
 package dsenergy_test
 
-// Integration tests exercising the public facade end to end, the way a
-// downstream user would: testbed -> workloads -> measurements -> dataset ->
-// model -> Pareto prediction, plus the reference CPU applications.
+// Integration tests exercising the library end to end across its packages,
+// the way the examples/ programs do: testbed -> workloads -> measurements ->
+// dataset -> model -> Pareto prediction, plus the reference CPU
+// applications.
 
 import (
 	"bytes"
 	"math"
 	"testing"
 
-	"dsenergy"
+	"dsenergy/internal/core"
+	"dsenergy/internal/cronos"
+	"dsenergy/internal/experiments"
+	"dsenergy/internal/gpusim"
+	"dsenergy/internal/ligen"
+	"dsenergy/internal/ml"
+	"dsenergy/internal/pareto"
+	"dsenergy/internal/synergy"
+	"dsenergy/internal/tuner"
+	"dsenergy/internal/xrand"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
-	w, err := dsenergy.NewLiGenWorkload(dsenergy.LiGenInput{Ligands: 512, Atoms: 31, Fragments: 8})
+	w, err := ligen.NewWorkload(ligen.Input{Ligands: 512, Atoms: 31, Fragments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dsenergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 3)
+	m, err := synergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +42,19 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeModelingPipeline(t *testing.T) {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
 
-	var wls []dsenergy.FeaturedWorkload
+	var wls []core.FeaturedWorkload
 	for _, g := range [][3]int{{10, 4, 4}, {20, 8, 8}, {40, 16, 16}} {
-		w, err := dsenergy.NewCronosWorkload(g[0], g[1], g[2], 4)
+		w, err := cronos.NewWorkload(g[0], g[1], g[2], 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wls = append(wls, dsenergy.FeaturedWorkload{
+		wls = append(wls, core.FeaturedWorkload{
 			Workload: w,
 			Features: []float64{float64(g[0]), float64(g[1]), float64(g[2])},
 		})
@@ -57,12 +67,12 @@ func TestFacadeModelingPipeline(t *testing.T) {
 	freqs = append(freqs, v100.BaselineFreqMHz(), v100.Spec().FMaxMHz())
 	freqs = dedupSortInts(freqs)
 
-	ds, err := dsenergy.BuildDataset(v100, dsenergy.CronosSchema(), wls,
-		dsenergy.BuildConfig{Freqs: freqs, Reps: 2})
+	ds, err := core.BuildDataset(v100, core.CronosSchema(), wls,
+		core.BuildConfig{Freqs: freqs, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := dsenergy.TrainNormalized(ds, dsenergy.RandomForestSpec(), 1)
+	model, err := core.TrainNormalized(ds, ml.Spec{Algorithm: "forest"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +85,15 @@ func TestFacadeModelingPipeline(t *testing.T) {
 			t.Fatalf("bad curve point %+v", c)
 		}
 	}
-	var pts []dsenergy.ParetoPoint
+	var pts []pareto.Point
 	for _, c := range curves {
-		pts = append(pts, dsenergy.ParetoPoint{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy})
+		pts = append(pts, pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy})
 	}
-	if front := dsenergy.ParetoFront(pts); len(front) == 0 {
+	if front := pareto.Front(pts); len(front) == 0 {
 		t.Fatal("empty Pareto front")
 	}
 
-	accs, err := dsenergy.LeaveOneInputOut(ds, dsenergy.RandomForestSpec(), 2)
+	accs, err := core.LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +103,11 @@ func TestFacadeModelingPipeline(t *testing.T) {
 }
 
 func TestFacadeMHDApplication(t *testing.T) {
-	s, err := dsenergy.NewMHDSolver(dsenergy.MHDConfig{NX: 12, NY: 12, NZ: 12, Boundary: dsenergy.MHDPeriodic})
+	s, err := cronos.NewSolver(cronos.Config{NX: 12, NY: 12, NZ: 12, Boundary: cronos.Periodic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsenergy.InitMHDBlastWave(s.Grid, 0.1, 10, 0.2)
+	cronos.InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	mass0 := s.Grid.TotalMass()
 	if err := s.Run(0.02, 10); err != nil {
 		t.Fatal(err)
@@ -111,15 +121,15 @@ func TestFacadeMHDApplication(t *testing.T) {
 }
 
 func TestFacadeDrugDiscoveryApplication(t *testing.T) {
-	pocket, err := dsenergy.GenPocket(7, 16, 10)
+	pocket, err := ligen.GenPocket(xrand.New(7), 16, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := dsenergy.GenLigandLibrary(11, 6, 20, 3)
+	lib, err := ligen.GenLibrary(xrand.New(11), 6, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking, err := dsenergy.Screen(lib, pocket, dsenergy.FastDockParams(), 2, 99)
+	ranking, err := ligen.Screen(lib, pocket, ligen.TestParams(), 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +144,8 @@ func TestFacadeDrugDiscoveryApplication(t *testing.T) {
 }
 
 func TestFacadeDeviceSpecs(t *testing.T) {
-	v := dsenergy.V100Spec()
-	m := dsenergy.MI100Spec()
+	v := gpusim.V100Spec()
+	m := gpusim.MI100Spec()
 	if v.Name != "NVIDIA V100" || m.Name != "AMD MI100" {
 		t.Errorf("preset names %q, %q", v.Name, m.Name)
 	}
@@ -145,8 +155,8 @@ func TestFacadeDeviceSpecs(t *testing.T) {
 }
 
 func TestExperimentConfigs(t *testing.T) {
-	def := dsenergy.DefaultExperimentConfig()
-	quick := dsenergy.QuickExperimentConfig()
+	def := experiments.DefaultConfig()
+	quick := experiments.QuickConfig()
 	if def.Reps != 5 {
 		t.Errorf("paper config reps %d, want 5", def.Reps)
 	}
@@ -173,35 +183,35 @@ func dedupSortInts(fs []int) []int {
 }
 
 func TestFacadeTuningPolicies(t *testing.T) {
-	curve := []dsenergy.CurvePoint{
+	curve := []core.CurvePoint{
 		{FreqMHz: 1000, Speedup: 0.8, NormEnergy: 0.88},
 		{FreqMHz: 1297, Speedup: 1.0, NormEnergy: 1.0},
 		{FreqMHz: 1597, Speedup: 1.2, NormEnergy: 1.35},
 	}
-	if got := dsenergy.MaxPerformance().Select(curve).FreqMHz; got != 1597 {
+	if got := (tuner.MaxPerformance{}).Select(curve).FreqMHz; got != 1597 {
 		t.Errorf("max-performance chose %d", got)
 	}
-	if got := dsenergy.MinEnergy().Select(curve).FreqMHz; got != 1000 {
+	if got := (tuner.MinEnergy{}).Select(curve).FreqMHz; got != 1000 {
 		t.Errorf("min-energy chose %d", got)
 	}
-	if got := dsenergy.EnergyTarget(0.9).Select(curve).FreqMHz; got != 1000 {
+	if got := (tuner.EnergyTarget{Target: 0.9}).Select(curve).FreqMHz; got != 1000 {
 		t.Errorf("energy-target chose %d", got)
 	}
-	if got := dsenergy.PerfConstraint(0.95).Select(curve).FreqMHz; got != 1297 {
+	if got := (tuner.PerfConstraint{MinSpeedup: 0.95}).Select(curve).FreqMHz; got != 1297 {
 		t.Errorf("perf-constraint chose %d", got)
 	}
-	if dsenergy.MinEDP().Name() == "" || dsenergy.MinED2P().Name() == "" {
+	if (tuner.MinEDP{}).Name() == "" || (tuner.MinED2P{}).Name() == "" {
 		t.Error("EDP policies unnamed")
 	}
 }
 
 func TestFacadePowerTrace(t *testing.T) {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := tb.Queues()[0]
-	w, _ := dsenergy.NewCronosWorkload(20, 8, 8, 2)
+	w, _ := cronos.NewWorkload(20, 8, 8, 2)
 	if _, _, err := w.RunOn(q); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,7 @@ func TestFacadePowerTrace(t *testing.T) {
 	for _, e := range events {
 		total += e.TimeS
 	}
-	trace, err := dsenergy.PowerTrace(events, total/8)
+	trace, err := synergy.PowerTrace(events, total/8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +230,15 @@ func TestFacadePowerTrace(t *testing.T) {
 }
 
 func TestFacadeDatasetCSV(t *testing.T) {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := tb.Queues()[0]
-	w, _ := dsenergy.NewCronosWorkload(10, 4, 4, 2)
-	ds, err := dsenergy.BuildDataset(q, dsenergy.CronosSchema(),
-		[]dsenergy.FeaturedWorkload{{Workload: w, Features: []float64{10, 4, 4}}},
-		dsenergy.BuildConfig{Freqs: []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()}, Reps: 1})
+	w, _ := cronos.NewWorkload(10, 4, 4, 2)
+	ds, err := core.BuildDataset(q, core.CronosSchema(),
+		[]core.FeaturedWorkload{{Workload: w, Features: []float64{10, 4, 4}}},
+		core.BuildConfig{Freqs: []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()}, Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +246,7 @@ func TestFacadeDatasetCSV(t *testing.T) {
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dsenergy.ReadDatasetCSV(&buf)
+	got, err := core.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +256,15 @@ func TestFacadeDatasetCSV(t *testing.T) {
 }
 
 func TestFacadeBranchedLigandSerialization(t *testing.T) {
-	l, err := dsenergy.GenLigandBranched(5, "b", 30, 4, 0.25)
+	l, err := ligen.GenLigandBranched(xrand.New(5), "b", 30, 4, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := dsenergy.WriteLigand(&buf, l); err != nil {
+	if err := ligen.WriteLigand(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dsenergy.ReadLigand(&buf)
+	got, err := ligen.ReadLigand(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,22 +279,22 @@ func TestFacadeBranchedLigandSerialization(t *testing.T) {
 // recalibrate deliberately, then update the golden values (the shape tests
 // in internal/experiments must still pass).
 func TestGoldenMeasurements(t *testing.T) {
-	tb, err := dsenergy.NewTestbed(42)
+	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v100 := tb.Queues()[0]
 
-	w, _ := dsenergy.NewCronosWorkload(20, 8, 8, 4)
-	m, err := dsenergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
+	w, _ := cronos.NewWorkload(20, 8, 8, 4)
+	m, err := synergy.MeasureAt(v100, w, v100.BaselineFreqMHz(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "cronos-20x8x8 time", m.TimeS, 0.000480739182)
 	checkGolden(t, "cronos-20x8x8 energy", m.EnergyJ, 0.0377027341)
 
-	l, _ := dsenergy.NewLiGenWorkload(dsenergy.LiGenInput{Ligands: 1024, Atoms: 63, Fragments: 8})
-	m2, err := dsenergy.MeasureAt(v100, l, v100.Spec().FMaxMHz(), 3)
+	l, _ := ligen.NewWorkload(ligen.Input{Ligands: 1024, Atoms: 63, Fragments: 8})
+	m2, err := synergy.MeasureAt(v100, l, v100.Spec().FMaxMHz(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"io"
 	"sort"
-	"strings"
 )
 
 // This file is the interprocedural core of the suite: a CHA-style call graph
@@ -430,43 +429,8 @@ func (p *Program) addEdge(e CallEdge) {
 // Callees returns the outgoing edges of n in source order.
 func (p *Program) Callees(n *FuncNode) []CallEdge { return p.callees[n] }
 
-// Callers returns the incoming edges of n.
-func (p *Program) Callers(n *FuncNode) []CallEdge { return p.callers[n] }
-
 // CalleesAt returns the resolved targets of one call expression.
 func (p *Program) CalleesAt(call *ast.CallExpr) []*FuncNode { return p.siteEdges[call] }
-
-// FuncOf returns the node of a declared function object, nil if unknown.
-func (p *Program) FuncOf(obj *types.Func) *FuncNode { return p.byObj[obj] }
-
-// LitOf returns the node of a function literal, nil if unknown.
-func (p *Program) LitOf(lit *ast.FuncLit) *FuncNode { return p.byLit[lit] }
-
-// EnclosingFunc returns the innermost FuncNode whose body contains pos.
-func (p *Program) EnclosingFunc(pos token.Pos) *FuncNode {
-	var best *FuncNode
-	for _, n := range p.Funcs {
-		if n.Decl != nil && n.Decl.Pos() <= pos && pos <= n.Decl.End() {
-			if best == nil || n.Decl.Pos() >= best.Decl.Pos() {
-				best = n
-			}
-		}
-	}
-	return best
-}
-
-// InModule reports whether the node's defining package belongs to the
-// analyzed module (externals and unresolved nodes are not).
-func (p *Program) InModule(n *FuncNode) bool {
-	if n == nil || n.Pkg != nil {
-		return n != nil
-	}
-	if n.Obj == nil || n.Obj.Pkg() == nil {
-		return false
-	}
-	path := n.Obj.Pkg().Path()
-	return path == p.ModulePath || strings.HasPrefix(path, p.ModulePath+"/")
-}
 
 // WriteCalls dumps the call graph as deterministic text: one line per edge,
 // suitable for the driver's -calls debugging flag. Ordering goes through

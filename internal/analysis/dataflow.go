@@ -60,17 +60,6 @@ func (p *Program) Reaches(pred func(*FuncNode) bool, quarantine func(*FuncNode) 
 	return reached
 }
 
-// CallReaches reports whether any resolved target of call is in reached, or
-// is itself a source the caller already computed membership for.
-func (p *Program) CallReaches(call *ast.CallExpr, reached map[*FuncNode]bool) *FuncNode {
-	for _, t := range p.siteEdges[call] {
-		if reached[t] {
-			return t
-		}
-	}
-	return nil
-}
-
 // taintSet tracks the objects a local forward propagation has marked.
 type taintSet map[types.Object]bool
 

@@ -116,9 +116,6 @@ func New(seed uint64, spec gpusim.Spec, n int, net Interconnect) (*Cluster, erro
 // errors.Is to distinguish "the cluster is gone" from ordinary run errors.
 var ErrNoSurvivingDevices = errors.New("no surviving devices")
 
-// Size returns the device count.
-func (c *Cluster) Size() int { return len(c.queues) }
-
 // MarkDead records a permanent loss of device i observed by an external
 // driver (e.g. the scheduler watching a fault surface directly), excluding
 // it from subsequent resilient runs. Out-of-range indices are ignored.
@@ -127,9 +124,6 @@ func (c *Cluster) MarkDead(i int) {
 		c.dead[i] = true
 	}
 }
-
-// Dead reports whether device i has been marked permanently failed.
-func (c *Cluster) Dead(i int) bool { return i >= 0 && i < len(c.dead) && c.dead[i] }
 
 // Queues exposes the device queues (e.g. for frequency control).
 func (c *Cluster) Queues() []*synergy.Queue { return c.queues }

@@ -267,16 +267,6 @@ func sampleRow(features []float64, freqMHz int) []float64 {
 	return append(append([]float64(nil), features...), float64(freqMHz))
 }
 
-// PredictTime returns T(f⃗, c) in seconds (raw mode only).
-func (m *Model) PredictTime(features []float64, freqMHz int) float64 {
-	return m.timeModel.Predict(sampleRow(features, freqMHz))
-}
-
-// PredictEnergy returns E(f⃗, c) in joules (raw mode only).
-func (m *Model) PredictEnergy(features []float64, freqMHz int) float64 {
-	return m.energyModel.Predict(sampleRow(features, freqMHz))
-}
-
 // CurvePoint is a derived (speedup, normalized energy) prediction at one
 // frequency.
 type CurvePoint struct {

@@ -155,28 +155,19 @@ func CurveMAPE(ds *Dataset, input []float64, predicted []CurvePoint) (InputAccur
 	}, nil
 }
 
-// CompareAlgorithms reproduces §5.2.1's regressor comparison: each algorithm
-// is evaluated with the leave-one-input-out protocol and the mean MAPE pair
-// across inputs is reported.
+// AlgorithmScore is one algorithm's mean leave-one-input-out MAPE pair
+// across inputs.
 type AlgorithmScore struct {
 	Spec               ml.Spec
 	MeanSpeedupMAPE    float64
 	MeanNormEnergyMAPE float64
 }
 
-// CompareAlgorithms evaluates each spec on the dataset.
-func CompareAlgorithms(ds *Dataset, specs []ml.Spec, seed uint64) ([]AlgorithmScore, error) {
-	return compareAlgorithms(ds, specs, seed, 1)
-}
-
-// CompareAlgorithmsParallel is CompareAlgorithms with the algorithms
-// evaluated on a worker pool (workers <= 0 selects GOMAXPROCS), identical to
-// the serial comparison for every worker count.
+// CompareAlgorithmsParallel reproduces §5.2.1's regressor comparison: each
+// spec is evaluated on the dataset with the leave-one-input-out protocol, the
+// algorithms fanned out on a worker pool (workers <= 0 selects GOMAXPROCS,
+// 1 runs serially) with identical scores for every worker count.
 func CompareAlgorithmsParallel(ds *Dataset, specs []ml.Spec, seed uint64, workers int) ([]AlgorithmScore, error) {
-	return compareAlgorithms(ds, specs, seed, workers)
-}
-
-func compareAlgorithms(ds *Dataset, specs []ml.Spec, seed uint64, workers int) ([]AlgorithmScore, error) {
 	return parallel.Map(context.Background(), len(specs), workers, func(_ context.Context, i int) (AlgorithmScore, error) {
 		spec := specs[i]
 		accs, err := LeaveOneInputOut(ds, spec, seed)

@@ -11,8 +11,9 @@ import "testing"
 //     parts, which is where pencil tiling earns its keep.
 //
 // Each size runs serial (Workers=1, the per-core engine) and parallel
-// (Workers=0 → GOMAXPROCS, the slab fan-out). scripts/bench.sh freezes the
-// pre-tiling numbers of this grid as the legacy baseline in BENCH_cronos.json.
+// (Workers=0 → GOMAXPROCS, the slab fan-out). To compare a stencil change,
+// run `go test -bench SolverStep -run '^$' ./internal/cronos` before and
+// after it on the same machine.
 func benchSolverStep(b *testing.B, nx, ny, nz, workers int) {
 	b.Helper()
 	s, err := NewSolver(Config{NX: nx, NY: ny, NZ: nz, Boundary: Periodic, Workers: workers})

@@ -64,25 +64,6 @@ func InitAlfvenWave(g *Grid, amplitude float64) {
 	}
 }
 
-// InitShearFlow initializes a smooth sinusoidal shear flow, a gentle dynamic
-// setup for long characterization runs that never steepens into strong shocks.
-func InitShearFlow(g *Grid, mach float64) {
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			y := (float64(j) + 0.5) * g.DY
-			for i := 0; i < g.NX; i++ {
-				w := prim{
-					rho: 1,
-					p:   1 / Gamma, // sound speed 1
-					vx:  mach * math.Sin(2*math.Pi*y/(float64(g.NY)*g.DY)),
-					bx:  0.2,
-				}
-				setCell(g, i, j, k, toCons(&w))
-			}
-		}
-	}
-}
-
 // InitBrioWu initializes the Brio & Wu (1988) MHD shock tube along x: the
 // canonical 1-D validation problem whose solution develops a fast
 // rarefaction, compound wave, contact discontinuity, slow shock and fast

@@ -93,9 +93,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}, nil
 }
 
-// Workers returns the configured pool width.
-func (s *Solver) Workers() int { return s.cfg.Workers }
-
 // parallelFor splits [0,n) across the worker pool and waits for completion.
 func (s *Solver) parallelFor(n int, body func(lo, hi int)) {
 	w := s.cfg.Workers

@@ -251,9 +251,6 @@ type DeviceInjector struct {
 // Dead reports whether the device has permanently failed.
 func (d *DeviceInjector) Dead() bool { return d.dead }
 
-// Submits returns how many submissions the device has been consulted for.
-func (d *DeviceInjector) Submits() int { return d.submits }
-
 // Fork derives a child injector for one partition of a pre-split parallel
 // execution (e.g. one frequency of a parallel sweep). The child shares the
 // plan but owns a stream split off the parent's and restarts the per-device

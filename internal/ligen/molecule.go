@@ -98,15 +98,6 @@ func (l *Ligand) NumAtoms() int { return len(l.Atoms) }
 // feature; one more than the rotamer count).
 func (l *Ligand) NumFragments() int { return len(l.Fragments) }
 
-// Centroid returns the mean atom position.
-func (l *Ligand) Centroid() Vec3 {
-	var c Vec3
-	for _, a := range l.Atoms {
-		c = c.Add(a.Pos)
-	}
-	return c.Scale(1 / float64(len(l.Atoms)))
-}
-
 const bondLength = 1.5 // ångström, a typical C-C bond
 
 // GenLigand synthesizes a ligand with the requested number of atoms and

@@ -90,9 +90,6 @@ func GenPocket(rng *xrand.Rand, n int, extent float64) (*Pocket, error) {
 	return p, nil
 }
 
-// Bytes returns the memory footprint of the pocket fields.
-func (p *Pocket) Bytes() float64 { return float64(len(p.Aff)+len(p.Elec)) * 8 }
-
 // sample trilinearly interpolates field at world position pos; positions
 // outside the grid return a large penalty (ligand left the pocket).
 func (p *Pocket) sample(field []float64, pos Vec3) float64 {

@@ -36,106 +36,36 @@ func Workers(n int) int {
 }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on a pool of at most
-// Workers(workers) goroutines and waits for all of them. With one worker (or
-// n <= 1 tasks) it degrades to a plain loop on the calling goroutine — the
-// serial reference the parallel schedule must be indistinguishable from.
-//
-// The context passed to fn is cancelled as soon as any task fails; fn may
-// ignore it (tasks are typically short) or poll it to abort long work early.
+// Workers(workers) goroutines and waits for all of them: ForEachChunked with
+// one index per chunk.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next   int64 // next unclaimed task index
-		mu     sync.Mutex
-		errIdx = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				if cctx.Err() != nil {
-					// Cancelled by an earlier failure (or the caller): stop
-					// claiming work without recording — a cancellation is not
-					// this task's error.
-					return
-				}
-				if err := fn(cctx, i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if first != nil {
-		return first
-	}
-	// No task failed; surface a caller-side cancellation if there was one.
-	return ctx.Err()
+	return ForEachChunked(ctx, n, workers, 1, func(ctx context.Context, lo, _ int) error {
+		return fn(ctx, lo)
+	})
 }
 
 // ForEachChunked runs fn over contiguous half-open ranges [lo, hi) that tile
-// [0, n), each at most grain indices wide. It is the grain-size counterpart
-// of ForEach for workloads whose per-index cost is small enough that task
-// claiming and closure dispatch dominate, or whose bodies can amortize
-// per-chunk scratch state across the indices of one range. grain <= 0 selects
-// an automatic grain of about n/(4·workers) (at least 1), which keeps roughly
-// four chunks per worker in flight for load balancing while dividing the
-// per-index dispatch cost by the grain.
+// [0, n), each at most grain indices wide, on a pool of at most
+// Workers(workers) goroutines, and waits for all of them. A grain above one
+// suits workloads whose per-index cost is small enough that task claiming and
+// closure dispatch dominate, or whose bodies can amortize per-chunk scratch
+// state across the indices of one range. grain <= 0 selects an automatic
+// grain of about n/(4·workers) (at least 1), which keeps roughly four chunks
+// per worker in flight for load balancing while dividing the per-index
+// dispatch cost by the grain.
 //
-// The determinism contract is inherited from ForEach unchanged: fn must
-// derive everything it needs from the indices it is handed, so every chunk
-// decomposition — one chunk, n chunks, or anything between — produces the
-// same bytes as the serial loop. With one worker the chunks run in ascending
-// order on the calling goroutine.
+// fn must derive everything it needs from the indices it is handed, so every
+// chunk decomposition — one chunk, n chunks, or anything between — produces
+// the same bytes as the serial loop. With one worker (or a single chunk) the
+// chunks run in ascending order on the calling goroutine: the serial
+// reference the parallel schedule must be indistinguishable from.
 //
-// Error handling is fail-fast like ForEach, at chunk granularity: the context
-// passed to fn is cancelled as soon as any chunk fails, and the error
-// recorded for the chunk with the lowest start index is returned. As with
-// ForEach, an unlucky schedule may cancel a lower chunk before it runs, so
+// Error handling is fail-fast: the context passed to fn is cancelled as soon
+// as any chunk fails (fn may ignore it or poll it to abort long work early),
+// and the error recorded for the chunk with the lowest start index is
+// returned. An unlucky schedule may cancel a lower chunk before it runs, so
 // callers needing deterministic state on failure must discard partial
-// results.
+// results. If no chunk fails, a caller-side cancellation is returned.
 func ForEachChunked(ctx context.Context, n, workers, grain int, fn func(ctx context.Context, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -201,6 +131,9 @@ func ForEachChunked(ctx context.Context, n, workers, grain int, fn func(ctx cont
 					return
 				}
 				if cctx.Err() != nil {
+					// Cancelled by an earlier failure (or the caller): stop
+					// claiming work without recording — a cancellation is not
+					// this chunk's error.
 					return
 				}
 				lo := c * grain
@@ -221,6 +154,7 @@ func ForEachChunked(ctx context.Context, n, workers, grain int, fn func(ctx cont
 	if first != nil {
 		return first
 	}
+	// No chunk failed; surface a caller-side cancellation if there was one.
 	return ctx.Err()
 }
 

@@ -40,9 +40,6 @@ func NewRegistry(device string) *Registry {
 	return r
 }
 
-// Device returns the device name the registry serves.
-func (r *Registry) Device() string { return r.device }
-
 // Publish validates payload (a core.Model written by Save) and atomically
 // installs it as the next version for app, returning the version number. A
 // payload that fails to load — including every ml.ErrCorruptModel shape the
