@@ -4,7 +4,8 @@
 #   1. gofmt        all source formatted (testdata fixtures included)
 #   2. go vet       stdlib static analysis
 #   3. go build     everything compiles
-#   4. go test -race  full test suite under the race detector
+#   4. go test -race  full test suite under the race detector, plus a
+#                   bounded fuzz of the curve kernel (FuzzPredictSweep)
 #   5. results      reproduce -quick regenerated and diffed against the
 #                   checked-in results/quick snapshot (drift guard); the
 #                   examples' stdout diffed against examples/*/output.txt
@@ -50,6 +51,13 @@ go test -race ./...
 # detector so goroutine interleavings get a second roll of the dice.
 echo "==> go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy"
 go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel ./internal/obs ./internal/ml ./internal/sched ./internal/cronos ./internal/serve ./internal/gpusim ./internal/synergy
+
+# Curve-kernel differential fuzz: PredictSweep walks each tree once for a
+# whole clock menu and must equal per-row Predict bit for bit on fitted,
+# hand-built and persisted models, whatever the features and the sweep. The
+# checked-in corpus runs with every go test; this adds a bounded search.
+echo "==> fuzz FuzzPredictSweep (10s)"
+go test -run '^$' -fuzz '^FuzzPredictSweep$' -fuzztime 10s ./internal/ml
 
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the

@@ -282,19 +282,16 @@ type CurvePoint struct {
 // (default) frequency. In raw mode speedup and normalized energy derive from
 // predicted time/energy; in normalized mode the regressors output them
 // directly and the baseline normalization squares up residual offset.
+//
+// It is PredictCurvesBatch for one input, and panics with that method's
+// error when features does not match the schema width: a caller passing
+// features it did not build itself should call PredictCurvesBatch.
 func (m *Model) PredictCurves(features []float64, freqs []int) []CurvePoint {
-	// One row block — baseline first, then every sweep frequency — feeds
-	// both regressors through ml.PredictBatch, so forests take the
-	// block-oriented tree-major path. Each batch element is bit-identical
-	// to the per-row Predict it replaces.
-	rows := make([][]float64, 0, len(freqs)+1)
-	rows = append(rows, sampleRow(features, m.BaselineFreqMHz))
-	for _, f := range freqs {
-		rows = append(rows, sampleRow(features, f))
+	curves, err := m.PredictCurvesBatch([][]float64{features}, freqs)
+	if err != nil {
+		panic(err)
 	}
-	times := ml.PredictBatch(m.timeModel, rows)
-	energies := ml.PredictBatch(m.energyModel, rows)
-	return m.deriveCurve(times, energies, freqs)
+	return curves[0]
 }
 
 // FeatureDim is the width of the feature vectors the model was trained on
@@ -303,13 +300,17 @@ func (m *Model) FeatureDim() int {
 	return len(m.Schema.Features)
 }
 
-// PredictCurvesBatch is the serving-side counterpart of PredictCurves: it
-// evaluates many inputs against one frequency sweep in a single concatenated
-// row block per regressor, and — unlike PredictCurves, which inherits
-// Predict's zero fallback for mis-shaped rows — rejects any input whose
-// width disagrees with the schema. Because batched forest inference is
-// per-row bit-identical to Predict regardless of block composition,
-// out[i] is bit-identical to PredictCurves(inputs[i], freqs).
+// smallMenu is the longest sweep (baseline plus menu) whose prediction
+// buffers PredictCurvesBatch keeps on the stack.
+const smallMenu = 32
+
+// PredictCurvesBatch evaluates PredictCurves for many inputs against one
+// frequency menu, rejecting any input whose width disagrees with the schema.
+// Each regressor is evaluated per input with ml.PredictSweep over the sweep
+// (baseline clock, then freqs), so forests walk each tree once per input
+// for the whole menu; every value is bit-identical to the regressor's
+// Predict on the assembled (features, clock) row. While the sweep holds at
+// most smallMenu values, the returned curves are the only allocations.
 func (m *Model) PredictCurvesBatch(inputs [][]float64, freqs []int) ([][]CurvePoint, error) {
 	d := m.FeatureDim()
 	for i, in := range inputs {
@@ -318,25 +319,26 @@ func (m *Model) PredictCurvesBatch(inputs [][]float64, freqs []int) ([][]CurvePo
 				i, len(in), m.Schema.App, d)
 		}
 	}
-	stride := len(freqs) + 1
-	rows := make([][]float64, 0, len(inputs)*stride)
-	for _, in := range inputs {
-		rows = append(rows, sampleRow(in, m.BaselineFreqMHz))
-		for _, f := range freqs {
-			rows = append(rows, sampleRow(in, f))
-		}
+	n := len(freqs) + 1
+	var buf [3 * smallMenu]float64
+	bufs := buf[:]
+	if n > smallMenu {
+		bufs = make([]float64, 3*n)
 	}
-	times, err := ml.CheckedPredictBatch(m.timeModel, rows)
-	if err != nil {
-		return nil, fmt.Errorf("core: time model: %w", err)
-	}
-	energies, err := ml.CheckedPredictBatch(m.energyModel, rows)
-	if err != nil {
-		return nil, fmt.Errorf("core: energy model: %w", err)
+	sweep, times, energies := bufs[:n], bufs[n:2*n], bufs[2*n:3*n]
+	sweep[0] = float64(m.BaselineFreqMHz)
+	for j, f := range freqs {
+		sweep[j+1] = float64(f)
 	}
 	out := make([][]CurvePoint, len(inputs))
-	for i := range inputs {
-		out[i] = m.deriveCurve(times[i*stride:(i+1)*stride], energies[i*stride:(i+1)*stride], freqs)
+	for i, in := range inputs {
+		if err := ml.PredictSweep(m.timeModel, in, sweep, times); err != nil {
+			return nil, fmt.Errorf("core: time model: %w", err)
+		}
+		if err := ml.PredictSweep(m.energyModel, in, sweep, energies); err != nil {
+			return nil, fmt.Errorf("core: energy model: %w", err)
+		}
+		out[i] = m.deriveCurve(times, energies, freqs)
 	}
 	return out, nil
 }

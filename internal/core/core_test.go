@@ -412,6 +412,97 @@ func TestPredictCurvesBatchMatchesPredictCurves(t *testing.T) {
 	}
 }
 
+// TestPredictCurvesMatchPerRowReference pins the curve path against a
+// per-row reference: one assembled (features, clock) row per clock,
+// baseline row first, through ml.PredictBatch. Raw and normalized forests
+// are checked on menus that hold the baseline clock, leave it out, and
+// repeat clocks out of order.
+func TestPredictCurvesMatchPerRowReference(t *testing.T) {
+	q := testQueue(t)
+	ds := cronosDataset(t, q, paperGrids[:4])
+	spec := ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 20}}
+	raw, err := Train(ds, spec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := TrainNormalized(ds, spec, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := q.BaselineFreqMHz()
+	band := everyNth(q.Spec().FreqsAbove(0.4), 12)
+	var without []int
+	for _, f := range band {
+		if f != base {
+			without = append(without, f)
+		}
+	}
+	menus := map[string][]int{
+		"baseline inside":  withBaseline(band, base),
+		"baseline outside": without,
+		"duplicated":       append([]int{base, band[len(band)-1], base, band[0]}, band...),
+	}
+	inputs := [][]float64{{10, 4, 4}, {20, 8, 8}, {40, 16, 16}, {15, 6, 6}, {200, 90, 90}}
+	for _, m := range []*Model{raw, norm} {
+		for name, freqs := range menus {
+			batch, err := m.PredictCurvesBatch(inputs, freqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range inputs {
+				rows := [][]float64{sampleRow(in, m.BaselineFreqMHz)}
+				for _, f := range freqs {
+					rows = append(rows, sampleRow(in, f))
+				}
+				want := m.deriveCurve(ml.PredictBatch(m.timeModel, rows), ml.PredictBatch(m.energyModel, rows), freqs)
+				for label, got := range map[string][]CurvePoint{"batch": batch[i], "single": m.PredictCurves(in, freqs)} {
+					if len(got) != len(want) {
+						t.Fatalf("normalized=%v %s %s input %v: %d points, want %d", m.Normalized, name, label, in, len(got), len(want))
+					}
+					for j := range want {
+						g, w := got[j], want[j]
+						if g.FreqMHz != w.FreqMHz ||
+							math.Float64bits(g.Speedup) != math.Float64bits(w.Speedup) ||
+							math.Float64bits(g.NormEnergy) != math.Float64bits(w.NormEnergy) ||
+							math.Float64bits(g.TimeS) != math.Float64bits(w.TimeS) ||
+							math.Float64bits(g.EnergyJ) != math.Float64bits(w.EnergyJ) {
+							t.Fatalf("normalized=%v %s %s input %v point %d: %+v, per-row reference %+v",
+								m.Normalized, name, label, in, j, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictCurvesBatchAllocs guards the curve path's allocations for one
+// input on a 16-clock menu: the returned slice and its curve. The sweep and
+// prediction buffers live on the stack, and the forest kernel allocates
+// nothing.
+func TestPredictCurvesBatchAllocs(t *testing.T) {
+	q := testQueue(t)
+	ds := cronosDataset(t, q, paperGrids[:3])
+	m, err := Train(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 20}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := everyNth(q.Spec().FreqsAbove(0.4), 6)
+	if len(freqs) < 16 || len(freqs) >= smallMenu {
+		t.Fatalf("menu has %d clocks, want 16 to %d", len(freqs), smallMenu-1)
+	}
+	freqs = freqs[:16]
+	in := []float64{20, 8, 8}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := m.PredictCurvesBatch([][]float64{in}, freqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 2 {
+		t.Fatalf("PredictCurvesBatch allocates %.1f objects for one input, want <= 2", avg)
+	}
+}
+
 func TestPredictCurvesBatchRejectsMisShapedInputs(t *testing.T) {
 	q := testQueue(t)
 	ds := cronosDataset(t, q, paperGrids[:2])
@@ -432,5 +523,18 @@ func TestPredictCurvesBatchRejectsMisShapedInputs(t *testing.T) {
 		if _, err := m.PredictCurvesBatch(bad, freqs); err == nil {
 			t.Errorf("mis-shaped inputs %v accepted", bad)
 		}
+	}
+	// PredictCurves panics with the batch path's error.
+	for _, bad := range [][]float64{{10, 4}, {10, 4, 4, 9}} {
+		_, want := m.PredictCurvesBatch([][]float64{bad}, freqs)
+		func() {
+			defer func() {
+				got, _ := recover().(error)
+				if got == nil || got.Error() != want.Error() {
+					t.Errorf("PredictCurves(%v) panicked with %v, want %v", bad, got, want)
+				}
+			}()
+			m.PredictCurves(bad, freqs)
+		}()
 	}
 }

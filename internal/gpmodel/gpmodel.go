@@ -135,15 +135,24 @@ type CurvePoint struct {
 // The curve is re-normalized so the baseline frequency maps to exactly
 // (1.0, 1.0), as the prediction workflow of Figure 12 prescribes.
 func (m *Model) PredictCurves(mix kernels.InstructionMix, freqs []int) []CurvePoint {
-	// Baseline row first, then the sweep, through the block-oriented
-	// ml.PredictBatch path (bit-identical per row to Predict).
-	rows := make([][]float64, 0, len(freqs)+1)
-	rows = append(rows, featureRow(mix, m.BaselineFreqMHz))
-	for _, f := range freqs {
-		rows = append(rows, featureRow(mix, f))
+	// One sweep per regressor, baseline first: ml.PredictSweep walks each
+	// tree once for the whole menu, bit-identical per clock to Predict on
+	// the featureRow. A width error means the regressors were not fitted
+	// on featureRow's layout, which only a bug can cause.
+	sweep := make([]float64, len(freqs)+1)
+	sweep[0] = float64(m.BaselineFreqMHz)
+	for i, f := range freqs {
+		sweep[i+1] = float64(f)
 	}
-	speeds := ml.PredictBatch(m.speedup, rows)
-	energies := ml.PredictBatch(m.energy, rows)
+	features := mix.StaticFeatures()
+	speeds := make([]float64, len(sweep))
+	energies := make([]float64, len(sweep))
+	if err := ml.PredictSweep(m.speedup, features, sweep, speeds); err != nil {
+		panic(fmt.Errorf("gpmodel: speedup model: %w", err))
+	}
+	if err := ml.PredictSweep(m.energy, features, sweep, energies); err != nil {
+		panic(fmt.Errorf("gpmodel: energy model: %w", err))
+	}
 	baseSpeed, baseEnergy := speeds[0], energies[0]
 	if baseSpeed == 0 {
 		baseSpeed = 1

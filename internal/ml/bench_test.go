@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,6 +126,47 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = PredictBatch(m, X)
+	}
+}
+
+// BenchmarkForestPredictSweep measures the curve kernel: one input through a
+// 50-tree forest at every value of a clock sweep (baseline first, then an
+// ascending menu, as core.Model.PredictCurvesBatch lays it out), at the
+// 10- and 19-value sweeps of a 9- and an 18-clock menu. The rows arm
+// evaluates the same sweep as one assembled row per value through
+// PredictBatch, the per-row walk the kernel replaces.
+func BenchmarkForestPredictSweep(b *testing.B) {
+	X, y := benchData(2000)
+	m := NewForest(ForestConfig{NumTrees: 50, Seed: 1})
+	if err := m.Fit(X, y); err != nil {
+		b.Fatal(err)
+	}
+	features := []float64{5, 5, 5}
+	for _, n := range []int{10, 19} {
+		sweep := make([]float64, n)
+		sweep[0] = 1300
+		for j := 1; j < n; j++ {
+			sweep[j] = 400 + 1200*float64(j-1)/float64(n-2)
+		}
+		rows := make([][]float64, n)
+		for j, v := range sweep {
+			rows[j] = append(append([]float64(nil), features...), v)
+		}
+		out := make([]float64, n)
+		b.Run(fmt.Sprintf("values=%d/sweep", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := PredictSweep(m, features, sweep, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("values=%d/rows", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = PredictBatch(m, rows)
+			}
+		})
 	}
 }
 

@@ -38,9 +38,11 @@ type ForestConfig struct {
 // Forest is a bagged ensemble of CART regression trees with per-node feature
 // subsampling — the model the paper selects for both the speedup and the
 // normalized-energy domain-specific models. Trees are flat SoA structures
-// (see Tree); bulk inference should go through PredictBatch, which walks the
-// ensemble tree-by-tree so each tree's node arrays stay cache-resident
-// across the whole row block.
+// (see Tree). A prediction curve — one input at every clock of a menu —
+// goes through PredictSweep, which walks each tree once for the whole menu;
+// a block of unrelated rows goes through PredictBatch, which walks the
+// ensemble tree by tree so each tree's node arrays stay cache-resident
+// across the block.
 type Forest struct {
 	cfg     ForestConfig
 	trees   []*Tree
@@ -199,23 +201,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.trees))
 }
 
-// PredictBatch is the block-oriented inference fast path: it applies the
-// ensemble to every row of X, traversing tree-by-tree so each flat tree is
-// walked while its node arrays are cache-resident. Row i's result is
-// bit-identical to Predict(X[i]). Unlike Predict's zero fallback, rows whose
-// width differs from the training dimension are rejected with an error.
-func (f *Forest) PredictBatch(X [][]float64) ([]float64, error) {
-	if len(f.trees) == 0 {
-		return nil, errUnfitted("forest")
-	}
-	if err := checkRowWidths(X, f.trees[0].d); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(X))
-	f.predictBatchInto(X, out)
-	return out, nil
-}
-
 // predictBatchInto accumulates the ensemble mean for every row into out,
 // tree-major. Per row the summation order (tree 0, 1, ..., then one divide)
 // matches Predict exactly.
@@ -242,15 +227,4 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 
 func errUnfitted(kind string) error {
 	return fmt.Errorf("ml: predict on unfitted %s", kind)
-}
-
-// checkRowWidths validates a prediction block's shape against the model
-// dimension.
-func checkRowWidths(X [][]float64, d int) error {
-	for i, x := range X {
-		if len(x) != d {
-			return fmt.Errorf("ml: prediction row %d has %d features, model expects %d", i, len(x), d)
-		}
-	}
-	return nil
 }

@@ -635,7 +635,7 @@ func TestKFoldParallelPropagatesFoldError(t *testing.T) {
 // tree: rows narrower than the training dimension cannot be routed and
 // return 0 (the legacy engine silently sent them right at every missing
 // feature — an accident of the `feature < len(x)` guard); extra trailing
-// features are ignored; PredictBatch is the checked counterpart that
+// features are ignored; PredictSweep is the checked counterpart that
 // rejects any width mismatch instead.
 func TestTreePredictRowWidths(t *testing.T) {
 	X, y := synthLinear(xrand.New(31), 80, 0.05)
@@ -650,53 +650,40 @@ func TestTreePredictRowWidths(t *testing.T) {
 	if got := tree.Predict(append(append([]float64(nil), X[0]...), 99)); got != full {
 		t.Errorf("extra trailing feature changed prediction: %g != %g", got, full)
 	}
-	if _, err := tree.PredictBatch([][]float64{{1}}); err == nil {
-		t.Error("PredictBatch accepted a short row")
+	last := len(X[0]) - 1
+	sweep := []float64{X[0][last]}
+	out := make([]float64, 1)
+	if err := PredictSweep(tree, nil, sweep, out); err == nil {
+		t.Error("PredictSweep accepted a short row")
 	}
-	if _, err := tree.PredictBatch([][]float64{append(append([]float64(nil), X[0]...), 99)}); err == nil {
-		t.Error("PredictBatch accepted an over-wide row")
+	if err := PredictSweep(tree, X[0], sweep, out); err == nil {
+		t.Error("PredictSweep accepted an over-wide row")
 	}
-	out, err := tree.PredictBatch(X[:5])
-	if err != nil {
+	if err := PredictSweep(tree, X[0][:last], sweep, out); err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range X[:5] {
-		if out[i] != tree.Predict(x) {
-			t.Errorf("batch row %d diverged from Predict", i)
-		}
+	if out[0] != full {
+		t.Errorf("PredictSweep %g diverged from Predict %g", out[0], full)
 	}
-	if _, err := NewTree(0, 1).PredictBatch(X[:1]); err == nil {
-		t.Error("PredictBatch on an unfitted tree did not error")
+	if err := PredictSweep(NewTree(0, 1), X[0][:last], sweep, out); err == nil {
+		t.Error("PredictSweep on an unfitted tree did not error")
 	}
 }
 
 // TestForestPredictBatchMatchesPredict pins the block-oriented inference
-// path: each batch element is bit-identical to the per-row Predict, width
-// mismatches error, and the package-level PredictBatch helper takes the
-// same fast path for forests.
+// path: the package-level PredictBatch walks a forest tree-major, and each
+// element is bit-identical to the per-row Predict.
 func TestForestPredictBatchMatchesPredict(t *testing.T) {
 	X, y := synthLinear(xrand.New(32), 100, 0.1)
 	f := NewForest(ForestConfig{NumTrees: 15, Seed: 5})
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.PredictBatch(X)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := PredictBatch(f, X)
 	for i, x := range X {
-		if out[i] != f.Predict(x) {
+		if math.Float64bits(out[i]) != math.Float64bits(f.Predict(x)) {
 			t.Fatalf("batch row %d = %g, Predict = %g", i, out[i], f.Predict(x))
 		}
-	}
-	if !reflect.DeepEqual(PredictBatch(f, X), out) {
-		t.Error("package-level PredictBatch diverged from Forest.PredictBatch")
-	}
-	if _, err := f.PredictBatch([][]float64{{1, 2, 3}}); err == nil {
-		t.Error("PredictBatch accepted a mis-sized row")
-	}
-	if _, err := NewForest(ForestConfig{}).PredictBatch(X[:1]); err == nil {
-		t.Error("PredictBatch on an unfitted forest did not error")
 	}
 }
 

@@ -92,10 +92,11 @@ func TestLoadRegressorAcceptsValidShapes(t *testing.T) {
 	}
 }
 
-// TestCheckedPredictBatch locks the serving-side inference contract: every
-// regressor family rejects mis-shaped rows with an error (never Predict's
-// zero fallback), and on well-shaped rows each result is bit-identical to
-// the per-row Predict.
+// TestCheckedPredictBatch locks the serving-side inference contract of
+// PredictSweep: every regressor family rejects mis-shaped input with an
+// error (never Predict's zero fallback, never a trailing feature read as the
+// swept column), and on well-shaped input each value is bit-identical to
+// Predict on the assembled row.
 func TestCheckedPredictBatch(t *testing.T) {
 	X := [][]float64{{1, 2}, {2, 1}, {3, 3}, {4, 1}, {0, 5}, {2, 2}, {5, 0}, {1, 4}}
 	y := []float64{3, 3, 6, 5, 5, 4, 5, 5}
@@ -112,22 +113,32 @@ func TestCheckedPredictBatch(t *testing.T) {
 		"tree":   fit(NewTree(4, 1)),
 		"forest": fit(NewForest(ForestConfig{NumTrees: 5, Seed: 7})),
 	}
+	sweep := make([]float64, len(X))
+	for j, x := range X {
+		sweep[j] = x[1]
+	}
 	for name, m := range models {
 		t.Run(name, func(t *testing.T) {
-			got, err := CheckedPredictBatch(m, X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, x := range X {
-				if math.Float64bits(got[i]) != math.Float64bits(m.Predict(x)) {
-					t.Errorf("row %d: batch %g != predict %g", i, got[i], m.Predict(x))
+			got := make([]float64, len(sweep))
+			for _, x := range X {
+				if err := PredictSweep(m, x[:1], sweep, got); err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range sweep {
+					want := m.Predict([]float64{x[0], v})
+					if math.Float64bits(got[j]) != math.Float64bits(want) {
+						t.Errorf("features %v at %g: sweep %g != predict %g", x[:1], v, got[j], want)
+					}
 				}
 			}
-			if _, err := CheckedPredictBatch(m, [][]float64{{1}}); err == nil {
+			if err := PredictSweep(m, nil, sweep, got); err == nil {
 				t.Error("short row accepted")
 			}
-			if _, err := CheckedPredictBatch(m, [][]float64{{1, 2, 3}}); err == nil {
+			if err := PredictSweep(m, []float64{1, 2}, sweep, got); err == nil {
 				t.Error("wide row accepted")
+			}
+			if err := PredictSweep(m, []float64{1}, sweep, got[:1]); err == nil {
+				t.Error("short output accepted")
 			}
 		})
 	}
@@ -135,8 +146,8 @@ func TestCheckedPredictBatch(t *testing.T) {
 		"linear": NewLinear(), "lasso": NewLasso(0.1), "svr": NewSVR(1, 0.1, 0),
 		"tree": NewTree(4, 1), "forest": NewForest(ForestConfig{NumTrees: 3}),
 	} {
-		if _, err := CheckedPredictBatch(m, X); err == nil {
-			t.Errorf("%s: unfitted model accepted a batch", name)
+		if err := PredictSweep(m, []float64{1}, sweep, make([]float64, len(sweep))); err == nil {
+			t.Errorf("%s: unfitted model accepted a sweep", name)
 		}
 	}
 }

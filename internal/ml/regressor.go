@@ -20,10 +20,13 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// PredictBatch applies r to every row of X. Forests take the block-oriented
-// fast path (tree-major traversal over the flat node arrays); every other
-// regressor falls back to a per-row Predict loop. Either way out[i] is
-// bit-identical to r.Predict(X[i]).
+// PredictBatch applies r to every row of X, for blocks of unrelated rows such
+// as a permutation-importance pass over the training set. Forests traverse
+// tree-major over the flat node arrays; every other regressor runs a per-row
+// Predict loop. Either way out[i] is bit-identical to r.Predict(X[i]),
+// including Predict's zero for a row too short to route. Prediction curves
+// — one input across a clock menu — go through the width-checked
+// PredictSweep instead.
 func PredictBatch(r Regressor, X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if f, ok := r.(*Forest); ok {
@@ -34,48 +37,6 @@ func PredictBatch(r Regressor, X [][]float64) []float64 {
 		out[i] = r.Predict(x)
 	}
 	return out
-}
-
-// CheckedPredictBatch is the serving-side counterpart of PredictBatch: it
-// applies r to every row of X but rejects mis-shaped rows with an error
-// instead of falling back to Predict's documented zero answer. Forests and
-// trees take their width-checked PredictBatch fast paths; the parametric
-// models are checked against their fitted dimension (coefficient width for
-// linear/lasso, standardization width for SVR). Row i of the result is
-// bit-identical to r.Predict(X[i]).
-func CheckedPredictBatch(r Regressor, X [][]float64) ([]float64, error) {
-	var d int
-	switch m := r.(type) {
-	case *Forest:
-		return m.PredictBatch(X)
-	case *Tree:
-		return m.PredictBatch(X)
-	case *Linear:
-		if len(m.Coef) == 0 {
-			return nil, errUnfitted("linear")
-		}
-		d = len(m.Coef)
-	case *Lasso:
-		if len(m.Coef) == 0 {
-			return nil, errUnfitted("lasso")
-		}
-		d = len(m.Coef)
-	case *SVR:
-		if len(m.mean) == 0 {
-			return nil, errUnfitted("svr")
-		}
-		d = len(m.mean)
-	default:
-		return nil, fmt.Errorf("ml: cannot width-check regressor type %T", r)
-	}
-	if err := checkRowWidths(X, d); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = r.Predict(x)
-	}
-	return out, nil
 }
 
 // Spec names a regression algorithm plus its hyper-parameters, so training

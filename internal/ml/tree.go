@@ -285,8 +285,9 @@ func stablePartition(seg []int32, goesLeft []bool, tmp []int32) {
 }
 
 // Predict implements Regressor. A row narrower than the training dimension
-// cannot be routed through the tree; Predict returns 0 for it (use
-// PredictBatch for an explicit error). Extra trailing features are ignored.
+// cannot be routed through the tree; Predict returns 0 for it (PredictSweep
+// rejects a mis-shaped row with an error). Extra trailing features are
+// ignored.
 func (t *Tree) Predict(x []float64) float64 {
 	if len(t.feature) == 0 || len(x) < t.d {
 		return 0
@@ -303,23 +304,6 @@ func (t *Tree) Predict(x []float64) float64 {
 			i = t.right[i]
 		}
 	}
-}
-
-// PredictBatch applies the fitted tree to every row of X, rejecting rows
-// whose width differs from the training dimension — the checked counterpart
-// of Predict's documented zero fallback.
-func (t *Tree) PredictBatch(X [][]float64) ([]float64, error) {
-	if len(t.feature) == 0 {
-		return nil, errUnfitted("tree")
-	}
-	if err := checkRowWidths(X, t.d); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = t.Predict(x)
-	}
-	return out, nil
 }
 
 // Depth returns the fitted tree's depth (0 for a stump).

@@ -116,6 +116,12 @@ func TestForEachFailFast(t *testing.T) {
 		if i == 5 {
 			return fmt.Errorf("task %d: %w", i, boom)
 		}
+		if i > 5 {
+			// Hold every later task until the failure has cancelled the
+			// pool, so the queue cannot drain before the cancellation is
+			// seen, however the goroutines are scheduled.
+			<-ctx.Done()
+		}
 		return nil
 	})
 	if !errors.Is(err, boom) {

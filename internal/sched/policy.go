@@ -47,8 +47,8 @@ type ModelSet struct {
 	Cronos *core.Model
 }
 
-// curves evaluates the per-frequency prediction curve of one job in a single
-// PredictBatch block per regressor.
+// curves evaluates the per-frequency prediction curve of one job, rejecting
+// a job whose features do not fit the app's model schema.
 func (ms *ModelSet) curves(j Job, freqs []int) ([]core.CurvePoint, error) {
 	var m *core.Model
 	switch j.App {
@@ -63,7 +63,11 @@ func (ms *ModelSet) curves(j Job, freqs []int) ([]core.CurvePoint, error) {
 	if m.Normalized {
 		return nil, fmt.Errorf("sched: app %s model is normalized; the scheduler needs raw time/energy predictions", j.App)
 	}
-	return m.PredictCurves(j.Features(), freqs), nil
+	curves, err := m.PredictCurvesBatch([][]float64{j.Features()}, freqs)
+	if err != nil {
+		return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
+	}
+	return curves[0], nil
 }
 
 // prediction is one candidate decision: run the job at FreqMHz, expecting

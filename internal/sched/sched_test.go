@@ -249,6 +249,43 @@ func TestSchedulerRunsOnlyOnce(t *testing.T) {
 	}
 }
 
+// TestSchedulerRejectsMisShapedModel: a Cronos job has three features, so a
+// Cronos model trained on another width must stop the run with an error.
+// Predicting anyway would choose a clock from an all-zero curve (a wider
+// schema) or read the third grid dimension as the clock (a narrower one).
+func TestSchedulerRejectsMisShapedModel(t *testing.T) {
+	freqs := testFreqs(t)
+	sz := CronosSizeLadder()[0]
+	jobs := []Job{{ID: 0, Tenant: "t", App: AppCronos, Grid: sz.Grid, Steps: sz.Steps, NominalS: 1, DeadlineS: 100}}
+	for _, width := range []int{2, 4} {
+		ds := &core.Dataset{
+			Schema:          core.Schema{App: "cronos", Features: make([]string, width)},
+			BaselineFreqMHz: gpusim.V100Spec().BaselineFreqMHz(),
+		}
+		for in := 1; in <= 3; in++ {
+			features := make([]float64, width)
+			for i := range features {
+				features[i] = float64(in * 16)
+			}
+			for _, f := range freqs {
+				ds.Samples = append(ds.Samples, core.Sample{
+					Features: features, FreqMHz: f,
+					TimeS: float64(in) * 1000 / float64(f), EnergyJ: float64(in),
+				})
+			}
+		}
+		bad, err := core.Train(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 3}}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models := &ModelSet{LiGen: testModels(t).LiGen, Cronos: bad}
+		s := testScheduler(t, testCluster(t, 1, 1, faults.Plan{}), Config{Models: models})
+		if _, err := s.Run(jobs); err == nil {
+			t.Errorf("a %d-feature Cronos model scheduled a 3-feature job", width)
+		}
+	}
+}
+
 // TestFaultFreeRunAccounting checks the report's conservation laws on a
 // fault-free run: every submitted job is admitted or rejected, every admitted
 // job completes (no faults, generous deadlines), and the energy and tenant

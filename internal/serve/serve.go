@@ -7,9 +7,10 @@
 // readers drain on the old one and a corrupt upload is rejected without
 // touching the serving version. The request path answers advisory queries —
 // "this input shape, deadline d: which clock, and what will it cost?" — by
-// coalescing concurrent misses into Forest.PredictBatch blocks (a bounded
-// batch window in simulated time) behind an LRU cache with single-flight
-// miss semantics. A closed- and open-loop synthetic load generator drives
+// coalescing concurrent misses into core.Model.PredictCurvesBatch calls (a
+// bounded batch window in simulated time; each input's curve is one tree
+// walk across the clock menu) behind an LRU cache with single-flight miss
+// semantics. A closed- and open-loop synthetic load generator drives
 // the service to millions of requests per campaign, per-device shards fan
 // out through internal/parallel, and p50/p99 latency plus throughput
 // publish through internal/obs.

@@ -98,7 +98,8 @@ type flight struct {
 	waiters   []*request
 }
 
-// batch is one coalescing window of flights bound for a PredictBatch block.
+// batch is one coalescing window of flights bound for one PredictCurvesBatch
+// call per model version.
 type batch struct {
 	flights []*flight
 	closed  bool

@@ -136,8 +136,11 @@ func (t *PerKernelTuner) PlanFor(features []float64) (Plan, error) {
 		Predicted:    map[string]core.CurvePoint{},
 	}
 	for name, m := range t.models {
-		curve := m.PredictCurves(features, t.freqs)
-		choice := t.Policy.Select(curve)
+		curves, err := m.PredictCurvesBatch([][]float64{features}, t.freqs)
+		if err != nil {
+			return Plan{}, fmt.Errorf("tuner: kernel %s: %w", name, err)
+		}
+		choice := t.Policy.Select(curves[0])
 		plan.FreqByKernel[name] = choice.FreqMHz
 		plan.Predicted[name] = choice
 	}

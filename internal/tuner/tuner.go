@@ -183,7 +183,10 @@ func (t *Tuner) FreqFor(features []float64, freqs []int) (int, core.CurvePoint, 
 	}
 	sorted := append([]int(nil), freqs...)
 	sort.Ints(sorted)
-	curve := t.Model.PredictCurves(features, sorted)
-	choice := t.Policy.Select(curve)
+	curves, err := t.Model.PredictCurvesBatch([][]float64{features}, sorted)
+	if err != nil {
+		return 0, core.CurvePoint{}, fmt.Errorf("tuner: %w", err)
+	}
+	choice := t.Policy.Select(curves[0])
 	return choice.FreqMHz, choice, nil
 }

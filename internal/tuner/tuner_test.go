@@ -155,6 +155,15 @@ func TestTunerValidation(t *testing.T) {
 	if _, _, err := tn.FreqFor([]float64{1, 2, 3}, nil); err == nil {
 		t.Error("expected error for empty sweep")
 	}
+	// A clock chosen from a mis-shaped input would come from an all-zero
+	// curve (too few features) or read the 4th feature as the clock (too
+	// many).
+	freqs := []int{ds.BaselineFreqMHz}
+	for _, bad := range [][]float64{{160, 64}, {160, 64, 64, 700}} {
+		if _, _, err := tn.FreqFor(bad, freqs); err == nil {
+			t.Errorf("FreqFor accepted %d features for a 3-feature schema", len(bad))
+		}
+	}
 }
 
 func TestPerKernelTraining(t *testing.T) {
@@ -179,6 +188,11 @@ func TestPerKernelTraining(t *testing.T) {
 	for name, f := range plan.FreqByKernel {
 		if !q.Spec().HasFreq(f) {
 			t.Errorf("kernel %s planned at non-table frequency %d", name, f)
+		}
+	}
+	for _, bad := range [][]float64{{160, 64}, {160, 64, 64, 700}} {
+		if _, err := pk.PlanFor(bad); err == nil {
+			t.Errorf("PlanFor accepted %d features for a 3-feature schema", len(bad))
 		}
 	}
 }
