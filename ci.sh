@@ -4,11 +4,14 @@
 #   1. gofmt        all source formatted (testdata fixtures included)
 #   2. go vet       stdlib static analysis
 #   3. go build     everything compiles
-#   4. go test -race  full test suite under the race detector, plus a
-#                   bounded fuzz of the curve kernel (FuzzPredictSweep)
+#   4. go test -race  full test suite under the race detector, plus
+#                   bounded fuzzes of the curve kernel (FuzzPredictSweep)
+#                   and the serve request key (FuzzCacheKey), and the
+#                   benchmark module's own vet and tests (perfbench/)
 #   5. results      reproduce -quick regenerated and diffed against the
 #                   checked-in results/quick snapshot (drift guard); the
-#                   examples' stdout diffed against examples/*/output.txt
+#                   examples' stdout diffed against examples/*/output.txt;
+#                   serve -quick diffed against cmd/serve/testdata/quick.txt
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes plus the interprocedural determinism contracts
 #                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc);
@@ -58,6 +61,18 @@ go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel 
 # checked-in corpus runs with every go test; this adds a bounded search.
 echo "==> fuzz FuzzPredictSweep (10s)"
 go test -run '^$' -fuzz '^FuzzPredictSweep$' -fuzztime 10s ./internal/ml
+
+# Request-key differential fuzz: the serve LRU and single-flight map key a
+# request by its bits (appendCacheKey); two requests must share a key
+# exactly when the old formatted string key would have matched them. The
+# checked-in corpus runs with every go test; this adds a bounded search.
+echo "==> fuzz FuzzCacheKey (10s)"
+go test -run '^$' -fuzz '^FuzzCacheKey$' -fuzztime 10s ./internal/serve
+
+# The benchmark is a Go module of its own, so the root go vet and go test
+# never enter it: vet it and run its arithmetic tests here.
+echo "==> perfbench vet and tests"
+(cd perfbench && go vet ./... && go test ./...)
 
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the
@@ -127,6 +142,13 @@ go build -o "$obsdir/serve" ./cmd/serve
 "$obsdir/serve" -quick -requests 20000 -j 1 > "$obsdir/serve1.txt"
 "$obsdir/serve" -quick -requests 20000 -j 0 > "$obsdir/serveN.txt"
 diff "$obsdir/serve1.txt" "$obsdir/serveN.txt"
+
+# Serve report drift guard: the full 2M-request quick campaign must match
+# its checked-in report. A request key that merged or split cache entries
+# would move the hit, coalesce and batch counts here.
+echo "==> serve report drift guard (serve -quick vs cmd/serve/testdata/quick.txt)"
+"$obsdir/serve" -quick > "$obsdir/serve-quick.txt"
+diff cmd/serve/testdata/quick.txt "$obsdir/serve-quick.txt"
 
 # Example drift guard: the examples are the only programs that run the CPU
 # MHD solver, the user-law scalar solver and the docking engine end to end,

@@ -11,7 +11,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,8 +56,10 @@ type Dataset struct {
 	Samples         []Sample
 }
 
-// FeatureKey renders a feature vector as a stable group label, used by the
-// leave-one-input-out protocol to hold out all samples of one input together.
+// FeatureKey renders a feature vector as a printable label ("160x64x64").
+// It is for display only: code that asks whether two inputs are the same
+// compares them with SameInput or AppendInputKey, which agree with
+// FeatureKey equality without formatting a float.
 func FeatureKey(features []float64) string {
 	parts := make([]string, len(features))
 	for i, f := range features {
@@ -64,15 +68,56 @@ func FeatureKey(features []float64) string {
 	return strings.Join(parts, "x")
 }
 
+// canonicalNaN is the one bit pattern every NaN keys as (math.NaN's).
+const canonicalNaN = 0x7FF8000000000001
+
+// inputBits is v's identity bits: its math.Float64bits, with every NaN
+// mapped to canonicalNaN.
+func inputBits(v float64) uint64 {
+	if math.IsNaN(v) {
+		return canonicalNaN
+	}
+	return math.Float64bits(v)
+}
+
+// AppendInputKey appends the identity of each value to buf, eight bytes per
+// value, and returns the extended buffer. Two vectors append the same bytes
+// exactly when FeatureKey gives them the same label: -0 and 0 differ, every
+// NaN is one key, and vectors of different widths differ in length. A map
+// keyed by the bytes (indexed as m[string(b)], which does not allocate)
+// groups inputs the way the leave-one-input-out protocol does.
+func AppendInputKey(buf []byte, values ...float64) []byte {
+	for _, v := range values {
+		buf = binary.LittleEndian.AppendUint64(buf, inputBits(v))
+	}
+	return buf
+}
+
+// SameInput reports whether a and b are the same input: equal width and,
+// value by value, equal bits or both NaN. It agrees with FeatureKey
+// equality, without formatting.
+func SameInput(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if inputBits(a[i]) != inputBits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Inputs returns the distinct input feature vectors of the dataset, in
 // first-appearance order.
 func (d *Dataset) Inputs() [][]float64 {
 	seen := map[string]bool{}
 	var out [][]float64
+	var key []byte
 	for _, s := range d.Samples {
-		k := FeatureKey(s.Features)
-		if !seen[k] {
-			seen[k] = true
+		key = AppendInputKey(key[:0], s.Features...)
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, append([]float64(nil), s.Features...))
 		}
 	}
@@ -82,10 +127,9 @@ func (d *Dataset) Inputs() [][]float64 {
 // InputSamples returns the samples whose features match exactly, sorted by
 // frequency.
 func (d *Dataset) InputSamples(features []float64) []Sample {
-	key := FeatureKey(features)
 	var out []Sample
 	for _, s := range d.Samples {
-		if FeatureKey(s.Features) == key {
+		if SameInput(s.Features, features) {
 			out = append(out, s)
 		}
 	}

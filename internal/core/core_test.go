@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -378,6 +379,40 @@ func TestFeatureKeyInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+
+	// SameInput and AppendInputKey group inputs without formatting; they
+	// must agree with FeatureKey equality, including on the values where
+	// bit equality and == part ways: signed zeros, NaN payloads, infinities
+	// and subnormals, at widths 0 to 2.
+	special := []float64{
+		0, math.Copysign(0, -1), 1, -1, 160,
+		math.NaN(), math.Float64frombits(0x7ff0000000000abc), math.Float64frombits(0xfff8000000000000),
+		math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+	}
+	vectors := [][]float64{{}}
+	for _, x := range special {
+		vectors = append(vectors, []float64{x})
+		for _, y := range special {
+			vectors = append(vectors, []float64{x, y})
+		}
+	}
+	labels := make([]string, len(vectors))
+	for i, v := range vectors {
+		labels[i] = FeatureKey(v)
+	}
+	for i, a := range vectors {
+		ka := AppendInputKey(nil, a...)
+		for j, b := range vectors {
+			want := labels[i] == labels[j]
+			if got := SameInput(a, b); got != want {
+				t.Errorf("SameInput(%v, %v) = %v, FeatureKey equality %v", a, b, got, want)
+			}
+			if got := bytes.Equal(ka, AppendInputKey([]byte("stale"), b...)[5:]); got != want {
+				t.Errorf("AppendInputKey equality of %v and %v = %v, FeatureKey equality %v", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -155,14 +155,13 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 
 // blindDataset drops the held-out input and zeroes every feature vector.
 func blindDataset(ds *core.Dataset, held []float64) *core.Dataset {
-	key := core.FeatureKey(held)
 	blind := &core.Dataset{
 		Schema:          ds.Schema,
 		Device:          ds.Device,
 		BaselineFreqMHz: ds.BaselineFreqMHz,
 	}
 	for _, s := range ds.Samples {
-		if core.FeatureKey(s.Features) == key {
+		if core.SameInput(s.Features, held) {
 			continue
 		}
 		blind.Samples = append(blind.Samples, core.Sample{

@@ -2,12 +2,14 @@ package serve
 
 import "container/list"
 
-// lru is the per-shard admission cache: canonicalized request key →
-// response. It is plain single-goroutine LRU (each shard owns one), so hit,
+// lru is the per-shard admission cache: binary request key (appendCacheKey)
+// → response. It is plain single-goroutine LRU (each shard owns one), so hit,
 // miss and eviction order are fully determined by the request sequence.
 // Keys embed the model version, so a hot-reload naturally invalidates: the
 // first post-reload request for any input misses and recomputes, and stale
-// versions age out through the LRU tail.
+// versions age out through the LRU tail. get takes the key as bytes and
+// indexes with items[string(key)], which the compiler does not allocate
+// for, so a hit costs no allocation; only put stores a key string.
 type lru struct {
 	cap   int
 	ll    *list.List // front = most recently used
@@ -23,8 +25,8 @@ func newLRU(capacity int) *lru {
 	return &lru{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
-func (c *lru) get(key string) (Response, bool) {
-	el, ok := c.items[key]
+func (c *lru) get(key []byte) (Response, bool) {
+	el, ok := c.items[string(key)]
 	if !ok {
 		return Response{}, false
 	}

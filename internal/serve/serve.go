@@ -10,7 +10,11 @@
 // coalescing concurrent misses into core.Model.PredictCurvesBatch calls (a
 // bounded batch window in simulated time; each input's curve is one tree
 // walk across the clock menu) behind an LRU cache with single-flight miss
-// semantics. A closed- and open-loop synthetic load generator drives
+// semantics. Both key a request by its bits (app, model version,
+// core.AppendInputKey of the features and the deadline), built in a buffer
+// each shard reuses, so a cache hit formats nothing and allocates no key.
+// Each shard's loop pops its events from an internal/eventq queue in
+// (time, push order). A closed- and open-loop synthetic load generator drives
 // the service to millions of requests per campaign, per-device shards fan
 // out through internal/parallel, and p50/p99 latency plus throughput
 // publish through internal/obs.

@@ -389,13 +389,13 @@ func TestRegistryVersioning(t *testing.T) {
 
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
-	k := func(i int) string { return fmt.Sprintf("k%d", i) }
-	c.put(k(1), Response{Version: 1})
-	c.put(k(2), Response{Version: 2})
+	k := func(i int) []byte { return fmt.Appendf(nil, "k%d", i) }
+	c.put(string(k(1)), Response{Version: 1})
+	c.put(string(k(2)), Response{Version: 2})
 	if _, ok := c.get(k(1)); !ok {
 		t.Fatal("k1 evicted early")
 	}
-	c.put(k(3), Response{Version: 3}) // k2 is now the LRU tail
+	c.put(string(k(3)), Response{Version: 3}) // k2 is now the LRU tail
 	if _, ok := c.get(k(2)); ok {
 		t.Error("k2 survived past capacity")
 	}
@@ -405,7 +405,7 @@ func TestLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	c.put(k(1), Response{Version: 9})
+	c.put(string(k(1)), Response{Version: 9})
 	if r, _ := c.get(k(1)); r.Version != 9 {
 		t.Error("put did not update existing key")
 	}

@@ -1,14 +1,15 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 
 	"dsenergy/internal/core"
+	"dsenergy/internal/eventq"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/parallel"
 	"dsenergy/internal/xrand"
@@ -44,37 +45,13 @@ const (
 	evReload
 )
 
-// event is one entry of the shard's event heap.
+// event is one entry of the shard's event queue, which orders events by
+// (time, push order).
 type event struct {
-	timeS  float64
-	seq    int // insertion order, the deterministic tie-break
 	kind   int
 	req    *request // evArrive
 	batch  *batch   // evBatchClose, evBatchDone
 	reload int      // index into ShardConfig.Reloads (evReload)
-}
-
-// eventHeap orders events by (time, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].timeS < h[j].timeS {
-		return true
-	}
-	if h[j].timeS < h[i].timeS {
-		return false
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // request is one advisory query in flight through the shard.
@@ -143,9 +120,9 @@ type shard struct {
 	reg       *Registry
 	cache     *lru
 	pending   map[string]*flight
+	key       []byte // the current request's key, reused across requests
 	open      *batch
-	events    eventHeap
-	seq       int
+	events    eventq.Queue[event]
 	rng       *xrand.Rand // open-loop arrivals and request content
 	remaining int         // open-loop arrivals not yet scheduled
 	clients   []*client
@@ -164,12 +141,6 @@ type shard struct {
 	ctrReloadRej  *obs.Counter
 	histLatency   *obs.Histogram
 	trace         *obs.Trace
-}
-
-func (s *shard) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
 }
 
 func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
@@ -232,7 +203,7 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 	}
 
 	for i := range sc.Reloads {
-		s.push(event{timeS: sc.Reloads[i].AtS, kind: evReload, reload: i})
+		s.events.Push(sc.Reloads[i].AtS, event{kind: evReload, reload: i})
 	}
 	switch load.Mode {
 	case "open":
@@ -249,21 +220,21 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 		}
 	}
 
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(event)
+	for s.events.Len() > 0 {
+		now, e := s.events.Pop()
 		switch e.kind {
 		case evArrive:
-			s.handleArrive(e.timeS, e.req)
+			s.handleArrive(now, e.req)
 		case evBatchClose:
 			if !e.batch.closed {
-				s.closeBatch(e.timeS, e.batch)
+				s.closeBatch(now, e.batch)
 			}
 		case evBatchDone:
-			if err := s.handleBatchDone(e.timeS, e.batch); err != nil {
+			if err := s.handleBatchDone(now, e.batch); err != nil {
 				return nil, err
 			}
 		case evReload:
-			s.handleReload(e.timeS, sc.Reloads[e.reload])
+			s.handleReload(now, sc.Reloads[e.reload])
 		}
 	}
 	if len(s.pending) != 0 || s.open != nil {
@@ -275,7 +246,7 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 }
 
 // scheduleArrival pushes the arrival of the next open-loop request, if any
-// remain. At most one open-loop arrival is ever in the heap, so the shard's
+// remain. At most one open-loop arrival is ever queued, so the shard's
 // own rng serves the whole arrival process in order.
 func (s *shard) scheduleArrival(nowS float64) {
 	if s.remaining <= 0 {
@@ -284,7 +255,7 @@ func (s *shard) scheduleArrival(nowS float64) {
 	s.remaining--
 	gap := -s.load.MeanInterarrivalS * math.Log(1-s.rng.Float64())
 	t := nowS + gap
-	s.push(event{timeS: t, kind: evArrive, req: s.makeRequest(s.rng, t, -1)})
+	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(s.rng, t, -1)})
 }
 
 // issueFromClient generates client i's next request at or after nowS.
@@ -296,7 +267,7 @@ func (s *shard) issueFromClient(nowS float64, i int) {
 	c.issued++
 	gap := -s.load.MeanThinkS * math.Log(1-c.rng.Float64())
 	t := nowS + gap
-	s.push(event{timeS: t, kind: evArrive, req: s.makeRequest(c.rng, t, i)})
+	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(c.rng, t, i)})
 }
 
 // makeRequest draws one request's content: a popularity-skewed shape (low
@@ -324,11 +295,19 @@ func (s *shard) makeRequest(rng *xrand.Rand, arriveS float64, clientIdx int) *re
 	return r
 }
 
-// cacheKey canonicalizes a request against the model version that will
-// answer it. Embedding the version makes hot-reload invalidation free.
-func cacheKey(e *Entry, features []float64, deadlineS float64) string {
-	return e.App + "|v" + strconv.Itoa(e.Version) + "|" + core.FeatureKey(features) +
-		"|d" + strconv.FormatFloat(deadlineS, 'g', -1, 64)
+// appendCacheKey appends the identity of a request against the model
+// version that will answer it: the app name with a length prefix, the
+// version, core.AppendInputKey of the features, then that of the deadline.
+// Two requests get the same bytes exactly when they ask the same question
+// of the same version (-0 and 0 differ, every NaN is one value, and widths
+// differ in length), so the key serves both the LRU and the single-flight
+// map. Embedding the version makes hot-reload invalidation free.
+func appendCacheKey(b []byte, e *Entry, features []float64, deadlineS float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(e.App)))
+	b = append(b, e.App...)
+	b = binary.AppendVarint(b, int64(e.Version))
+	b = core.AppendInputKey(b, features...)
+	return core.AppendInputKey(b, deadlineS)
 }
 
 func (s *shard) handleArrive(nowS float64, r *request) {
@@ -351,25 +330,26 @@ func (s *shard) handleArrive(nowS float64, r *request) {
 		s.reject(nowS, r, false)
 		return
 	}
-	key := cacheKey(e, feats, r.deadlineS)
-	if resp, ok := s.cache.get(key); ok {
+	s.key = appendCacheKey(s.key[:0], e, feats, r.deadlineS)
+	if resp, ok := s.cache.get(s.key); ok {
 		s.res.cacheHits++
 		s.ctrHits.Inc()
 		s.deliver(nowS+s.cfg.CacheHitS, r, resp)
 		return
 	}
-	if fl, ok := s.pending[key]; ok {
+	if fl, ok := s.pending[string(s.key)]; ok {
 		s.res.coalesced++
 		s.ctrCoalesced.Inc()
 		fl.waiters = append(fl.waiters, r)
 		return
 	}
 	s.res.misses++
+	key := string(s.key)
 	fl := &flight{key: key, entry: e, features: feats, deadlineS: r.deadlineS, waiters: []*request{r}}
 	s.pending[key] = fl
 	if s.open == nil {
 		s.open = &batch{}
-		s.push(event{timeS: nowS + s.cfg.BatchWindowS, kind: evBatchClose, batch: s.open})
+		s.events.Push(nowS+s.cfg.BatchWindowS, event{kind: evBatchClose, batch: s.open})
 	}
 	s.open.flights = append(s.open.flights, fl)
 	if len(s.open.flights) >= s.cfg.MaxBatch {
@@ -436,7 +416,7 @@ func (s *shard) closeBatch(nowS float64, b *batch) {
 		s.res.maxBatchLen = len(b.flights)
 	}
 	computeS := s.cfg.BatchBaseS + s.cfg.BatchPerReqS*float64(len(b.flights))
-	s.push(event{timeS: nowS + computeS, kind: evBatchDone, batch: b})
+	s.events.Push(nowS+computeS, event{kind: evBatchDone, batch: b})
 }
 
 // handleBatchDone evaluates the batch — one PredictCurvesBatch block per
