@@ -5,9 +5,10 @@
 #   2. go vet       stdlib static analysis
 #   3. go build     everything compiles
 #   4. go test -race  full test suite under the race detector, plus
-#                   bounded fuzzes of the curve kernel (FuzzPredictSweep)
-#                   and the serve request key (FuzzCacheKey), and the
-#                   benchmark module's own vet and tests (perfbench/)
+#                   bounded fuzzes of the curve kernel (FuzzPredictSweep),
+#                   the tree presort (FuzzPresort) and the serve request
+#                   key (FuzzCacheKey), and the benchmark module's own vet
+#                   and tests (perfbench/)
 #   5. results      reproduce -quick regenerated and diffed against the
 #                   checked-in results/quick snapshot (drift guard); the
 #                   examples' stdout diffed against examples/*/output.txt;
@@ -61,6 +62,14 @@ go test -race -count=2 ./internal/faults ./internal/cluster ./internal/parallel 
 # checked-in corpus runs with every go test; this adds a bounded search.
 echo "==> fuzz FuzzPredictSweep (10s)"
 go test -run '^$' -fuzz '^FuzzPredictSweep$' -fuzztime 10s ./internal/ml
+
+# Presort differential fuzz: Forest.Fit ranks each column once and every
+# tree orders its bootstrap sample with a counting sort of those ranks; the
+# order, and every fitted tree and forest, must equal what the per-tree
+# comparison argsort gives, for tie runs, ±0, ±Inf and subnormals. The
+# checked-in corpus runs with every go test; this adds a bounded search.
+echo "==> fuzz FuzzPresort (10s)"
+go test -run '^$' -fuzz '^FuzzPresort$' -fuzztime 10s ./internal/ml
 
 # Request-key differential fuzz: the serve LRU and single-flight map key a
 # request by its bits (appendCacheKey); two requests must share a key

@@ -69,7 +69,7 @@ func main() {
 
 	if *loocv {
 		for _, ds := range []*core.Dataset{cds, lds} {
-			accs, err := core.LeaveOneInputOut(ds, cfg.ForestSpec(), cfg.Seed)
+			accs, err := core.LeaveOneInputOut(ds, cfg.ForestSpec(), cfg.Seed, 1)
 			if err != nil {
 				fail(err)
 			}

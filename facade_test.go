@@ -93,7 +93,7 @@ func TestFacadeModelingPipeline(t *testing.T) {
 		t.Fatal("empty Pareto front")
 	}
 
-	accs, err := core.LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest"}, 2)
+	accs, err := core.LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest"}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

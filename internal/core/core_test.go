@@ -152,7 +152,7 @@ func TestLeaveOneInputOutAccuracy(t *testing.T) {
 	// are predicted within a few percent (paper: 0.4% - 2.2%).
 	q := testQueue(t)
 	ds := cronosDataset(t, q, paperGrids)
-	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}, 2)
+	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDomainSpecificBeatsGeneralPurpose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dsAccs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}, 4)
+	dsAccs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestLiGenDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 20}}, 7)
+	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 20}}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestMethodologyPortableToUnseenDevice(t *testing.T) {
 	}
 	q := p.Queues()[0]
 	ds := cronosDataset(t, q, paperGrids)
-	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 25}}, 5)
+	accs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 25}}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,5 +571,81 @@ func TestPredictCurvesBatchRejectsMisShapedInputs(t *testing.T) {
 			}()
 			m.PredictCurves(bad, freqs)
 		}()
+	}
+}
+
+// syntheticDataset is a small simulator-free dataset: every input runs at
+// every clock of a five-step menu, its time a mix of a clock-bound and a
+// memory-bound part and its energy a static plus a quadratic dynamic term.
+func syntheticDataset(inputs int) *Dataset {
+	ds := &Dataset{
+		Schema:          Schema{App: "synthetic", Features: []string{"f_size", "f_depth"}},
+		Device:          "synthetic",
+		BaselineFreqMHz: 1000,
+	}
+	for i := 0; i < inputs; i++ {
+		size, depth := float64(1+i), float64(3+2*i%5)
+		mem := 0.2 + 0.15*float64(i%3)
+		for _, f := range []int{600, 800, 1000, 1200, 1400} {
+			t := size * depth * (mem + (1-mem)*1000/float64(f))
+			ds.Samples = append(ds.Samples, Sample{
+				Features: []float64{size, depth},
+				FreqMHz:  f,
+				TimeS:    t,
+				EnergyJ:  t * (40 + 6e-5*float64(f)*float64(f)),
+			})
+		}
+	}
+	return ds
+}
+
+// TestCompareAlgorithmsWorkerInvariance: the comparison fans its
+// (algorithm, held-out input) pairs out on one pool, so every worker count
+// must give the bits of the serial protocol — each spec's EvalHeldOut
+// scores averaged in input order — and the errors of the serial one.
+func TestCompareAlgorithmsWorkerInvariance(t *testing.T) {
+	ds := syntheticDataset(6)
+	specs := ml.DefaultSpecs()
+	const seed = 11
+	want := make([]AlgorithmScore, len(specs))
+	for i, spec := range specs {
+		var ss, se float64
+		inputs := ds.Inputs()
+		for _, input := range inputs {
+			acc, err := EvalHeldOut(ds, spec, seed, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss += acc.SpeedupMAPE
+			se += acc.NormEnergyMAPE
+		}
+		n := float64(len(inputs))
+		want[i] = AlgorithmScore{Spec: spec, MeanSpeedupMAPE: ss / n, MeanNormEnergyMAPE: se / n}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := CompareAlgorithmsParallel(ds, specs, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d scores, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Spec.Algorithm != w.Spec.Algorithm ||
+				math.Float64bits(g.MeanSpeedupMAPE) != math.Float64bits(w.MeanSpeedupMAPE) ||
+				math.Float64bits(g.MeanNormEnergyMAPE) != math.Float64bits(w.MeanNormEnergyMAPE) {
+				t.Errorf("workers=%d: %s scores %v/%v, serial protocol %v/%v", workers, w.Spec.Algorithm,
+					g.MeanSpeedupMAPE, g.MeanNormEnergyMAPE, w.MeanSpeedupMAPE, w.MeanNormEnergyMAPE)
+			}
+		}
+	}
+
+	if _, err := CompareAlgorithmsParallel(syntheticDataset(1), specs, seed, 2); err == nil || !strings.Contains(err.Error(), ">= 2 inputs") {
+		t.Errorf("one-input dataset: error %v, want the >= 2 inputs error", err)
+	}
+	bad := append(append([]ml.Spec(nil), specs...), ml.Spec{Algorithm: "boosted"})
+	if _, err := CompareAlgorithmsParallel(ds, bad, seed, 2); err == nil || !strings.Contains(err.Error(), "boosted") {
+		t.Errorf("unknown algorithm: error %v, want one naming it", err)
 	}
 }

@@ -22,26 +22,30 @@ type InputAccuracy struct {
 // distinct input feature vector f⃗, the model is retrained on D \ D_v (all
 // samples of the other inputs) and evaluated on D_v (the held-out input's
 // samples at every frequency), comparing the predicted speedup and
-// normalized-energy curves against the measured ones.
-func LeaveOneInputOut(ds *Dataset, spec ml.Spec, seed uint64) ([]InputAccuracy, error) {
-	return leaveOneInputOut(ds, spec, seed, 1)
+// normalized-energy curves against the measured ones. The folds run on a
+// worker pool (workers <= 0 selects GOMAXPROCS, 1 runs serially); every fold
+// retrains from the same seed on a disjoint input, so the result is
+// identical for every worker count.
+func LeaveOneInputOut(ds *Dataset, spec ml.Spec, seed uint64, workers int) ([]InputAccuracy, error) {
+	return heldOutFolds(ds, []ml.Spec{spec}, seed, workers)
 }
 
-// LeaveOneInputOutParallel is LeaveOneInputOut with the folds trained on a
-// worker pool (workers <= 0 selects GOMAXPROCS). Every fold retrains from
-// the same seed on a disjoint input, so the result is identical to the
-// serial protocol for every worker count.
-func LeaveOneInputOutParallel(ds *Dataset, spec ml.Spec, seed uint64, workers int) ([]InputAccuracy, error) {
-	return leaveOneInputOut(ds, spec, seed, workers)
-}
-
-func leaveOneInputOut(ds *Dataset, spec ml.Spec, seed uint64, workers int) ([]InputAccuracy, error) {
+// heldOutFolds runs the leave-one-input-out protocol for every spec on one
+// worker pool. Task k trains specs[k/n] without input k%n of the n inputs,
+// so each spec's folds come back contiguous and in input order.
+func heldOutFolds(ds *Dataset, specs []ml.Spec, seed uint64, workers int) ([]InputAccuracy, error) {
 	inputs := ds.Inputs()
-	if len(inputs) < 2 {
-		return nil, fmt.Errorf("core: leave-one-input-out needs >= 2 inputs, have %d", len(inputs))
+	n := len(inputs)
+	if n < 2 {
+		return nil, fmt.Errorf("core: leave-one-input-out needs >= 2 inputs, have %d", n)
 	}
-	return parallel.Map(context.Background(), len(inputs), workers, func(_ context.Context, i int) (InputAccuracy, error) {
-		return EvalHeldOut(ds, spec, seed, inputs[i])
+	return parallel.Map(context.Background(), len(specs)*n, workers, func(_ context.Context, k int) (InputAccuracy, error) {
+		spec := specs[k/n]
+		acc, err := EvalHeldOut(ds, spec, seed, inputs[k%n])
+		if err != nil {
+			return InputAccuracy{}, fmt.Errorf("core: %s: %w", spec.Algorithm, err)
+		}
+		return acc, nil
 	})
 }
 
@@ -163,26 +167,29 @@ type AlgorithmScore struct {
 }
 
 // CompareAlgorithmsParallel reproduces §5.2.1's regressor comparison: each
-// spec is evaluated on the dataset with the leave-one-input-out protocol, the
-// algorithms fanned out on a worker pool (workers <= 0 selects GOMAXPROCS,
-// 1 runs serially) with identical scores for every worker count.
+// spec is evaluated on the dataset with the leave-one-input-out protocol.
+// The (algorithm, held-out input) pairs fan out on one worker pool
+// (workers <= 0 selects GOMAXPROCS, 1 runs serially), so an expensive
+// algorithm's folds spread over every worker; each algorithm's fold scores
+// are then averaged in input order, identically for every worker count.
 func CompareAlgorithmsParallel(ds *Dataset, specs []ml.Spec, seed uint64, workers int) ([]AlgorithmScore, error) {
-	return parallel.Map(context.Background(), len(specs), workers, func(_ context.Context, i int) (AlgorithmScore, error) {
-		spec := specs[i]
-		accs, err := LeaveOneInputOut(ds, spec, seed)
-		if err != nil {
-			return AlgorithmScore{}, fmt.Errorf("core: comparing %s: %w", spec.Algorithm, err)
-		}
+	accs, err := heldOutFolds(ds, specs, seed, workers)
+	if err != nil {
+		return nil, err
+	}
+	scores := make([]AlgorithmScore, len(specs))
+	for i, spec := range specs {
+		n := len(accs) / len(specs)
 		var ss, se float64
-		for _, a := range accs {
+		for _, a := range accs[i*n : (i+1)*n] {
 			ss += a.SpeedupMAPE
 			se += a.NormEnergyMAPE
 		}
-		n := float64(len(accs))
-		return AlgorithmScore{
+		scores[i] = AlgorithmScore{
 			Spec:               spec,
-			MeanSpeedupMAPE:    ss / n,
-			MeanNormEnergyMAPE: se / n,
-		}, nil
-	})
+			MeanSpeedupMAPE:    ss / float64(n),
+			MeanNormEnergyMAPE: se / float64(n),
+		}
+	}
+	return scores, nil
 }

@@ -97,7 +97,7 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 	if err != nil {
 		return AblationFeaturesResult{}, err
 	}
-	withAccs, err := core.LeaveOneInputOutParallel(ds, c.forestSpec(), c.Seed+11, c.Jobs)
+	withAccs, err := core.LeaveOneInputOut(ds, c.forestSpec(), c.Seed+11, c.Jobs)
 	if err != nil {
 		return AblationFeaturesResult{}, err
 	}
@@ -195,7 +195,7 @@ func (c Config) AblationNoise() (AblationNoiseResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		accs, err := core.LeaveOneInputOut(ds, cfg.forestSpec(), cfg.Seed+13)
+		accs, err := core.LeaveOneInputOut(ds, cfg.forestSpec(), cfg.Seed+13, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -281,7 +281,7 @@ func (c Config) AblationBaselines() (AblationBaselinesResult, error) {
 	}
 	var r AblationBaselinesResult
 
-	dsAccs, err := core.LeaveOneInputOutParallel(ds, c.forestSpec(), c.Seed+21, c.Jobs)
+	dsAccs, err := core.LeaveOneInputOut(ds, c.forestSpec(), c.Seed+21, c.Jobs)
 	if err != nil {
 		return AblationBaselinesResult{}, err
 	}

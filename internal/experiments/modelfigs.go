@@ -148,7 +148,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	cAccs, err := core.LeaveOneInputOutParallel(cds, c.forestSpec(), c.Seed+1, c.Jobs)
+	cAccs, err := core.LeaveOneInputOut(cds, c.forestSpec(), c.Seed+1, c.Jobs)
 	if err != nil {
 		return Fig13Result{}, err
 	}

@@ -66,10 +66,12 @@ func NewForest(cfg ForestConfig) *Forest {
 
 // Fit implements Regressor: trees are trained concurrently, each with an
 // independent generator split derived from the forest seed and the tree
-// index, so results do not depend on scheduling. Each training task draws a
-// pooled workspace, gathers its bootstrap sample straight into the
-// workspace's column-major buffers from a shared transposed copy of X, and
-// grows the tree without per-node allocations.
+// index, so results do not depend on scheduling. Fit transposes X once and
+// ranks each of its columns once (rankColumns); the copy and the ranks are
+// shared read-only by every tree. Each training task draws a pooled
+// workspace, gathers its bootstrap sample straight into the workspace's
+// column-major buffers, orders it per feature with a counting sort of the
+// shared ranks, and grows the tree without per-node allocations.
 func (f *Forest) Fit(X [][]float64, y []float64) error {
 	n, d, err := checkXY(X, y)
 	if err != nil {
@@ -91,6 +93,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 			cols[ff][i] = v
 		}
 	}
+	ranks := rankColumns(cols)
 
 	f.trees = make([]*Tree, f.cfg.NumTrees)
 	var inBag [][]bool
@@ -105,45 +108,16 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	err = parallel.ForEach(context.Background(), f.cfg.NumTrees, f.cfg.Workers, func(_ context.Context, ti int) error {
 		stop := treePhase.Start()
 		defer stop()
-		// The tree's generator derives from the forest seed and the tree
-		// index alone — no pre-split needed, scheduling cannot touch it.
-		rng := xrand.New(f.cfg.Seed ^ (uint64(ti)+1)*0xd1342543de82ef95)
 		ws := getWorkspace()
 		defer putWorkspace(ws)
 		ws.reset(n, d)
-		// Bootstrap sample with replacement: draw the row multiset first
-		// (same generator order as ever), then gather column by column.
-		boot := ws.tmp[:n]
 		var bag []bool
 		if inBag != nil {
 			bag = make([]bool, n)
-		}
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			boot[i] = int32(j)
-			if bag != nil {
-				bag[j] = true
-			}
-		}
-		if inBag != nil {
 			inBag[ti] = bag
 		}
-		for ff := 0; ff < d; ff++ {
-			src, dst := cols[ff], ws.cols[ff]
-			for i, j := range boot {
-				dst[i] = src[j]
-			}
-		}
-		for i, j := range boot {
-			ws.y[i] = yc[j]
-		}
-		tree := NewTree(f.cfg.MaxDepth, f.cfg.MinLeaf)
-		if mf := f.cfg.MaxFeatures; mf > 0 && mf < d {
-			tree.featurePicker = func(dd int) []int {
-				perm := rng.Perm(dd)
-				return perm[:mf]
-			}
-		}
+		tree := f.bootstrapTree(ti, ws, cols, yc, bag)
+		ws.presort(ranks)
 		tree.fit(ws)
 		f.trees[ti] = tree
 		treesTrained.Inc()
@@ -183,6 +157,41 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 		}
 	}
 	return nil
+}
+
+// bootstrapTree loads ws, reset to the forest's n×d problem, with tree ti's
+// bootstrap sample of the shared column copy cols and targets y, marks the
+// drawn rows in bag when it is non-nil, and returns the unfitted tree with
+// its feature sampler. The tree's generator derives from the forest seed and
+// the tree index alone — no pre-split needed, scheduling cannot touch it.
+func (f *Forest) bootstrapTree(ti int, ws *treeWorkspace, cols [][]float64, y []float64, bag []bool) *Tree {
+	rng := xrand.New(f.cfg.Seed ^ (uint64(ti)+1)*0xd1342543de82ef95)
+	// Bootstrap sample with replacement: draw the row multiset first
+	// (same generator order as ever), then gather column by column.
+	for i := range ws.boot {
+		j := rng.Intn(len(y))
+		ws.boot[i] = int32(j)
+		if bag != nil {
+			bag[j] = true
+		}
+	}
+	for ff, src := range cols {
+		dst := ws.cols[ff]
+		for i, j := range ws.boot {
+			dst[i] = src[j]
+		}
+	}
+	for i, j := range ws.boot {
+		ws.y[i] = y[j]
+	}
+	tree := NewTree(f.cfg.MaxDepth, f.cfg.MinLeaf)
+	if mf := f.cfg.MaxFeatures; mf > 0 && mf < len(cols) {
+		tree.featurePicker = func(dd int) []int {
+			perm := rng.Perm(dd)
+			return perm[:mf]
+		}
+	}
+	return tree
 }
 
 // OOBMAPE returns the out-of-bag MAPE estimate and the number of samples it

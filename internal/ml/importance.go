@@ -15,11 +15,20 @@ import (
 // PermutationImportance measures each feature's contribution to a fitted
 // regressor: the increase in MAPE on (X, y) after shuffling that feature's
 // column, averaged over rounds. Larger is more important; ~0 means the model
-// ignores the feature.
+// ignores the feature. X must be as wide as the rows r was fitted on.
 func PermutationImportance(r Regressor, X [][]float64, y []float64, rounds int, seed uint64) ([]float64, error) {
 	n, d, err := checkXY(X, y)
 	if err != nil {
 		return nil, err
+	}
+	// PredictBatch, like Predict, routes a short row to 0 and ignores extra
+	// columns, so a mis-shaped X would give plausible wrong importances.
+	w, err := fittedWidth(r)
+	if err != nil {
+		return nil, err
+	}
+	if d != w {
+		return nil, fmt.Errorf("ml: %d features, model expects %d", d, w)
 	}
 	if rounds < 1 {
 		rounds = 1

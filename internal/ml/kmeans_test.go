@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -132,6 +133,30 @@ func TestPermutationImportanceFindsRelevantFeature(t *testing.T) {
 	}
 	if imp[0] <= 10*math.Max(imp[1], 1e-9) && imp[0] <= imp[1]+0.05 {
 		t.Errorf("relevant feature importance %g not dominating junk %g", imp[0], imp[1])
+	}
+}
+
+// TestPermutationImportanceChecksWidth: a row too short or too wide for the
+// model would be scored through Predict's 0 or with a column ignored, so
+// importance on a mis-shaped X is an error, never a plausible number.
+func TestPermutationImportanceChecksWidth(t *testing.T) {
+	X, y := benchData(60)
+	m := NewForest(ForestConfig{NumTrees: 5, Seed: 1})
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{3, 5} {
+		Xw := make([][]float64, len(X))
+		for i, row := range X {
+			Xw[i] = append(append([]float64(nil), row...), 1)[:width]
+		}
+		_, err := PermutationImportance(m, Xw, y, 1, 1)
+		if want := fmt.Sprintf("ml: %d features, model expects 4", width); err == nil || err.Error() != want {
+			t.Errorf("width-%d X on a width-4 forest: error %v, want %q", width, err, want)
+		}
+	}
+	if _, err := PermutationImportance(m, X, y, 1, 1); err != nil {
+		t.Errorf("width-4 X: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -77,6 +78,47 @@ func TestLinearRejectsBadShapes(t *testing.T) {
 	}
 	if err := m.Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("expected error for underdetermined system (1 row, 2 unknowns)")
+	}
+}
+
+// TestFitRejectsNaN pins the typed error for NaN training data: every
+// regressor's Fit and PermutationImportance refuse a NaN feature or target
+// with ErrNaNInput, while ±Inf and −0 features still train a tree and a
+// forest.
+func TestFitRejectsNaN(t *testing.T) {
+	X, y := synthLinear(xrand.New(34), 40, 0.1)
+	nanX := cloneMatrix(X)
+	nanX[7][1] = math.NaN()
+	nanY := append([]float64(nil), y...)
+	nanY[11] = math.NaN()
+	cases := []struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}{{"feature", nanX, y}, {"target", X, nanY}}
+
+	fitted := NewForest(ForestConfig{NumTrees: 3, Seed: 1})
+	if err := fitted.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	models := []Regressor{NewLinear(), NewLasso(0.01), NewSVR(10, 0.01, 0), NewTree(0, 1), NewForest(ForestConfig{NumTrees: 3, Seed: 1})}
+	for _, c := range cases {
+		for _, m := range models {
+			if err := m.Fit(c.X, c.y); !errors.Is(err, ErrNaNInput) {
+				t.Errorf("%T with a NaN %s: Fit error %v, want ErrNaNInput", m, c.name, err)
+			}
+		}
+		if _, err := PermutationImportance(fitted, c.X, c.y, 1, 1); !errors.Is(err, ErrNaNInput) {
+			t.Errorf("PermutationImportance with a NaN %s: error %v, want ErrNaNInput", c.name, err)
+		}
+	}
+
+	special := cloneMatrix(X)
+	special[0][0], special[1][0], special[2][1] = math.Inf(1), math.Inf(-1), math.Copysign(0, -1)
+	for _, m := range []Regressor{NewTree(0, 1), NewForest(ForestConfig{NumTrees: 3, Seed: 1})} {
+		if err := m.Fit(special, y); err != nil {
+			t.Errorf("%T with ±Inf and −0 features: %v", m, err)
+		}
 	}
 }
 

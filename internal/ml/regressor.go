@@ -6,7 +6,9 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"dsenergy/internal/obs"
 )
@@ -103,7 +105,13 @@ func DefaultSpecs() []Spec {
 	}
 }
 
-// checkXY validates a training set shape.
+// ErrNaNInput reports a NaN feature or target in training data. The tree
+// presort ranks every column under a total order, which NaN does not have,
+// so every Fit (and PermutationImportance) refuses such data.
+var ErrNaNInput = errors.New("ml: NaN in training data")
+
+// checkXY validates a training set: its shape, and that no feature or
+// target is NaN (±Inf and −0 are accepted).
 func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {
 	if len(X) == 0 || len(y) == 0 {
 		return 0, 0, fmt.Errorf("ml: empty training set")
@@ -118,6 +126,14 @@ func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {
 	for i, r := range X {
 		if len(r) != cols {
 			return 0, 0, fmt.Errorf("ml: row %d has %d features, want %d", i, len(r), cols)
+		}
+		for j, v := range r {
+			if math.IsNaN(v) {
+				return 0, 0, fmt.Errorf("%w: row %d, column %d", ErrNaNInput, i, j)
+			}
+		}
+		if math.IsNaN(y[i]) {
+			return 0, 0, fmt.Errorf("%w: row %d, target", ErrNaNInput, i)
 		}
 	}
 	return len(X), cols, nil

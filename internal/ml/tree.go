@@ -10,8 +10,10 @@ import (
 // variance reduction, mean-value leaves.
 //
 // Training uses a column-major pre-sorted split finder (the exact greedy
-// algorithm of XGBoost and scikit-learn's presort path): every candidate
-// feature column is argsorted once per tree, and each node re-derives its
+// algorithm of XGBoost and scikit-learn's presort path): every feature
+// column of the training data is ranked once (rankColumns; once per forest,
+// not per tree), each tree orders its sample positions per feature with an
+// O(n) counting sort of their ranks, and each node re-derives its
 // per-feature order by a stable in-place partition of the parent's index
 // arrays, so per-node split finding costs O(d·n) instead of the
 // O(d·n log n) a per-node sort pays. The fitted tree is stored as flat
@@ -48,9 +50,10 @@ func NewTree(maxDepth, minLeaf int) *Tree {
 
 // treeWorkspace owns every growth-time buffer so fitting one tree performs
 // no per-node allocations: the column-major feature copy, the per-feature
-// argsort index arrays, the row list mirroring the legacy recursion's
-// original-order index slice, and the partition scratch. Workspaces are
-// pooled (getWorkspace/putWorkspace) and resized monotonically.
+// sorted index arrays with the counting-sort buckets that fill them, the
+// row list mirroring the legacy recursion's original-order index slice, and
+// the partition scratch. Workspaces are pooled (getWorkspace/putWorkspace)
+// and resized monotonically.
 type treeWorkspace struct {
 	n, d int
 	// cols[f][i] is feature f of sample i; colData is the shared backing.
@@ -60,7 +63,11 @@ type treeWorkspace struct {
 	// node owns a contiguous segment of each array.
 	sorted     [][]int32
 	sortedData []int32
-	y          []float64
+	// boot[i] is the row of the ranked data that sample i was drawn from
+	// (the identity for a lone tree); count is the counting sort's buckets.
+	boot  []int32
+	count []int32
+	y     []float64
 	// rows lists each node segment's samples in original row order — the
 	// exact order the legacy engine accumulated means and SSEs in, so leaf
 	// values stay bit-identical.
@@ -95,11 +102,15 @@ func (w *treeWorkspace) reset(n, d int) {
 		w.sorted[f] = w.sortedData[f*n : (f+1)*n]
 	}
 	if cap(w.y) < n {
+		w.boot = make([]int32, n)
+		w.count = make([]int32, n+1)
 		w.y = make([]float64, n)
 		w.rows = make([]int32, n)
 		w.tmp = make([]int32, 0, n)
 		w.goesLeft = make([]bool, n)
 	}
+	w.boot = w.boot[:n]
+	w.count = w.count[:n+1]
 	w.y = w.y[:n]
 	w.rows = w.rows[:n]
 	w.goesLeft = w.goesLeft[:n]
@@ -126,35 +137,78 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 			ws.cols[f][i] = v
 		}
 		ws.y[i] = y[i]
+		ws.boot[i] = int32(i)
 	}
+	ws.presort(rankColumns(ws.cols))
 	t.fit(ws)
 	return nil
 }
 
-// fit grows the tree from a loaded workspace (cols and y filled).
+// rankColumns gives every value of each column its dense rank: rows sorted
+// by value take ranks 0, 1, ... and equal values share one, so −0 and +0
+// do. The values must not be NaN (checkXY rejects it), which makes the
+// comparison a total order.
+func rankColumns(cols [][]float64) [][]int32 {
+	n := len(cols[0])
+	data := make([]int32, len(cols)*n)
+	ranks := make([][]int32, len(cols))
+	order := make([]int32, n)
+	for f, col := range cols {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if col[a] < col[b] {
+				return -1
+			}
+			if col[a] > col[b] {
+				return 1
+			}
+			return 0
+		})
+		r := data[f*n : (f+1)*n]
+		rank := int32(0)
+		for i, row := range order {
+			if i > 0 && col[order[i-1]] < col[row] {
+				rank++
+			}
+			r[row] = rank
+		}
+		ranks[f] = r
+	}
+	return ranks
+}
+
+// presort fills every sorted[f] with the sample positions in (value,
+// position) order. ranks holds rankColumns of the data boot indexes, which
+// has no more rows than there are samples, so sample i's rank in feature f,
+// ranks[f][boot[i]], is below n. A counting sort of those ranks, stable in
+// sample position, puts equal values (−0 and +0 included) in position
+// order: the order an argsort under the comparator (value, then index)
+// gives.
+func (w *treeWorkspace) presort(ranks [][]int32) {
+	for f, rank := range ranks {
+		idx, count := w.sorted[f], w.count
+		clear(count)
+		for _, j := range w.boot {
+			count[rank[j]+1]++
+		}
+		for r := 1; r < len(count); r++ {
+			count[r] += count[r-1]
+		}
+		for i, j := range w.boot {
+			idx[count[rank[j]]] = int32(i)
+			count[rank[j]]++
+		}
+	}
+}
+
+// fit grows the tree from a loaded, presorted workspace (cols, y and sorted
+// filled).
 func (t *Tree) fit(ws *treeWorkspace) {
 	t.d = ws.d
 	for i := range ws.rows {
 		ws.rows[i] = int32(i)
-	}
-	for f := 0; f < ws.d; f++ {
-		keys := ws.cols[f]
-		idx := ws.sorted[f]
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		// Total order (value, then index): ties cannot reorder across runs,
-		// so the result is unique — stable by construction.
-		slices.SortFunc(idx, func(a, b int32) int {
-			ka, kb := keys[a], keys[b]
-			if ka < kb {
-				return -1
-			}
-			if ka > kb {
-				return 1
-			}
-			return int(a - b)
-		})
 	}
 	// MinLeaf >= 1 bounds the tree at 2n-1 nodes; reserving that up front
 	// makes every pushLeaf/pushSplit append allocation-free.
@@ -236,7 +290,7 @@ func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) int32 {
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThresh = 0.5 * (keys[seg[i]] + keys[seg[i+1]])
+				bestThresh = splitThreshold(keys[seg[i]], keys[seg[i+1]])
 			}
 		}
 	}
@@ -265,6 +319,17 @@ func (t *Tree) grow(ws *treeWorkspace, lo, hi, depth int) int32 {
 	t.left[node] = t.grow(ws, lo, lo+nl, depth+1)
 	t.right[node] = t.grow(ws, lo+nl, hi, depth+1)
 	return node
+}
+
+// splitThreshold returns the midpoint of adjacent distinct sorted values
+// lo < hi, or lo where rounding, overflow or ∞ − ∞ puts the midpoint outside
+// [lo, hi): the partition x <= threshold must send lo left and hi right, or
+// a child would repeat its parent's segment and growth would not end.
+func splitThreshold(lo, hi float64) float64 {
+	if mid := 0.5 * (lo + hi); lo <= mid && mid < hi {
+		return mid
+	}
+	return lo
 }
 
 // stablePartition reorders seg so rows flagged goesLeft come first, both
