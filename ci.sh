@@ -10,8 +10,9 @@
 #                   key (FuzzCacheKey), and the benchmark module's own vet
 #                   and tests (perfbench/)
 #   5. results      reproduce -quick regenerated and diffed against the
-#                   checked-in results/quick snapshot (drift guard); the
-#                   examples' stdout diffed against examples/*/output.txt;
+#                   checked-in results/quick snapshot (drift guard); schedule
+#                   at its default config diffed against results/schedule.txt;
+#                   the examples' stdout diffed against examples/*/output.txt;
 #                   serve -quick diffed against cmd/serve/testdata/quick.txt
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes plus the interprocedural determinism contracts
@@ -142,6 +143,14 @@ go build -o "$obsdir/schedule" ./cmd/schedule
 "$obsdir/schedule" -quick -j 1 > "$obsdir/sched1.txt"
 "$obsdir/schedule" -quick -j 0 > "$obsdir/schedN.txt"
 diff "$obsdir/sched1.txt" "$obsdir/schedN.txt"
+
+# Schedule report drift guard: results/quick holds only the -quick campaign,
+# so the full-scale cells (the fault storm included) are checked here:
+# cmd/schedule at its default config (under a second) must match its
+# checked-in report.
+echo "==> schedule report drift guard (schedule vs results/schedule.txt)"
+"$obsdir/schedule" > "$obsdir/schedule.txt"
+diff results/schedule.txt "$obsdir/schedule.txt"
 
 # Serving -j invariance smoke: the four advisor shards must emit
 # byte-identical SLO reports whether they run serially or fan out, even with

@@ -112,15 +112,7 @@ func (w Workload) Profiles() []kernels.Profile {
 // RunOn implements synergy.Workload: it submits the run's kernel profiles to
 // the queue at its current frequency and returns aggregate time and energy.
 func (w Workload) RunOn(q *synergy.Queue) (timeS, energyJ float64, err error) {
-	for _, p := range w.Profiles() {
-		r, err := q.Submit(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		timeS += r.TimeS
-		energyJ += r.EnergyJ
-	}
-	return timeS, energyJ, nil
+	return synergy.Kernels(w.Profiles()).RunOn(q)
 }
 
 // AnalyticOn returns the noiseless model evaluation of the workload on dev at

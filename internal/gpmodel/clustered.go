@@ -48,7 +48,7 @@ func TrainClustered(q *synergy.Queue, cfg TrainConfig, k int) (*ClusteredModel, 
 	benchCurves := make([][]CurvePoint, len(suite))
 	for bi, b := range suite {
 		features[bi] = b.Profile.Mix.StaticFeatures()
-		w := profileWorkload{b.Profile}
+		w := synergy.Kernels{b.Profile}
 		ref, err := synergy.MeasureAt(q, w, base, reps)
 		if err != nil {
 			return nil, fmt.Errorf("gpmodel: clustered baseline for %s: %w", b.Name, err)

@@ -69,7 +69,7 @@ func Train(q *synergy.Queue, cfg TrainConfig) (*Model, error) {
 	var X [][]float64
 	var ySpeed, yEnergy []float64
 	for _, b := range suite {
-		w := profileWorkload{b.Profile}
+		w := synergy.Kernels{b.Profile}
 		ref, err := synergy.MeasureAt(q, w, base, reps)
 		if err != nil {
 			return nil, fmt.Errorf("gpmodel: baseline for %s: %w", b.Name, err)
@@ -179,19 +179,4 @@ func (m *Model) PredictPareto(mix kernels.InstructionMix, freqs []int) []pareto.
 		pts[i] = pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
 	}
 	return pareto.Front(pts)
-}
-
-// profileWorkload adapts a raw kernel profile to synergy.Workload.
-type profileWorkload struct {
-	p kernels.Profile
-}
-
-func (w profileWorkload) Name() string { return w.p.Name }
-
-func (w profileWorkload) RunOn(q *synergy.Queue) (float64, float64, error) {
-	r, err := q.Submit(w.p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.TimeS, r.EnergyJ, nil
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"dsenergy/internal/faults"
@@ -12,7 +14,10 @@ var benchFreq int // defeats dead-code elimination in BenchmarkDecide
 // BenchmarkScheduleStream drives the full admit-decide-dispatch-complete loop
 // over a 96-job mixed stream on a fresh fault-free 4-device cluster per
 // iteration, reporting scheduler throughput as admitted jobs per second of
-// wall time (the cluster build is excluded from the timer).
+// wall time (the cluster build is excluded from the timer). The repeat arm
+// draws its jobs from the 9 ladder shapes, so the shape table predicts each
+// shape once; the no-repeat arm nudges every job's features by its ID, so no
+// shape repeats and every admission predicts.
 func BenchmarkScheduleStream(b *testing.B) {
 	models := testModels(b)
 	freqs := testFreqs(b)
@@ -20,23 +25,46 @@ func BenchmarkScheduleStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	admitted := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cl := testCluster(b, 41, 4, faults.Plan{})
-		b.StartTimer()
-		s, err := New(cl, Config{Freqs: freqs, Models: models})
-		if err != nil {
-			b.Fatal(err)
+	unique := slices.Clone(jobs)
+	seen := make(map[string]bool, len(unique))
+	for i := range unique {
+		j := &unique[i]
+		if j.App == AppLiGen {
+			j.LiGen.Ligands += i
+		} else {
+			j.Grid[1] += i / 10
+			j.Grid[2] += i % 10
 		}
-		r, err := s.Run(jobs)
-		if err != nil {
-			b.Fatal(err)
+		key := fmt.Sprint(j.App, j.Features())
+		if seen[key] {
+			b.Fatalf("job %d repeats shape %s", i, key)
 		}
-		admitted += r.Admitted
+		seen[key] = true
 	}
-	b.ReportMetric(float64(admitted)/b.Elapsed().Seconds(), "jobs/s")
+	for _, arm := range []struct {
+		name string
+		jobs []Job
+	}{{"repeat", jobs}, {"no-repeat", unique}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			admitted := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cl := testCluster(b, 41, 4, faults.Plan{})
+				b.StartTimer()
+				s, err := New(cl, Config{Freqs: freqs, Models: models})
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := s.Run(arm.jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				admitted += r.Admitted
+			}
+			b.ReportMetric(float64(admitted)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
 }
 
 // BenchmarkDecide measures one frequency decision over a realistic candidate
@@ -48,13 +76,9 @@ func BenchmarkDecide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	points, err := models.curves(jobs[0], freqs)
+	curve, err := models.curves(jobs[0], freqs)
 	if err != nil {
 		b.Fatal(err)
-	}
-	curve := make([]prediction, len(points))
-	for i, p := range points {
-		curve[i] = prediction{FreqMHz: p.FreqMHz, TimeS: p.TimeS, EnergyJ: p.EnergyJ}
 	}
 	cfg := Config{}.withDefaults(gpusim.V100Spec().BaselineFreqMHz())
 	b.ResetTimer()

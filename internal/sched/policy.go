@@ -49,7 +49,7 @@ type ModelSet struct {
 
 // curves evaluates the per-frequency prediction curve of one job, rejecting
 // a job whose features do not fit the app's model schema.
-func (ms *ModelSet) curves(j Job, freqs []int) ([]core.CurvePoint, error) {
+func (ms *ModelSet) curves(j Job, freqs []int) ([]prediction, error) {
 	var m *core.Model
 	switch j.App {
 	case AppLiGen:
@@ -67,7 +67,11 @@ func (ms *ModelSet) curves(j Job, freqs []int) ([]core.CurvePoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
 	}
-	return curves[0], nil
+	curve := make([]prediction, len(curves[0]))
+	for i, c := range curves[0] {
+		curve[i] = prediction{FreqMHz: c.FreqMHz, TimeS: c.TimeS, EnergyJ: c.EnergyJ}
+	}
+	return curve, nil
 }
 
 // prediction is one candidate decision: run the job at FreqMHz, expecting

@@ -41,6 +41,7 @@ import (
 	"dsenergy/internal/cluster"
 	"dsenergy/internal/eventq"
 	"dsenergy/internal/faults"
+	"dsenergy/internal/ligen"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/synergy"
 )
@@ -171,10 +172,29 @@ type event struct {
 	dev  int // device index (evFree)
 }
 
+// shapeKey is a job's shape: its prediction curve and its kernel list are
+// functions of these fields alone. Steps is part of it because two Cronos
+// jobs can share a grid, and with it a curve, but not a kernel list.
+type shapeKey struct {
+	app   App
+	ligen ligen.Input
+	grid  [3]int
+	steps int
+}
+
+// shape is one entry of a run's shape table, shared read-only by every job
+// of the shape: the prediction curve, computed on the shape's first
+// admission, and the kernel list, built on its first dispatch, so a job that
+// never dispatches never builds a workload.
+type shape struct {
+	curve   []prediction
+	kernels synergy.Kernels
+}
+
 // jobState tracks one admitted job through the scheduler.
 type jobState struct {
 	job      Job
-	curve    []prediction
+	shape    *shape  // nil until admission predicts the job
 	retries  int     // transient retries consumed (per-job budget)
 	busyS    float64 // cumulative busy time across attempts and devices
 	requeues int     // failover requeues survived
@@ -220,6 +240,12 @@ type Scheduler struct {
 	deathS     []float64 // per-device death time (dead devices only)
 	capMHz     []int     // observed thermal cap (0 = none)
 	cappedRuns []int     // consecutive runs commanded at/below the cap
+
+	// shapes is the shape table of the scheduler's one Run, so nothing in it
+	// outlives the campaign; idle is dispatchIdle's scratch list of idle
+	// devices.
+	shapes map[shapeKey]*shape
+	idle   []int
 
 	queuedByTenant map[string]int
 	rep            *Report
@@ -270,6 +296,8 @@ func New(cl *cluster.Cluster, cfg Config) (*Scheduler, error) {
 		deathS:         make([]float64, len(queues)),
 		capMHz:         make([]int, len(queues)),
 		cappedRuns:     make([]int, len(queues)),
+		shapes:         make(map[shapeKey]*shape),
+		idle:           make([]int, 0, len(queues)),
 		queuedByTenant: make(map[string]int),
 		obsv:           cfg.Obs,
 	}
@@ -384,14 +412,11 @@ func (s *Scheduler) admit(js *jobState, now float64) error {
 		s.reject(js, "queue-full")
 		return nil
 	}
-	curve, err := s.cfg.Models.curves(js.job, s.cfg.Freqs)
+	sh, err := s.shapeOf(js.job)
 	if err != nil {
 		return err
 	}
-	js.curve = make([]prediction, len(curve))
-	for i, c := range curve {
-		js.curve[i] = prediction{FreqMHz: c.FreqMHz, TimeS: c.TimeS, EnergyJ: c.EnergyJ}
-	}
+	js.shape = sh
 	if !s.feasible(js, now) {
 		s.reject(js, "infeasible")
 		return nil
@@ -401,6 +426,36 @@ func (s *Scheduler) admit(js *jobState, now float64) error {
 	s.om.admitted.Inc()
 	s.enqueue(js)
 	return s.dispatchIdle(now)
+}
+
+// shapeOf returns the table entry of the job's shape, predicting its curve
+// on the shape's first admission.
+func (s *Scheduler) shapeOf(j Job) (*shape, error) {
+	k := shapeKey{app: j.App, ligen: j.LiGen, grid: j.Grid, steps: j.Steps}
+	if sh, ok := s.shapes[k]; ok {
+		return sh, nil
+	}
+	curve, err := s.cfg.Models.curves(j, s.cfg.Freqs)
+	if err != nil {
+		return nil, err
+	}
+	sh := &shape{curve: curve}
+	s.shapes[k] = sh
+	return sh, nil
+}
+
+// kernelList returns the shape's kernel list, building it from j's workload
+// on the shape's first dispatch.
+func (sh *shape) kernelList(j Job) (synergy.Kernels, error) {
+	if sh.kernels == nil {
+		w, err := j.Workload()
+		if err != nil {
+			return nil, err
+		}
+		// Both applications' workloads enumerate their kernels.
+		sh.kernels = w.(synergy.KernelProfiler).Profiles()
+	}
+	return sh.kernels, nil
 }
 
 // minEffTimeS is the fastest predicted execution time on a device with the
@@ -438,7 +493,7 @@ func (s *Scheduler) feasible(js *jobState, now float64) bool {
 		if s.dead(d) {
 			continue
 		}
-		if now+minEffTimeS(js.curve, s.capMHz[d]) <= js.job.DeadlineS {
+		if now+minEffTimeS(js.shape.curve, s.capMHz[d]) <= js.job.DeadlineS {
 			return true
 		}
 	}
@@ -490,7 +545,9 @@ func (s *Scheduler) reAdmit(now float64) {
 // device exists.
 func (s *Scheduler) dispatchIdle(now float64) error {
 	for {
-		idle := make([]int, 0, len(s.queues))
+		// Nothing below this loop re-enters dispatchIdle, so one scratch
+		// list serves every pass.
+		idle := s.idle[:0]
 		for d := range s.queues {
 			if !s.dead(d) && !s.busyDev[d] && s.freeAtS[d] <= now {
 				idle = append(idle, d)
@@ -529,7 +586,7 @@ func (s *Scheduler) dispatchIdle(now float64) error {
 // pickJob selects the ready-queue index to run on idle device d, or -1.
 func (s *Scheduler) pickJob(d int, now float64) int {
 	for i, js := range s.ready {
-		p, _ := decide(s.cfg, js.curve, js.job.DeadlineS, now, s.capMHz[d], s.guard(len(s.ready)-1))
+		p, _ := decide(s.cfg, js.shape.curve, js.job.DeadlineS, now, s.capMHz[d], s.guard(len(s.ready)-1))
 		lateHere := now + p.TimeS - js.job.DeadlineS
 		if lateHere <= 0 {
 			return i
@@ -545,7 +602,7 @@ func (s *Scheduler) pickJob(d int, now float64) int {
 			if s.freeAtS[o] > start {
 				start = s.freeAtS[o]
 			}
-			po, _ := decide(s.cfg, js.curve, js.job.DeadlineS, start, s.capMHz[o], s.guard(len(s.ready)-1))
+			po, _ := decide(s.cfg, js.shape.curve, js.job.DeadlineS, start, s.capMHz[o], s.guard(len(s.ready)-1))
 			if start+po.TimeS-js.job.DeadlineS < lateHere {
 				better = true
 				break
@@ -568,7 +625,7 @@ func (s *Scheduler) pickJob(d int, now float64) int {
 // schedules the device's next free event (or the job's requeue on a device
 // loss).
 func (s *Scheduler) execute(js *jobState, d int, start float64) error {
-	p, escalated := decide(s.cfg, js.curve, js.job.DeadlineS, start, s.capMHz[d], s.guard(len(s.ready)))
+	p, escalated := decide(s.cfg, js.shape.curve, js.job.DeadlineS, start, s.capMHz[d], s.guard(len(s.ready)))
 	if escalated {
 		s.rep.Escalations++
 		s.om.escalated.Inc()
@@ -584,7 +641,7 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 	s.busyDev[d] = true
 
 	q := s.queues[d]
-	w, err := js.job.Workload()
+	w, err := js.shape.kernelList(js.job)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"dsenergy/internal/faults"
@@ -437,6 +438,36 @@ type Workload interface {
 	// RunOn executes the whole workload on q at q's current frequency and
 	// returns total wall time and energy.
 	RunOn(q *Queue) (timeS, energyJ float64, err error)
+}
+
+// Kernels is a workload given as its kernel list: RunOn submits the kernels
+// in order at q's current frequency and sums their time and energy. Both
+// applications run through it, and one kernel alone is a one-element list.
+type Kernels []kernels.Profile
+
+// Name implements Workload: the kernel names joined with "+".
+func (k Kernels) Name() string {
+	if len(k) == 1 {
+		return k[0].Name
+	}
+	names := make([]string, len(k))
+	for i, p := range k {
+		names[i] = p.Name
+	}
+	return strings.Join(names, "+")
+}
+
+// RunOn implements Workload.
+func (k Kernels) RunOn(q *Queue) (timeS, energyJ float64, err error) {
+	for _, p := range k {
+		r, err := q.Submit(p)
+		if err != nil {
+			return 0, 0, err
+		}
+		timeS += r.TimeS
+		energyJ += r.EnergyJ
+	}
+	return timeS, energyJ, nil
 }
 
 // MeasureAt runs w on q at the given frequency reps times and returns the

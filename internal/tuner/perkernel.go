@@ -18,19 +18,6 @@ type Profiler interface {
 	Profiles() []kernels.Profile
 }
 
-// kernelWorkload wraps one kernel of an application as a standalone
-// measurable workload.
-type kernelWorkload struct {
-	p kernels.Profile
-}
-
-func (w kernelWorkload) Name() string { return w.p.Name }
-
-func (w kernelWorkload) RunOn(q *synergy.Queue) (float64, float64, error) {
-	r, err := q.Submit(w.p)
-	return r.TimeS, r.EnergyJ, err
-}
-
 // PerKernelTuner holds one domain-specific model per kernel of an
 // application, so prediction — and therefore frequency selection — happens
 // at kernel granularity, as SYnergy's per-kernel scaling requires.
@@ -74,7 +61,7 @@ func TrainPerKernel(q *synergy.Queue, schema core.Schema, wls []core.FeaturedWor
 				datasets[kp.Name] = ds
 				kernelOrder = append(kernelOrder, kp.Name)
 			}
-			ms, err := synergy.Sweep(q, kernelWorkload{kp}, freqs, cfg.Reps)
+			ms, err := synergy.Sweep(q, synergy.Kernels{kp}, freqs, cfg.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("tuner: measuring kernel %s: %w", kp.Name, err)
 			}
