@@ -7,8 +7,10 @@
 #   4. go test -race  full test suite under the race detector, plus
 #                   bounded fuzzes of the curve kernel (FuzzPredictSweep),
 #                   the tree presort (FuzzPresort) and the serve request
-#                   key (FuzzCacheKey), and the benchmark module's own vet
-#                   and tests (perfbench/)
+#                   key (FuzzCacheKey), the benchmark module's own vet
+#                   and tests (perfbench/), the solver's allocation guard
+#                   at GOMAXPROCS 1, 2, 4 and 8, and the worker gang's
+#                   tests ten times under the race detector
 #   5. results      reproduce -quick regenerated and diffed against the
 #                   checked-in results/quick snapshot (drift guard); schedule
 #                   at its default config diffed against results/schedule.txt;
@@ -83,6 +85,17 @@ go test -run '^$' -fuzz '^FuzzCacheKey$' -fuzztime 10s ./internal/serve
 # never enter it: vet it and run its arithmetic tests here.
 echo "==> perfbench vet and tests"
 (cd perfbench && go vet ./... && go test ./...)
+
+# Allocation guard at several GOMAXPROCS: TestStepAllocationGuard's parallel
+# case runs at GOMAXPROCS workers, so a runner with one CPU checks only the
+# serial fan-out. Pin the per-Step bound at 1, 2, 4 and 8 on any runner.
+echo "==> cronos allocation guard at -cpu 1,2,4,8"
+go test -count=1 -cpu 1,2,4,8 -run '^TestStepAllocationGuard$' ./internal/cronos
+
+# The solver's worker gang hands every dispatch to long-lived goroutines and
+# stops them on Close: give the hand-offs ten rolls under the race detector.
+echo "==> parallel gang race smoke (-count=10)"
+go test -race -count=10 -run Gang ./internal/parallel
 
 # Tiled-solver determinism smoke: the pencil-tiled stencil must produce the
 # frozen golden state hashes and be byte-invariant to the tile width and the

@@ -23,6 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer s.Close()
 	cronos.InitBlastWave(s.Grid, 0.1, 10, 0.15)
 	mass0 := s.Grid.TotalMass()
 	if err := s.Run(0.05, 50); err != nil {

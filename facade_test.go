@@ -107,6 +107,7 @@ func TestFacadeMHDApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	cronos.InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	mass0 := s.Grid.TotalMass()
 	if err := s.Run(0.02, 10); err != nil {

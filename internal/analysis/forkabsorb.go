@@ -274,12 +274,14 @@ func markWholeUses(pass *Pass, e ast.Expr, escaped map[types.Object]bool) {
 
 // poolEntrypoints are the parallel-engine calls that hand a task closure its
 // partitioning keys: ForEach/Map pass one task index, ForEachChunked passes a
-// [lo, hi) index range.
-var poolEntrypoints = map[string]bool{"ForEach": true, "Map": true, "ForEachChunked": true}
+// [lo, hi) index range, and the Gang's Run passes a slab number and its
+// [lo, hi) range.
+var poolEntrypoints = map[string]bool{"ForEach": true, "Map": true, "ForEachChunked": true, "Run": true}
 
 // poolClosure returns the task closure and its engine-supplied index
-// parameter objects when call is parallel.ForEach, parallel.Map or
-// parallel.ForEachChunked with a literal task function.
+// parameter objects when call is parallel.ForEach, parallel.Map,
+// parallel.ForEachChunked or (*parallel.Gang).Run with a literal task
+// function.
 func poolClosure(pass *Pass, call *ast.CallExpr) (*ast.FuncLit, []types.Object) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !poolEntrypoints[sel.Sel.Name] {
@@ -301,8 +303,9 @@ func poolClosure(pass *Pass, call *ast.CallExpr) (*ast.FuncLit, []types.Object) 
 
 // taskIndexParams resolves the partitioning-key parameters of a pool task
 // closure to their objects: every integer parameter is engine-supplied — the
-// task index of ForEach/Map, or the lo/hi range bounds of ForEachChunked
-// (the context parameter, when present, is not an integer and stays out).
+// task index of ForEach/Map, the lo/hi range bounds of ForEachChunked, or the
+// slab number and bounds of Gang.Run (the context parameter, when present, is
+// not an integer and stays out).
 func taskIndexParams(pass *Pass, lit *ast.FuncLit) []types.Object {
 	params := lit.Type.Params
 	if params == nil || pass.Info == nil {

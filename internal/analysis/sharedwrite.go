@@ -7,10 +7,10 @@ import (
 )
 
 // SharedWrite polices the one memory rule of the parallel engine: a task
-// closure handed to parallel.ForEach/parallel.Map/parallel.ForEachChunked
-// may only write shared state through a per-task slot — an element of a
-// captured slice indexed by (an expression derived from) the task index or
-// chunk-bound parameters. Any other write to
+// closure handed to parallel.ForEach/parallel.Map/parallel.ForEachChunked or
+// to a parallel.Gang's Run may only write shared state through a per-task
+// slot — an element of a captured slice indexed by (an expression derived
+// from) the task index, chunk-bound or slab parameters. Any other write to
 // captured state — a plain assignment, a compound assignment or ++/--, an
 // append, a map store, a write through a captured pointer — is either a
 // data race outright or a schedule-ordered accumulation that breaks the

@@ -1,4 +1,5 @@
-// Clean counterparts: WaitGroup join and channel join.
+// Clean counterparts: WaitGroup join, channel join, and the owner join of a
+// persistent worker gang, whose Close waits on a WaitGroup field.
 package synergy
 
 import "sync"
@@ -28,4 +29,29 @@ func channelJoin(jobs []int) int {
 		sum += <-done
 	}
 	return sum
+}
+
+type gang struct {
+	wake   chan int
+	exited sync.WaitGroup
+}
+
+func newGang(workers int) *gang {
+	g := &gang{wake: make(chan int)}
+	g.exited.Add(workers)
+	for w := 0; w < workers; w++ {
+		go g.work()
+	}
+	return g
+}
+
+func (g *gang) work() {
+	defer g.exited.Done()
+	for range g.wake {
+	}
+}
+
+func (g *gang) Close() {
+	close(g.wake)
+	g.exited.Wait()
 }

@@ -1,5 +1,5 @@
-// Packages outside internal/synergy, internal/cronos and internal/ml are
-// not policed: the same fire-and-forget shape stays quiet here.
+// Packages outside goroleak's policed list are not policed: the same
+// fire-and-forget shape stays quiet here.
 package other
 
 func fireAndForget(jobs []int) {

@@ -1,6 +1,6 @@
 // Seeded sharedwrite violations: pool task closures mutating captured state
-// — a shared slice slot, an append, a scalar counter, a map store, and a
-// write through a captured pointer.
+// — a shared slice slot, an append, a scalar counter, a map store, a write
+// through a captured pointer, and a gang slab body bumping its owner's field.
 package fixture
 
 import "fixture/sharedwrite/internal/parallel"
@@ -50,5 +50,13 @@ func chunkedSharedSlot(xs []float64) error {
 	return parallel.ForEachChunked(len(xs), 4, 8, func(lo, hi int) error {
 		xs[0] = float64(hi) // every chunk writes slot 0
 		return nil
+	})
+}
+
+type solver struct{ FluxEvals int64 }
+
+func (s *solver) gangSharedField(g *parallel.Gang, xs []float64) {
+	g.Run(len(xs), func(_, lo, hi int) {
+		s.FluxEvals += int64(hi - lo) // every slab bumps one shared field
 	})
 }

@@ -1,5 +1,6 @@
 // Clean counterparts: per-task slots keyed by the task index (directly or
-// through derived coordinates), and task-local state.
+// through derived coordinates) or by the gang's slab number, and task-local
+// state.
 package fixture
 
 import "fixture/sharedwrite/internal/parallel"
@@ -40,4 +41,12 @@ func chunkedSlots(xs []float64) ([]float64, error) {
 		return nil
 	})
 	return out, err
+}
+
+func gangSlabSlots(g *parallel.Gang, xs, parts []float64) {
+	g.Run(len(xs), func(slab, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			parts[slab] += xs[i] // each slab owns slot slab
+		}
+	})
 }

@@ -35,3 +35,12 @@ func ForEachChunked(n, workers, grain int, fn func(lo, hi int) error) error {
 	}
 	return nil
 }
+
+// Gang mimics the persistent slab gang: Run hands body a slab number and its
+// [lo, hi) range, the engine's partitioning keys.
+type Gang struct{}
+
+func (g *Gang) Run(n int, body func(slab, lo, hi int)) int {
+	body(0, 0, n)
+	return 1
+}

@@ -199,24 +199,16 @@ func (c *Cluster) RunCronos(nx, ny, nz, steps int) (Result, error) {
 		return c.runCronosResilient(nx, ny, nz, steps)
 	}
 
-	// Halo exchange per substep: Ghost planes of all variables, both
-	// directions (interior devices have two neighbours).
-	haloBytes := float64(cronos.Ghost) * float64(nx) * float64(ny) * cronos.NVars * 8
-	msgsPerSubstep := 2.0
-	commPerSubstep := msgsPerSubstep * (haloBytes/(c.net.BandwidthGBs*1e9) + c.net.LatencyS)
+	commPerSubstep := c.haloExchangeS(nx, ny)
 	substeps := float64(3 * steps)
 
 	var res Result
 	res.PerDevice = make([]float64, n)
 	res.SurvivingDevices = n
 	var slowest float64
+	slabs := evenSplit(nz, n)
 	for i, q := range c.queues {
-		// Slab sizes differ by at most one plane.
-		slab := nz / n
-		if i < nz%n {
-			slab++
-		}
-		w, err := cronos.NewWorkload(nx, ny, slab, steps)
+		w, err := cronos.NewWorkload(nx, ny, slabs[i], steps)
 		if err != nil {
 			return Result{}, err
 		}
@@ -261,12 +253,10 @@ func (c *Cluster) ScreenLiGen(in ligen.Input) (Result, error) {
 	res.PerDevice = make([]float64, n)
 	res.SurvivingDevices = n
 	var slowest float64
+	shards := evenSplit(in.Ligands, n)
 	for i, q := range c.queues {
 		shard := in
-		shard.Ligands = in.Ligands / n
-		if i < in.Ligands%n {
-			shard.Ligands++
-		}
+		shard.Ligands = shards[i]
 		w, err := ligen.NewWorkload(shard)
 		if err != nil {
 			return Result{}, err
@@ -287,6 +277,14 @@ func (c *Cluster) ScreenLiGen(in ligen.Input) (Result, error) {
 	c.obsv.Trace().Add("cluster.ligen", res.TimeS,
 		obs.L("devices", strconv.Itoa(n)), obs.L("ligands", strconv.Itoa(in.Ligands)))
 	return res, nil
+}
+
+// haloExchangeS is the time of one substep's halo exchange: Ghost planes of
+// all variables, sent in both directions (interior devices have two
+// neighbours).
+func (c *Cluster) haloExchangeS(nx, ny int) float64 {
+	haloBytes := float64(cronos.Ghost) * float64(nx) * float64(ny) * cronos.NVars * 8
+	return 2 * (haloBytes/(c.net.BandwidthGBs*1e9) + c.net.LatencyS)
 }
 
 // haloProfile is exposed for white-box tests: the raw communication volume

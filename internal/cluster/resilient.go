@@ -19,21 +19,23 @@ package cluster
 //     time and energy — resilience itself becomes a time/energy trade-off in
 //     the spirit of the paper.
 //
-// Determinism: per-device work runs in one goroutine per device, but each
-// device owns private noise and fault streams and results are aggregated in
-// device-index order at every barrier, so identical seeds give byte-identical
-// results regardless of scheduling.
+// Determinism: each barrier fans the live devices out over parallel.Map /
+// parallel.ForEach with one worker per device, but each device owns private
+// noise and fault streams and results are aggregated in device-index order at
+// every barrier, so identical seeds give byte-identical results regardless of
+// scheduling.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"dsenergy/internal/cronos"
 	"dsenergy/internal/faults"
 	"dsenergy/internal/ligen"
 	"dsenergy/internal/obs"
+	"dsenergy/internal/parallel"
 	"dsenergy/internal/synergy"
 )
 
@@ -198,13 +200,13 @@ func (c *Cluster) attempt(di int, w synergy.Workload) attemptOut {
 	}
 }
 
-// slabSizes splits nz z-planes across n devices, sizes differing by at most
-// one plane.
-func slabSizes(nz, n int) []int {
-	out := make([]int, n)
+// evenSplit splits total units (z-planes, ligands) into parts sizes that
+// differ by at most one, the larger ones first.
+func evenSplit(total, parts int) []int {
+	out := make([]int, parts)
 	for i := range out {
-		out[i] = nz / n
-		if i < nz%n {
+		out[i] = total / parts
+		if i < total%parts {
 			out[i]++
 		}
 	}
@@ -236,13 +238,11 @@ func (c *Cluster) runCronosResilient(nx, ny, nz, steps int) (Result, error) {
 	}
 
 	// Halo-exchange cost per step at the current device count.
-	haloBytes := float64(cronos.Ghost) * float64(nx) * float64(ny) * cronos.NVars * 8
 	commPerStepS := func(n int) float64 {
 		if n < 2 {
 			return 0
 		}
-		perSubstep := 2 * (haloBytes/(c.net.BandwidthGBs*1e9) + c.net.LatencyS)
-		return 3 * perSubstep
+		return 3 * c.haloExchangeS(nx, ny)
 	}
 
 	lastCkpt := 0
@@ -256,21 +256,19 @@ func (c *Cluster) runCronosResilient(nx, ny, nz, steps int) (Result, error) {
 		if nz < n {
 			return Result{}, fmt.Errorf("cluster: cannot split %d z-planes across %d devices", nz, n)
 		}
-		slabs := slabSizes(nz, n)
-		outs := make([]attemptOut, n)
-		var wg sync.WaitGroup
+		slabs := evenSplit(nz, n)
+		ws := make([]cronos.Workload, n)
 		for k := range aliveIdx {
 			w, err := cronos.NewWorkload(nx, ny, slabs[k], 1)
 			if err != nil {
 				return Result{}, err
 			}
-			wg.Add(1)
-			go func(k, di int, w cronos.Workload) {
-				defer wg.Done()
-				outs[k] = c.attempt(di, w)
-			}(k, aliveIdx[k], w)
+			ws[k] = w
 		}
-		wg.Wait()
+		// attempt reports failures in its result, so Map itself cannot fail.
+		outs, _ := parallel.Map(context.Background(), n, n, func(_ context.Context, k int) (attemptOut, error) {
+			return c.attempt(aliveIdx[k], ws[k]), nil
+		})
 
 		// Aggregate in device-index order (aliveIdx is ascending).
 		var stepSlowS, stepGoodEnergyJ float64
@@ -356,19 +354,6 @@ func (c *Cluster) runCronosResilient(nx, ny, nz, steps int) (Result, error) {
 	return res, nil
 }
 
-// ligandShards splits a campaign into nShards shard sizes differing by at
-// most one ligand.
-func ligandShards(ligands, nShards int) []int {
-	out := make([]int, nShards)
-	for i := range out {
-		out[i] = ligands / nShards
-		if i < ligands%nShards {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // screenLiGenResilient over-decomposes the campaign into ShardsPerDevice
 // shards per device and executes rounds of shard batches with a barrier per
 // round; shards stranded on a device that died mid-round are requeued to the
@@ -388,7 +373,7 @@ func (c *Cluster) screenLiGenResilient(in ligen.Input) (Result, error) {
 	if nShards > in.Ligands {
 		nShards = in.Ligands
 	}
-	shardLigands := ligandShards(in.Ligands, nShards)
+	shardLigands := evenSplit(in.Ligands, nShards)
 	pending := make([]int, nShards)
 	for i := range pending {
 		pending[i] = i
@@ -417,43 +402,40 @@ func (c *Cluster) screenLiGenResilient(in ligen.Input) (Result, error) {
 			byDev[k] = append(byDev[k], si)
 		}
 		outs := make([]devOut, len(aliveIdx))
-		var wg sync.WaitGroup
-		for k := range aliveIdx {
-			wg.Add(1)
-			go func(k, di int, shards []int) {
-				defer wg.Done()
-				d := &outs[k]
-				for si, shard := range shards {
-					sub := in
-					sub.Ligands = shardLigands[shard]
-					w, err := ligen.NewWorkload(sub)
-					if err != nil {
-						d.fatal = err
-						return
-					}
-					o := c.attempt(di, w)
-					d.out.goodTimeS += o.goodTimeS
-					d.out.goodEnergyJ += o.goodEnergyJ
-					d.out.wasteTimeS += o.wasteTimeS
-					d.out.wasteEnergyJ += o.wasteEnergyJ
-					d.out.backoffTimeS += o.backoffTimeS
-					d.out.retries += o.retries
-					if o.err == nil {
-						continue
-					}
-					if o.permanentFail {
-						// The in-flight shard and everything not yet started
-						// is stranded; the survivors pick it up next round.
-						d.died = true
-						d.stranded = append(d.stranded, shards[si:]...)
-					} else {
-						d.fatal = o.err
-					}
-					return
+		// Each device records its failures in its own slot, so ForEach
+		// itself cannot fail.
+		_ = parallel.ForEach(context.Background(), len(aliveIdx), len(aliveIdx), func(_ context.Context, k int) error {
+			di, shards, d := aliveIdx[k], byDev[k], &outs[k]
+			for si, shard := range shards {
+				sub := in
+				sub.Ligands = shardLigands[shard]
+				w, err := ligen.NewWorkload(sub)
+				if err != nil {
+					d.fatal = err
+					return nil
 				}
-			}(k, aliveIdx[k], byDev[k])
-		}
-		wg.Wait()
+				o := c.attempt(di, w)
+				d.out.goodTimeS += o.goodTimeS
+				d.out.goodEnergyJ += o.goodEnergyJ
+				d.out.wasteTimeS += o.wasteTimeS
+				d.out.wasteEnergyJ += o.wasteEnergyJ
+				d.out.backoffTimeS += o.backoffTimeS
+				d.out.retries += o.retries
+				if o.err == nil {
+					continue
+				}
+				if o.permanentFail {
+					// The in-flight shard and everything not yet started
+					// is stranded; the survivors pick it up next round.
+					d.died = true
+					d.stranded = append(d.stranded, shards[si:]...)
+				} else {
+					d.fatal = o.err
+				}
+				return nil
+			}
+			return nil
+		})
 
 		// Aggregate in device-index order.
 		var roundSlowS float64

@@ -4,10 +4,10 @@ import "testing"
 
 // TestStepAllocationGuard pins the steady-state allocation count of the hot
 // path. After the first step warms the workspaces, a Step must not allocate
-// beyond the fixed per-dispatch overhead of the worker fan-out (goroutine
-// bookkeeping in parallel.ForEach); any per-cell or per-plane allocation
-// creeping into the sweep multiplies by the step count and shows up here
-// immediately.
+// beyond the fixed per-dispatch overhead of the slab fan-out (the body
+// closure each of its 12 Gang.Run dispatches hands the solver's worker
+// gang); any per-cell or per-plane allocation creeping into the sweep
+// multiplies by the step count and shows up here immediately.
 func TestStepAllocationGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -22,6 +22,7 @@ func TestStepAllocationGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Close()
 			InitBlastWave(s.Grid, 0.1, 10, 0.2)
 			s.Grid.ApplyBoundary(Periodic)
 			s.Step() // warm up workspaces

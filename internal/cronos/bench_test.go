@@ -20,6 +20,7 @@ func benchSolverStep(b *testing.B, nx, ny, nz, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close()
 	InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	s.Grid.ApplyBoundary(Periodic)
 	s.Step() // warm up workspaces so steady-state allocations are measured

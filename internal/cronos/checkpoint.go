@@ -48,7 +48,8 @@ func (s *Solver) WriteCheckpoint(w io.Writer) error {
 }
 
 // ReadCheckpoint reconstructs a solver from a checkpoint. The restored
-// solver continues exactly where the writer stopped (same dt, time, steps).
+// solver continues exactly where the writer stopped (same dt, time, steps);
+// the caller closes it.
 func ReadCheckpoint(r io.Reader, workers int) (*Solver, error) {
 	var h checkpointHeader
 	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
@@ -78,10 +79,12 @@ func ReadCheckpoint(r io.Reader, workers int) (*Solver, error) {
 	}
 	for v := 0; v < NVars; v++ {
 		if err := binary.Read(r, binary.LittleEndian, s.Grid.U[v]); err != nil {
+			s.Close()
 			return nil, fmt.Errorf("cronos: reading variable %d: %w", v, err)
 		}
 	}
 	if !s.Grid.IsFinite() {
+		s.Close()
 		return nil, fmt.Errorf("cronos: checkpoint contains non-finite state")
 	}
 	s.Time = h.Time

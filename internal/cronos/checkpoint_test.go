@@ -22,6 +22,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	if restored.Time != s.Time || restored.DT != s.DT || restored.StepsRun != s.StepsRun {
 		t.Errorf("time state differs: %+v vs t=%g dt=%g steps=%d",
 			restored.Time, s.Time, s.DT, s.StepsRun)
@@ -61,6 +62,7 @@ func TestCheckpointContinuationMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resumed.Close()
 	for i := 0; i < 4; i++ {
 		resumed.Step()
 	}

@@ -14,9 +14,10 @@
 // which needs two neighbour cells per direction — the 13-point stencil the
 // paper describes — and a three-stage strong-stability-preserving Runge-Kutta
 // integrator, matching Algorithm 1's three substeps. computeChanges and
-// integrateTime are parallelized over contiguous slabs with a goroutine pool;
-// each slab writes its CFL/flux partial result to its own slot and the slots
-// are folded in slab order after the join, so the max-reduction is
+// integrateTime are parallelized over contiguous slabs on the solver's
+// parallel.Gang, whose workers live from NewSolver to Close; each slab
+// writes its CFL/flux partial result to its own slot and the slots are
+// folded in slab order after the join, so the max-reduction is
 // deterministic for every worker count. The sweeps themselves run over a
 // structure-of-arrays primitive mirror in cache-blocked pencil tiles (see
 // sweep.go).
@@ -109,31 +110,24 @@ func (g *Grid) CopyFrom(o *Grid) {
 
 // TotalMass integrates density over the interior (a conservation invariant
 // under periodic boundaries).
-func (g *Grid) TotalMass() float64 {
-	var sum float64
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			row := g.Idx(0, j, k)
-			for i := 0; i < g.NX; i++ {
-				sum += g.U[IRho][row+i]
-			}
-		}
-	}
-	return sum * g.DX * g.DY * g.DZ
-}
+func (g *Grid) TotalMass() float64 { return g.interiorSum(g.U[IRho]) * g.DX * g.DY * g.DZ }
 
 // TotalEnergy integrates total energy density over the interior.
-func (g *Grid) TotalEnergy() float64 {
+func (g *Grid) TotalEnergy() float64 { return g.interiorSum(g.U[IEn]) * g.DX * g.DY * g.DZ }
+
+// interiorSum sums one field u laid out on g's mesh over the interior cells,
+// row by row.
+func (g *Grid) interiorSum(u []float64) float64 {
 	var sum float64
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
 			row := g.Idx(0, j, k)
 			for i := 0; i < g.NX; i++ {
-				sum += g.U[IEn][row+i]
+				sum += u[row+i]
 			}
 		}
 	}
-	return sum * g.DX * g.DY * g.DZ
+	return sum
 }
 
 // Boundary selects the boundary condition applied by ApplyBoundary.
@@ -148,15 +142,15 @@ const (
 )
 
 // ApplyBoundary fills the ghost layers. Following Algorithm 1 it touches only
-// the outermost surfaces of the grid, in parallel over variables.
+// the outermost surfaces of the grid, one variable at a time.
 func (g *Grid) ApplyBoundary(b Boundary) {
 	for v := 0; v < NVars; v++ {
-		g.applyBoundaryVar(v, b)
+		g.fillGhosts(g.U[v], b)
 	}
 }
 
-func (g *Grid) applyBoundaryVar(v int, b Boundary) {
-	u := g.U[v]
+// fillGhosts fills the ghost layers of one field u laid out on g's mesh.
+func (g *Grid) fillGhosts(u []float64, b Boundary) {
 	// X direction.
 	for k := -Ghost; k < g.NZ+Ghost; k++ {
 		for j := -Ghost; j < g.NY+Ghost; j++ {

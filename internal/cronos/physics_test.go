@@ -17,6 +17,31 @@ func almostEqual(a, b, tol float64) bool {
 	return d <= tol*m
 }
 
+// reconstruct extrapolates the primitive state of the middle cell to its
+// face (side=+1 right face, side=-1 left face) with limited slopes. It is
+// the reference form of the slope-shared faceStates pair that the tests
+// below pin the reconstruction behaviour against.
+func reconstruct(lo, mid, hi prim, side float64, lim func(a, b float64) float64) prim {
+	h := 0.5 * side
+	w := prim{
+		rho: mid.rho + h*lim(mid.rho-lo.rho, hi.rho-mid.rho),
+		vx:  mid.vx + h*lim(mid.vx-lo.vx, hi.vx-mid.vx),
+		vy:  mid.vy + h*lim(mid.vy-lo.vy, hi.vy-mid.vy),
+		vz:  mid.vz + h*lim(mid.vz-lo.vz, hi.vz-mid.vz),
+		p:   mid.p + h*lim(mid.p-lo.p, hi.p-mid.p),
+		bx:  mid.bx + h*lim(mid.bx-lo.bx, hi.bx-mid.bx),
+		by:  mid.by + h*lim(mid.by-lo.by, hi.by-mid.by),
+		bz:  mid.bz + h*lim(mid.bz-lo.bz, hi.bz-mid.bz),
+	}
+	if w.rho < floorRho {
+		w.rho = floorRho
+	}
+	if w.p < floorP {
+		w.p = floorP
+	}
+	return w
+}
+
 // randomPhysicalPrim draws a physically admissible primitive state.
 func randomPhysicalPrim(rng *xrand.Rand) prim {
 	return prim{

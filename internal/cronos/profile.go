@@ -115,32 +115,15 @@ func (w Workload) RunOn(q *synergy.Queue) (timeS, energyJ float64, err error) {
 	return synergy.Kernels(w.Profiles()).RunOn(q)
 }
 
-// AnalyticOn returns the noiseless model evaluation of the workload on dev at
-// the given core frequency — used by white-box tests and calibration.
+// AnalyticOn is synergy.Kernels.AnalyticOn over the workload's profiles.
 func (w Workload) AnalyticOn(dev *gpusim.Device, mhz int) (timeS, energyJ float64) {
-	for _, p := range w.Profiles() {
-		r := dev.Analytic(p, mhz)
-		timeS += r.TimeS
-		energyJ += r.EnergyJ
-	}
-	return timeS, energyJ
+	return synergy.Kernels(w.Profiles()).AnalyticOn(dev, mhz)
 }
 
-// AnalyticCurveOn evaluates the noiseless model at every frequency in freqs
-// in one batch, amortizing one compiled-profile lookup per kernel over the
-// whole list. timesS[i] and energiesJ[i] equal AnalyticOn(dev, freqs[i]) bit
-// for bit: each frequency accumulates kernels in Profiles() order, exactly
-// like the single-frequency path.
+// AnalyticCurveOn is synergy.Kernels.AnalyticCurveOn over the workload's
+// profiles.
 func (w Workload) AnalyticCurveOn(dev *gpusim.Device, freqs []int) (timesS, energiesJ []float64) {
-	timesS = make([]float64, len(freqs))
-	energiesJ = make([]float64, len(freqs))
-	for _, p := range w.Profiles() {
-		for i, b := range dev.AnalyzeCurve(p, freqs) {
-			timesS[i] += b.TimeS
-			energiesJ[i] += b.EnergyJ
-		}
-	}
-	return timesS, energiesJ
+	return synergy.Kernels(w.Profiles()).AnalyticCurveOn(dev, freqs)
 }
 
 // ExpectedFluxEvalsPerStep returns the HLL flux evaluations the reference

@@ -1,10 +1,11 @@
 package cronos
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"dsenergy/internal/parallel"
 )
 
 // User-provided conservation laws: the paper notes that Cronos "allows the
@@ -12,7 +13,7 @@ import (
 // user". This file implements that capability for scalar laws
 // ∂u/∂t + ∇·F(u) = 0 on the same 3-D mesh, with the same building blocks as
 // the MHD solver: MUSCL/minmod reconstruction, a local Lax-Friedrichs
-// numerical flux, SSP-RK3 substeps, CFL-driven timesteps, and goroutine slab
+// numerical flux, SSP-RK3 substeps, CFL-driven timesteps, and z-plane
 // parallelism.
 
 // ScalarLaw is a user-provided scalar conservation law: the physical flux
@@ -64,7 +65,8 @@ type ScalarSolver struct {
 	DX, DY, DZ float64
 	Boundary   Boundary
 	CFL        float64
-	Workers    int
+	// Workers is the worker-pool width (0 selects GOMAXPROCS).
+	Workers int
 
 	Time     float64
 	DT       float64
@@ -73,7 +75,7 @@ type ScalarSolver struct {
 	u       []float64 // state with ghosts
 	u0      []float64
 	changes []float64
-	sx, sy  int
+	mesh    Grid // geometry only: ghost-aware indexing and boundary fill
 }
 
 // NewScalarSolver builds a solver on an nx×ny×nz unit-x-length mesh.
@@ -84,22 +86,19 @@ func NewScalarSolver(law ScalarLaw, nx, ny, nz int, b Boundary) (*ScalarSolver, 
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("cronos: invalid scalar grid %dx%dx%d", nx, ny, nz)
 	}
-	sx, sy, sz := nx+2*Ghost, ny+2*Ghost, nz+2*Ghost
-	n := sx * sy * sz
+	n := (nx + 2*Ghost) * (ny + 2*Ghost) * (nz + 2*Ghost)
 	return &ScalarSolver{
 		Law: law, NX: nx, NY: ny, NZ: nz,
 		DX: 1.0 / float64(nx), DY: 1.0 / float64(nx), DZ: 1.0 / float64(nx),
-		Boundary: b, CFL: 0.4, Workers: runtime.GOMAXPROCS(0),
+		Boundary: b, CFL: 0.4, Workers: parallel.Workers(0),
 		DT: 1e-4,
 		u:  make([]float64, n), u0: make([]float64, n), changes: make([]float64, n),
-		sx: sx, sy: sy,
+		mesh: Grid{NX: nx, NY: ny, NZ: nz, sx: nx + 2*Ghost, sy: ny + 2*Ghost},
 	}, nil
 }
 
 // Idx flattens interior coordinates (ghosts via negative/overflow indices).
-func (s *ScalarSolver) Idx(i, j, k int) int {
-	return ((k+Ghost)*s.sy+(j+Ghost))*s.sx + (i + Ghost)
-}
+func (s *ScalarSolver) Idx(i, j, k int) int { return s.mesh.Idx(i, j, k) }
 
 // At returns the state at interior coordinates.
 func (s *ScalarSolver) At(i, j, k int) float64 { return s.u[s.Idx(i, j, k)] }
@@ -119,130 +118,54 @@ func (s *ScalarSolver) Init(f func(x, y, z float64) float64) {
 			}
 		}
 	}
-	s.applyBoundary()
+	s.mesh.fillGhosts(s.u, s.Boundary)
 }
 
 // Total integrates the conserved quantity over the interior.
-func (s *ScalarSolver) Total() float64 {
-	var sum float64
-	for k := 0; k < s.NZ; k++ {
-		for j := 0; j < s.NY; j++ {
-			row := s.Idx(0, j, k)
-			for i := 0; i < s.NX; i++ {
-				sum += s.u[row+i]
-			}
-		}
-	}
-	return sum * s.DX * s.DY * s.DZ
-}
-
-func (s *ScalarSolver) applyBoundary() {
-	for k := -Ghost; k < s.NZ+Ghost; k++ {
-		for j := -Ghost; j < s.NY+Ghost; j++ {
-			for l := 1; l <= Ghost; l++ {
-				if s.Boundary == Periodic {
-					s.u[s.Idx(-l, j, k)] = s.u[s.Idx(s.NX-l, j, k)]
-					s.u[s.Idx(s.NX+l-1, j, k)] = s.u[s.Idx(l-1, j, k)]
-				} else {
-					s.u[s.Idx(-l, j, k)] = s.u[s.Idx(0, j, k)]
-					s.u[s.Idx(s.NX+l-1, j, k)] = s.u[s.Idx(s.NX-1, j, k)]
-				}
-			}
-		}
-	}
-	for k := -Ghost; k < s.NZ+Ghost; k++ {
-		for i := -Ghost; i < s.NX+Ghost; i++ {
-			for l := 1; l <= Ghost; l++ {
-				if s.Boundary == Periodic {
-					s.u[s.Idx(i, -l, k)] = s.u[s.Idx(i, s.NY-l, k)]
-					s.u[s.Idx(i, s.NY+l-1, k)] = s.u[s.Idx(i, l-1, k)]
-				} else {
-					s.u[s.Idx(i, -l, k)] = s.u[s.Idx(i, 0, k)]
-					s.u[s.Idx(i, s.NY+l-1, k)] = s.u[s.Idx(i, s.NY-1, k)]
-				}
-			}
-		}
-	}
-	for j := -Ghost; j < s.NY+Ghost; j++ {
-		for i := -Ghost; i < s.NX+Ghost; i++ {
-			for l := 1; l <= Ghost; l++ {
-				if s.Boundary == Periodic {
-					s.u[s.Idx(i, j, -l)] = s.u[s.Idx(i, j, s.NZ-l)]
-					s.u[s.Idx(i, j, s.NZ+l-1)] = s.u[s.Idx(i, j, l-1)]
-				} else {
-					s.u[s.Idx(i, j, -l)] = s.u[s.Idx(i, j, 0)]
-					s.u[s.Idx(i, j, s.NZ+l-1)] = s.u[s.Idx(i, j, s.NZ-1)]
-				}
-			}
-		}
-	}
-}
+func (s *ScalarSolver) Total() float64 { return s.mesh.interiorSum(s.u) * s.DX * s.DY * s.DZ }
 
 // computeChanges evaluates -∇·F into changes and returns the global CFL
-// value, parallel over z-slabs.
+// value, parallel over z-planes. Each cell's update and the CFL max are
+// independent of the partition, so every worker count gives the same bytes.
 func (s *ScalarSolver) computeChanges() float64 {
-	for i := range s.changes {
-		s.changes[i] = 0
-	}
-	w := s.Workers
-	if w > s.NZ {
-		w = s.NZ
-	}
-	if w < 1 {
-		w = 1
-	}
-	cflCh := make(chan float64, w)
-	var wg sync.WaitGroup
-	chunk := (s.NZ + w - 1) / w
-	sent := 0
-	for lo := 0; lo < s.NZ; lo += chunk {
-		hi := lo + chunk
-		if hi > s.NZ {
-			hi = s.NZ
-		}
-		wg.Add(1)
-		sent++
-		go func(lo, hi int) {
-			defer wg.Done()
-			cflCh <- s.slabChanges(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	// No task fails and the context is never cancelled, so Map cannot fail.
+	cfls, _ := parallel.Map(context.Background(), s.NZ, s.Workers, func(_ context.Context, k int) (float64, error) {
+		return s.planeChanges(k), nil
+	})
 	var cfl float64
-	for i := 0; i < sent; i++ {
-		if v := <-cflCh; v > cfl {
+	for _, v := range cfls {
+		if v > cfl {
 			cfl = v
 		}
 	}
 	return cfl
 }
 
-// slabChanges processes z-planes [kLo,kHi); x/y faces are plane-local and
-// z faces only read (never write) the neighbour planes, so slabs are
-// data-race free.
-func (s *ScalarSolver) slabChanges(kLo, kHi int) float64 {
+// planeChanges writes -∇·F of every cell of z-plane k into changes and
+// returns the plane's CFL value; x/y faces are plane-local and z faces only
+// read (never write) the neighbour planes, so planes are data-race free.
+// The ghost entries of changes are never written and stay zero.
+func (s *ScalarSolver) planeChanges(k int) float64 {
 	var cfl float64
 	dxs := [3]float64{s.DX, s.DY, s.DZ}
-	for k := kLo; k < kHi; k++ {
-		for j := 0; j < s.NY; j++ {
-			for i := 0; i < s.NX; i++ {
-				idx := s.Idx(i, j, k)
-				u := s.u[idx]
-				var c float64
-				for d := 0; d < 3; d++ {
-					c += s.Law.MaxSpeed(u, d) / dxs[d]
-				}
-				if c > cfl {
-					cfl = c
-				}
-				// Flux difference per direction with LLF fluxes at both
-				// faces of this cell.
-				for d := 0; d < 3; d++ {
-					fp := s.faceFlux(i, j, k, d, +1)
-					fm := s.faceFlux(i, j, k, d, -1)
-					s.changes[idx] -= (fp - fm) / dxs[d]
-				}
+	for j := 0; j < s.NY; j++ {
+		for i := 0; i < s.NX; i++ {
+			idx := s.Idx(i, j, k)
+			u := s.u[idx]
+			var c float64
+			for d := 0; d < 3; d++ {
+				c += s.Law.MaxSpeed(u, d) / dxs[d]
 			}
+			if c > cfl {
+				cfl = c
+			}
+			// Flux difference per direction with LLF fluxes at both faces
+			// of this cell, accumulated from zero.
+			var ch float64
+			for d := 0; d < 3; d++ {
+				ch -= (s.faceFlux(i, j, k, d, +1) - s.faceFlux(i, j, k, d, -1)) / dxs[d]
+			}
+			s.changes[idx] = ch
 		}
 	}
 	return cfl
@@ -283,27 +206,20 @@ func (s *ScalarSolver) faceFlux(i, j, k, dir, side int) float64 {
 func (s *ScalarSolver) Step() {
 	copy(s.u0, s.u)
 	var cflMax float64
-	coeffs := [3][3]float64{{1, 0, 1}, {0.75, 0.25, 0.25}, {1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0}}
 	for sub := 0; sub < 3; sub++ {
 		cfl := s.computeChanges()
 		if cfl > cflMax {
 			cflMax = cfl
 		}
-		a0, a1, b := coeffs[sub][0], coeffs[sub][1], coeffs[sub][2]
+		a0, a1, b := sspRK3[sub][0], sspRK3[sub][1], sspRK3[sub][2]
 		for idx := range s.u {
 			s.u[idx] = a0*s.u0[idx] + a1*s.u[idx] + b*s.DT*s.changes[idx]
 		}
-		s.applyBoundary()
+		s.mesh.fillGhosts(s.u, s.Boundary)
 	}
 	s.Time += s.DT
 	s.StepsRun++
-	if cflMax > 0 {
-		next := s.CFL / cflMax
-		if next > 1.1*s.DT && s.StepsRun > 1 {
-			next = 1.1 * s.DT
-		}
-		s.DT = next
-	}
+	s.DT = adjustTimestepDelta(s.DT, s.CFL, cflMax, s.StepsRun)
 }
 
 // Run advances until endTime (or maxSteps when positive).

@@ -3,8 +3,8 @@ package cronos
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"dsenergy/internal/parallel"
 )
 
 // defaultTileWidth is the pencil-tile width of the Y and Z sweeps: how many
@@ -51,10 +51,12 @@ type Solver struct {
 	ws      []*sweepWorkspace
 	parts   []slabPartial
 	lim     func(a, b float64) float64
+	gang    *parallel.Gang // the slab workers of every sweep, until Close
 }
 
 // NewSolver builds a solver with an allocated grid; call an initializer from
-// problems.go (or fill Grid manually) before Run.
+// problems.go (or fill Grid manually) before Run. The solver starts
+// Workers−1 goroutines that live until Close.
 func NewSolver(cfg Config) (*Solver, error) {
 	g, err := NewGrid(cfg.NX, cfg.NY, cfg.NZ)
 	if err != nil {
@@ -63,16 +65,14 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.CFLNumber == 0 {
 		cfg.CFLNumber = 0.4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	cfg.Workers = parallel.Workers(cfg.Workers)
 	if cfg.InitialDT == 0 {
 		cfg.InitialDT = 1e-4
 	}
 	if cfg.TileWidth <= 0 {
 		cfg.TileWidth = defaultTileWidth
 	}
-	maxDim := maxInt(cfg.NX, maxInt(cfg.NY, cfg.NZ))
+	maxDim := max(cfg.NX, cfg.NY, cfg.NZ)
 	ws := make([]*sweepWorkspace, cfg.Workers)
 	for i := range ws {
 		ws[i] = newSweepWorkspace(maxDim, cfg.TileWidth)
@@ -90,67 +90,13 @@ func NewSolver(cfg Config) (*Solver, error) {
 		ws:      ws,
 		parts:   make([]slabPartial, cfg.Workers),
 		lim:     cfg.Limiter.limiterFunc(),
+		gang:    parallel.NewGang(cfg.Workers),
 	}, nil
 }
 
-// parallelFor splits [0,n) across the worker pool and waits for completion.
-func (s *Solver) parallelFor(n int, body func(lo, hi int)) {
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// forEachSlab statically partitions [0,n) into at most Workers contiguous
-// slabs and runs body(slab, lo, hi) for each, in parallel when more than one
-// slab exists. It returns the slab count so callers can fold the per-slab
-// partial results (s.parts, s.ws) in slab order — the deterministic
-// replacement for the old channel-based reduction.
-func (s *Solver) forEachSlab(n int, body func(slab, lo, hi int)) int {
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		body(0, 0, n)
-		return 1
-	}
-	chunk := (n + w - 1) / w
-	slabs := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for slab := 0; slab < slabs; slab++ {
-		lo := slab * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slab, lo, hi int) {
-			defer wg.Done()
-			body(slab, lo, hi)
-		}(slab, lo, hi)
-	}
-	wg.Wait()
-	return slabs
-}
+// Close stops the solver's worker goroutines. The solver must not step
+// after Close; its state stays readable.
+func (s *Solver) Close() { s.gang.Close() }
 
 // computeChanges evaluates dU/dt into s.changes from the state in g and
 // returns the global CFL value (max over cells of sum_d (|v_d|+c_f,d)/dx_d),
@@ -161,7 +107,7 @@ func (s *Solver) computeChanges(g *Grid) float64 {
 	s.refreshPrims(g)
 
 	// X and Y sweeps parallelize over z-slabs; each slab owns its faces.
-	slabs := s.forEachSlab(g.NZ, func(slab, kLo, kHi int) {
+	slabs := s.gang.Run(g.NZ, func(slab, kLo, kHi int) {
 		cfl, fx := s.sweepXY(g, s.ws[slab], kLo, kHi)
 		s.parts[slab] = slabPartial{cfl: cfl, fluxes: fx}
 	})
@@ -176,7 +122,7 @@ func (s *Solver) computeChanges(g *Grid) float64 {
 
 	// Z sweep parallelizes over y-slabs; faces along z stay row-local. It
 	// contributes no CFL (the x-sweep already reduces the full 3-D value).
-	slabs = s.forEachSlab(g.NY, func(slab, jLo, jHi int) {
+	slabs = s.gang.Run(g.NY, func(slab, jLo, jHi int) {
 		fx := s.sweepZ(g, s.ws[slab], jLo, jHi)
 		s.parts[slab] = slabPartial{fluxes: fx}
 	})
@@ -188,23 +134,18 @@ func (s *Solver) computeChanges(g *Grid) float64 {
 	return cflXY
 }
 
+// sspRK3 holds the classic Shu-Osher coefficients (a0, a1, b) of the three
+// SSP-RK3 substeps: u ← a0·u0 + a1·u + b·dt·L(u).
+var sspRK3 = [3][3]float64{{1, 0, 1}, {0.75, 0.25, 0.25}, {1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0}}
+
 // integrateTime applies one SSP-RK3 substep, per Algorithm 1 line 10: the
-// grid is combined with the stage-0 snapshot and dt·L(u) with the classic
-// Shu-Osher coefficients.
+// grid is combined with the stage-0 snapshot and dt·L(u).
 func (s *Solver) integrateTime(substep int) {
-	var a0, a1, b float64
-	switch substep {
-	case 0:
-		a0, a1, b = 1, 0, 1
-	case 1:
-		a0, a1, b = 0.75, 0.25, 0.25
-	default:
-		a0, a1, b = 1.0/3.0, 2.0/3.0, 2.0/3.0
-	}
+	a0, a1, b := sspRK3[substep][0], sspRK3[substep][1], sspRK3[substep][2]
 	g := s.Grid
 	dt := s.DT
 	n := len(g.U[0])
-	s.parallelFor(n, func(lo, hi int) {
+	s.gang.Run(n, func(_, lo, hi int) {
 		for v := 0; v < NVars; v++ {
 			u, u0, ch := g.U[v], s.u0.U[v], s.changes.U[v]
 			for i := lo; i < hi; i++ {
@@ -230,20 +171,21 @@ func (s *Solver) Step() {
 	s.CFLMax = cfl
 	s.Time += s.DT
 	s.StepsRun++
-	s.adjustTimestepDelta(cfl)
+	s.DT = adjustTimestepDelta(s.DT, s.cfg.CFLNumber, cfl, s.StepsRun)
 }
 
-// adjustTimestepDelta sets the next dt from the CFL reduction, limiting
-// growth to 10% per step as Cronos does for stability.
-func (s *Solver) adjustTimestepDelta(cfl float64) {
+// adjustTimestepDelta returns the next dt for a Courant number and the step's
+// CFL reduction, limiting growth to 10% per step as Cronos does for
+// stability; a non-positive cfl keeps dt.
+func adjustTimestepDelta(dt, courant, cfl float64, stepsRun int) float64 {
 	if cfl <= 0 {
-		return
+		return dt
 	}
-	want := s.cfg.CFLNumber / cfl
-	if want > 1.1*s.DT && s.StepsRun > 1 {
-		want = 1.1 * s.DT
+	want := courant / cfl
+	if want > 1.1*dt && stepsRun > 1 {
+		want = 1.1 * dt
 	}
-	s.DT = want
+	return want
 }
 
 // Run advances until endTime is reached or maxSteps steps have been taken
@@ -266,11 +208,4 @@ func (s *Solver) Run(endTime float64, maxSteps int) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -41,6 +41,7 @@ func TestGoldenBlastPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	s.Grid.ApplyBoundary(Periodic)
 	for i := 0; i < 6; i++ {
@@ -56,6 +57,7 @@ func TestGoldenAlfvenVanLeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitAlfvenWave(s.Grid, 0.1)
 	s.Grid.ApplyBoundary(Periodic)
 	for i := 0; i < 5; i++ {
@@ -71,6 +73,7 @@ func TestGoldenBlastOutflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitBlastWave(s.Grid, 0.1, 10, 0.25)
 	s.Grid.ApplyBoundary(Outflow)
 	for i := 0; i < 4; i++ {
@@ -94,6 +97,7 @@ func TestTileWidthInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		InitBlastWave(s.Grid, 0.1, 10, 0.2)
 		s.Grid.ApplyBoundary(Periodic)
 		for i := 0; i < 4; i++ {

@@ -11,6 +11,7 @@ func newTestSolver(t *testing.T, nx, ny, nz, workers int) *Solver {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 

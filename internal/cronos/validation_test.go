@@ -17,6 +17,7 @@ func TestBrioWuShockTube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitBrioWu(s.Grid)
 	if err := s.Run(0.08, 400); err != nil {
 		t.Fatal(err)
@@ -60,6 +61,7 @@ func TestOrszagTangVortex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitOrszagTang(s.Grid)
 	s.Grid.ApplyBoundary(Periodic)
 	mass0 := s.Grid.TotalMass()
@@ -89,6 +91,7 @@ func TestDivBBoundedOnBlastWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	s.Grid.ApplyBoundary(Periodic)
 	if div0 := s.Grid.MaxDivB(); div0 > 1e-10 {
@@ -186,6 +189,7 @@ func alfvenError(t *testing.T, nx int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	amp := 0.05
 	InitAlfvenWave(s.Grid, amp)
 	endTime := 0.25
@@ -230,6 +234,7 @@ func alfvenErrorWithLimiter(t *testing.T, nx int, lim Limiter) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	amp := 0.05
 	InitAlfvenWave(s.Grid, amp)
 	endTime := 0.25
@@ -261,6 +266,7 @@ func TestVanLeerLessDissipativeThanMinmod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	InitBlastWave(s.Grid, 0.1, 10, 0.2)
 	s.Grid.ApplyBoundary(Periodic)
 	mass0 := s.Grid.TotalMass()

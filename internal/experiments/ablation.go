@@ -240,6 +240,11 @@ func (c Config) AblationBatching() (AblationBatchingResult, error) {
 	def := spec.BaselineFreqMHz()
 	low := spec.NearestFreqMHz(def * 3 / 4)
 	batches := []int{256, 1024, 2048, 8192}
+	// A Device serves one goroutine: pre-split one fork per task.
+	devs := make([]*gpusim.Device, len(batches))
+	for i := range devs {
+		devs[i] = dev.Fork()
+	}
 	savings, err := parallel.Map(context.Background(), len(batches), c.Jobs, func(_ context.Context, i int) (float64, error) {
 		w, err := ligen.NewWorkload(ligen.Input{Ligands: 10000, Atoms: 89, Fragments: 20})
 		if err != nil {
@@ -248,7 +253,7 @@ func (c Config) AblationBatching() (AblationBatchingResult, error) {
 		w.Params.NumRestart = ligen.DefaultParams().NumRestart
 		wb := w
 		wb.BatchOverride = batches[i]
-		_, es := wb.AnalyticCurveOn(dev, []int{def, low})
+		_, es := wb.AnalyticCurveOn(devs[i], []int{def, low})
 		return 1 - es[1]/es[0], nil
 	})
 	if err != nil {

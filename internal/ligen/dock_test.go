@@ -2,6 +2,7 @@ package ligen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dsenergy/internal/xrand"
@@ -210,5 +211,23 @@ func TestScreenEmptyLibrary(t *testing.T) {
 	p := testPocket(t)
 	if _, err := Screen(&Library{}, p, TestParams(), 1, 1); err == nil {
 		t.Error("expected error for empty library")
+	}
+}
+
+func TestScreenReportsFailingLigand(t *testing.T) {
+	p := testPocket(t)
+	lib, err := GenLibrary(xrand.New(18), 6, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib.Ligands[3] = &Ligand{Name: "hollow"}
+	for _, workers := range []int{1, 4} {
+		res, err := Screen(lib, p, TestParams(), workers, 5)
+		if err == nil {
+			t.Fatalf("workers=%d: screening an atom-less ligand succeeded with %d results", workers, len(res))
+		}
+		if !strings.Contains(err.Error(), "ligand 3 (hollow)") {
+			t.Errorf("workers=%d: error %q does not name the atom-less ligand", workers, err)
+		}
 	}
 }

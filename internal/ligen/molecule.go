@@ -192,7 +192,7 @@ func GenLigandBranched(rng *xrand.Rand, name string, atoms, fragments int, branc
 		}
 	}
 	for b := 0; b < branches; b++ {
-		host := 1 + (b*(backbone-2))/maxI(branches, 1) // spread along the chain
+		host := 1 + (b*(backbone-2))/max(branches, 1) // spread along the chain
 		dir := Vec3{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() + 0.5}.Normalize()
 		idx := len(l.Atoms)
 		l.Atoms = append(l.Atoms, Atom{
@@ -211,13 +211,6 @@ func GenLigandBranched(rng *xrand.Rand, name string, atoms, fragments int, branc
 		}
 	}
 	return l, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Library is a chemical library: the set of ligands of one virtual-screening

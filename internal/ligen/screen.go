@@ -1,11 +1,11 @@
 package ligen
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
+	"dsenergy/internal/parallel"
 	"dsenergy/internal/xrand"
 )
 
@@ -18,9 +18,9 @@ type ScreenResult struct {
 
 // Screen ranks a chemical library against the target: every ligand is docked
 // and scored independently (the problem is embarrassingly parallel, as the
-// paper notes), fanned out over a goroutine worker pool. Each ligand derives
-// its own generator from seed and its index, so the ranking is deterministic
-// for any worker count.
+// paper notes), fanned out over parallel.ForEach (workers <= 0 selects
+// GOMAXPROCS). Each ligand derives its own generator from seed and its
+// index, so the ranking is deterministic for any worker count.
 func Screen(lib *Library, target *Pocket, params Params, workers int, seed uint64) ([]ScreenResult, error) {
 	if lib == nil || len(lib.Ligands) == 0 {
 		return nil, fmt.Errorf("ligen: empty library")
@@ -28,42 +28,19 @@ func Screen(lib *Library, target *Pocket, params Params, workers int, seed uint6
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(lib.Ligands)
-	results := make([]ScreenResult, n)
-	errs := make([]error, workers)
-	jobs := make(chan int)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				l := lib.Ligands[i]
-				rng := xrand.New(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-				r, err := Dock(l, target, params, rng)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("ligand %d (%s): %w", i, l.Name, err)
-					}
-					continue
-				}
-				results[i] = ScreenResult{LigandIndex: i, Name: l.Name, Score: r.Score}
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
+	results := make([]ScreenResult, len(lib.Ligands))
+	err := parallel.ForEach(context.Background(), len(lib.Ligands), workers, func(_ context.Context, i int) error {
+		l := lib.Ligands[i]
+		rng := xrand.New(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		r, err := Dock(l, target, params, rng)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("ligand %d (%s): %w", i, l.Name, err)
 		}
+		results[i] = ScreenResult{LigandIndex: i, Name: l.Name, Score: r.Score}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Rank the library by interaction strength, ties broken by index so the

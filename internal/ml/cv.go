@@ -70,38 +70,24 @@ func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, worker
 	if perm == nil {
 		perm = xrand.New(seed).Perm(n)
 	}
-	var folds []float64
-	if parallel.Workers(workers) == 1 {
+	// Each chunk owns folds[lo:hi) and reuses one membership scratch across
+	// its folds. Fold seeds depend on the fold index alone, so the chunk
+	// decomposition cannot change the bytes.
+	folds := make([]float64, k)
+	err = parallel.ForEachChunked(context.Background(), k, workers, 0, func(_ context.Context, lo, hi int) error {
 		scratch := make([]bool, n)
-		folds = make([]float64, k)
-		for fold := 0; fold < k; fold++ {
-			lo, hi := fold*n/k, (fold+1)*n/k
-			folds[fold], err = evalFold(spec, X, y, perm[lo:hi], scratch, seed+uint64(fold))
-			if err != nil {
-				return 0, err
+		for fold := lo; fold < hi; fold++ {
+			flo, fhi := fold*n/k, (fold+1)*n/k
+			m, ferr := evalFold(spec, X, y, perm[flo:fhi], scratch, seed+uint64(fold))
+			if ferr != nil {
+				return ferr
 			}
+			folds[fold] = m
 		}
-	} else {
-		// Each chunk owns folds[lo:hi) and reuses one membership scratch
-		// across its folds, the same amortization the serial path gets across
-		// all k. Fold seeds depend on the fold index alone, so the chunk
-		// decomposition cannot change the bytes.
-		folds = make([]float64, k)
-		err = parallel.ForEachChunked(context.Background(), k, workers, 0, func(_ context.Context, lo, hi int) error {
-			scratch := make([]bool, n)
-			for fold := lo; fold < hi; fold++ {
-				flo, fhi := fold*n/k, (fold+1)*n/k
-				m, ferr := evalFold(spec, X, y, perm[flo:fhi], scratch, seed+uint64(fold))
-				if ferr != nil {
-					return ferr
-				}
-				folds[fold] = m
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	var total float64
 	for _, m := range folds {

@@ -3,7 +3,6 @@ package ml
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"dsenergy/internal/obs"
 	"dsenergy/internal/parallel"
@@ -57,9 +56,6 @@ func NewForest(cfg ForestConfig) *Forest {
 	}
 	if cfg.MinLeaf <= 0 {
 		cfg.MinLeaf = 1
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Forest{cfg: cfg}
 }

@@ -53,25 +53,10 @@ func (l *Lasso) Fit(X [][]float64, y []float64) error {
 	// Standardize features into one flat column-major backing slice (column j
 	// is xc[j*n : (j+1)*n]) and center the target. Column layout makes every
 	// Gram entry below a streaming dot product over contiguous memory.
-	l.mean = make([]float64, d)
-	l.scale = make([]float64, d)
+	l.mean, l.scale = columnStats(X, n, d)
 	xc := make([]float64, d*n)
 	for j := 0; j < d; j++ {
-		var m float64
-		for i := 0; i < n; i++ {
-			m += X[i][j]
-		}
-		m /= float64(n)
-		var v float64
-		for i := 0; i < n; i++ {
-			dv := X[i][j] - m
-			v += dv * dv
-		}
-		s := math.Sqrt(v / float64(n))
-		if s == 0 {
-			s = 1
-		}
-		l.mean[j], l.scale[j] = m, s
+		m, s := l.mean[j], l.scale[j]
 		col := xc[j*n : j*n+n]
 		for i := 0; i < n; i++ {
 			col[i] = (X[i][j] - m) / s

@@ -110,6 +110,31 @@ func DefaultSpecs() []Spec {
 // so every Fit (and PermutationImportance) refuses such data.
 var ErrNaNInput = errors.New("ml: NaN in training data")
 
+// columnStats returns each of the d columns' mean and population standard
+// deviation over the n rows of X (1 for a constant column): the
+// standardization the Lasso and SVR fits apply to their features.
+func columnStats(X [][]float64, n, d int) (mean, scale []float64) {
+	mean, scale = make([]float64, d), make([]float64, d)
+	for j := 0; j < d; j++ {
+		var m float64
+		for i := 0; i < n; i++ {
+			m += X[i][j]
+		}
+		m /= float64(n)
+		var v float64
+		for i := 0; i < n; i++ {
+			dv := X[i][j] - m
+			v += dv * dv
+		}
+		s := math.Sqrt(v / float64(n))
+		if s == 0 {
+			s = 1
+		}
+		mean[j], scale[j] = m, s
+	}
+	return mean, scale
+}
+
 // checkXY validates a training set: its shape, and that no feature or
 // target is NaN (±Inf and −0 are accepted).
 func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {

@@ -59,25 +59,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	// Standardize features (RBF kernels need comparable scales). The rows
 	// share one flat backing array: one allocation instead of n, and the
 	// kernel build streams them in order.
-	s.mean = make([]float64, d)
-	s.scale = make([]float64, d)
-	for j := 0; j < d; j++ {
-		var m float64
-		for i := 0; i < n; i++ {
-			m += X[i][j]
-		}
-		m /= float64(n)
-		var v float64
-		for i := 0; i < n; i++ {
-			dv := X[i][j] - m
-			v += dv * dv
-		}
-		sc := math.Sqrt(v / float64(n))
-		if sc == 0 {
-			sc = 1
-		}
-		s.mean[j], s.scale[j] = m, sc
-	}
+	s.mean, s.scale = columnStats(X, n, d)
 	xbuf := make([]float64, n*d)
 	s.x = make([][]float64, n)
 	for i := 0; i < n; i++ {

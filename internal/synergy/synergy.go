@@ -470,6 +470,33 @@ func (k Kernels) RunOn(q *Queue) (timeS, energyJ float64, err error) {
 	return timeS, energyJ, nil
 }
 
+// AnalyticOn sums the kernels' noiseless model time and energy on dev at the
+// given core frequency, in list order.
+func (k Kernels) AnalyticOn(dev *gpusim.Device, mhz int) (timeS, energyJ float64) {
+	for _, p := range k {
+		r := dev.Analytic(p, mhz)
+		timeS += r.TimeS
+		energyJ += r.EnergyJ
+	}
+	return timeS, energyJ
+}
+
+// AnalyticCurveOn evaluates the noiseless model at every frequency in freqs,
+// one compiled-profile lookup per kernel for the whole list. Each frequency
+// sums the kernels in list order, so timesS[i] and energiesJ[i] equal
+// AnalyticOn(dev, freqs[i]) bit for bit.
+func (k Kernels) AnalyticCurveOn(dev *gpusim.Device, freqs []int) (timesS, energiesJ []float64) {
+	timesS = make([]float64, len(freqs))
+	energiesJ = make([]float64, len(freqs))
+	for _, p := range k {
+		for i, b := range dev.AnalyzeCurve(p, freqs) {
+			timesS[i] += b.TimeS
+			energiesJ[i] += b.EnergyJ
+		}
+	}
+	return timesS, energiesJ
+}
+
 // MeasureAt runs w on q at the given frequency reps times and returns the
 // mean observation, reproducing the paper's five-repetition protocol.
 func MeasureAt(q *Queue, w Workload, mhz, reps int) (Measurement, error) {
