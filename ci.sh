@@ -6,8 +6,9 @@
 #   3. go build     everything compiles
 #   4. go test -race  full test suite under the race detector, plus
 #                   bounded fuzzes of the curve kernel (FuzzPredictSweep),
-#                   the tree presort (FuzzPresort) and the serve request
-#                   key (FuzzCacheKey), the benchmark module's own vet
+#                   the tree presort (FuzzPresort), the serve request key
+#                   (FuzzCacheKey) and the gpusim analytic-cache key
+#                   (FuzzAnalyticCache), the benchmark module's own vet
 #                   and tests (perfbench/), the solver's allocation guard
 #                   at GOMAXPROCS 1, 2, 4 and 8, and the worker gang's
 #                   tests ten times under the race detector
@@ -80,6 +81,15 @@ go test -run '^$' -fuzz '^FuzzPresort$' -fuzztime 10s ./internal/ml
 # checked-in corpus runs with every go test; this adds a bounded search.
 echo "==> fuzz FuzzCacheKey (10s)"
 go test -run '^$' -fuzz '^FuzzCacheKey$' -fuzztime 10s ./internal/serve
+
+# Analytic-cache key differential fuzz: the gpusim cache keys a kernel
+# profile by the bits of its 14 numeric fields; profile pairs that differ in
+# one field or in a random subset (±0, subnormals, huge values, NaN payloads)
+# must get from the cached device exactly what a cacheless one evaluates,
+# with the power cap on and off, at on-menu and off-menu clocks. The
+# checked-in corpus runs with every go test; this adds a bounded search.
+echo "==> fuzz FuzzAnalyticCache (10s)"
+go test -run '^$' -fuzz '^FuzzAnalyticCache$' -fuzztime 10s ./internal/gpusim
 
 # The benchmark is a Go module of its own, so the root go vet and go test
 # never enter it: vet it and run its arithmetic tests here.

@@ -1,7 +1,9 @@
 // Seeded goroleak violations inside a policed package path: workers launched
-// with no join in the enclosing function, and workers launched as methods of
-// an owner whose methods never wait on a WaitGroup field (Close only stops
-// them; Drain waits on a WaitGroup the launch never touched).
+// with no join in the enclosing function, workers launched as methods of an
+// owner whose methods never wait on a WaitGroup field (Close only stops
+// them; Drain waits on a WaitGroup the launch never touched), and a worker
+// gang whose Close lost its exit join (Run still waits on its per-dispatch
+// WaitGroup, which the workers' exit does not release).
 package synergy
 
 import "sync"
@@ -35,3 +37,35 @@ func (p *leakyPool) Drain() {
 	var wg sync.WaitGroup
 	wg.Wait()
 }
+
+type brokenGang struct {
+	wake   chan int
+	done   sync.WaitGroup
+	exited sync.WaitGroup
+}
+
+func newBrokenGang(workers int) *brokenGang {
+	g := &brokenGang{wake: make(chan int)}
+	g.exited.Add(workers)
+	for w := 0; w < workers; w++ {
+		go g.work() // nothing waits on exited
+	}
+	return g
+}
+
+func (g *brokenGang) work() {
+	defer g.exited.Done()
+	for range g.wake {
+		g.done.Done()
+	}
+}
+
+func (g *brokenGang) Run(slabs int) {
+	g.done.Add(slabs)
+	for s := 0; s < slabs; s++ {
+		g.wake <- s
+	}
+	g.done.Wait()
+}
+
+func (g *brokenGang) Close() { close(g.wake) }

@@ -1,5 +1,7 @@
 // Clean counterparts: WaitGroup join, channel join, and the owner join of a
-// persistent worker gang, whose Close waits on a WaitGroup field.
+// persistent worker gang, whose Close waits on the WaitGroup field its
+// workers Done in a defer (Run's wait on the per-dispatch field is not that
+// join).
 package synergy
 
 import "sync"
@@ -33,6 +35,7 @@ func channelJoin(jobs []int) int {
 
 type gang struct {
 	wake   chan int
+	done   sync.WaitGroup
 	exited sync.WaitGroup
 }
 
@@ -48,7 +51,16 @@ func newGang(workers int) *gang {
 func (g *gang) work() {
 	defer g.exited.Done()
 	for range g.wake {
+		g.done.Done()
 	}
+}
+
+func (g *gang) Run(slabs int) {
+	g.done.Add(slabs)
+	for s := 0; s < slabs; s++ {
+		g.wake <- s
+	}
+	g.done.Wait()
 }
 
 func (g *gang) Close() {

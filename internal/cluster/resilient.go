@@ -178,7 +178,7 @@ func (c *Cluster) attempt(di int, w synergy.Workload) attemptOut {
 			o.goodTimeS, o.goodEnergyJ = t, e
 			return o
 		}
-		for _, ev := range q.EventsFrom(first) {
+		for _, ev := range q.AppendEventsFrom(nil, first) {
 			o.wasteTimeS += ev.TimeS
 			o.wasteEnergyJ += ev.EnergyJ
 		}

@@ -36,6 +36,17 @@ func (q *Queue[T]) Push(timeS float64, v T) {
 	q.up(len(q.items) - 1)
 }
 
+// PeekTime returns the time of the earliest event, or ok=false on an empty
+// queue. It lets a caller merge the queue with another (time, order)-sorted
+// source: the caller's item goes first unless the queued event is strictly
+// earlier.
+func (q *Queue[T]) PeekTime() (timeS float64, ok bool) {
+	if len(q.items) == 0 {
+		return 0, false
+	}
+	return q.items[0].timeS, true
+}
+
 // Pop removes and returns the earliest event and its time. It panics on an
 // empty queue.
 func (q *Queue[T]) Pop() (float64, T) {

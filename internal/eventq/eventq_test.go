@@ -76,11 +76,15 @@ func TestPopOrderMatchesContainerHeap(t *testing.T) {
 				seq++
 				continue
 			}
+			peekT, ok := q.PeekTime()
 			gotT, got := q.Pop()
 			want := heap.Pop(&ref).(refEvent)
 			if got != want.id || math.Float64bits(gotT) != math.Float64bits(want.timeS) {
 				t.Fatalf("trial %d op %d: popped (%v, %d), container/heap popped (%v, %d)",
 					trial, op, gotT, got, want.timeS, want.id)
+			}
+			if !ok || math.Float64bits(peekT) != math.Float64bits(gotT) {
+				t.Fatalf("trial %d op %d: PeekTime (%v, %v) before a pop of time %v", trial, op, peekT, ok, gotT)
 			}
 		}
 		for ref.Len() > 0 {
@@ -91,6 +95,9 @@ func TestPopOrderMatchesContainerHeap(t *testing.T) {
 		}
 		if q.Len() != 0 {
 			t.Fatalf("trial %d: %d events left after the reference drained", trial, q.Len())
+		}
+		if _, ok := q.PeekTime(); ok {
+			t.Fatalf("trial %d: PeekTime reports an event on an empty queue", trial)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -8,13 +9,78 @@ import (
 	"dsenergy/internal/obs"
 )
 
+// profileKey identifies a kernel profile to the analytic cache: the bits of
+// the 14 numeric fields the compiled curve is a function of. The name never
+// enters the model, so it is not part of the key. Keying by bits rather than
+// by value gives each signed zero and each NaN payload an entry of its own,
+// so an entry always holds what its key's own bits evaluate to.
+type profileKey [14]uint64
+
+func keyOf(p *kernels.Profile) profileKey {
+	m := &p.Mix
+	return profileKey{
+		math.Float64bits(m.IntAdd), math.Float64bits(m.IntMul),
+		math.Float64bits(m.IntDiv), math.Float64bits(m.IntBitwise),
+		math.Float64bits(m.FloatAdd), math.Float64bits(m.FloatMul),
+		math.Float64bits(m.FloatDiv), math.Float64bits(m.SpecialFn),
+		math.Float64bits(m.GlobalAcc), math.Float64bits(m.LocalAcc),
+		math.Float64bits(p.WorkItems), math.Float64bits(p.Launches),
+		math.Float64bits(p.WorkingSetBytes), math.Float64bits(p.CacheReuse),
+	}
+}
+
+// hash mixes the key's words. Any function of the key would do: it only
+// picks where a probe starts.
+func (k *profileKey) hash() uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range k {
+		h = (h ^ w) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
 // profileEntry is the compiled form of one kernel profile on one device: the
 // frequency-invariant terms plus the dense Breakdown curve over the full
 // clock menu, indexed by menu position. Entries are immutable once
-// published, so readers may hold them across snapshot swaps.
+// published, so readers may hold them across table swaps.
 type profileEntry struct {
+	key   profileKey
 	cp    compiledProfile
 	curve []Breakdown
+}
+
+// entryTable is an insert-only open-addressing hash table of published
+// entries, probed linearly. Readers load slots atomically and take no lock;
+// the cache's single writer fills an empty slot with one atomic store. At
+// most half the slots are full, so every probe ends at an empty slot.
+type entryTable struct {
+	slots []atomic.Pointer[profileEntry]
+	mask  uint64
+}
+
+func newEntryTable(size int) *entryTable {
+	return &entryTable{slots: make([]atomic.Pointer[profileEntry], size), mask: uint64(size - 1)}
+}
+
+// find returns the entry keyed k, whose hash is h, or nil.
+func (t *entryTable) find(k *profileKey, h uint64) *profileEntry {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		e := t.slots[i].Load()
+		if e == nil || e.key == *k {
+			return e
+		}
+	}
+}
+
+// insert stores e, whose key hashes to h, in the first empty slot of its
+// probe sequence. Only the cache's writer calls it.
+func (t *entryTable) insert(e *profileEntry, h uint64) {
+	i := h & t.mask
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i].Store(e)
 }
 
 // analyticCache memoizes compiled profiles of the noiseless analytical
@@ -24,22 +90,24 @@ type profileEntry struct {
 // function of (spec, profile, frequency), so cached values are bit-identical
 // to recomputed ones and caching is invisible to the determinism contract.
 //
-// The cache is two-level: an atomic snapshot map keyed by the full kernel
-// signature, each entry carrying the dense per-menu-frequency curve. The
-// read path is lock-free — one snapshot load plus one map lookup serves any
-// number of frequencies of a profile — and device forks running on a worker
-// pool share their parent's instance without contending on a lock. Writers
-// copy the map and publish a new snapshot under mu (the RCU pattern of
-// internal/serve's model registry). The device is identified by the cache
-// instance itself — each Device owns (or shares through Fork) exactly one
-// cache, so two devices built from look-alike specs (e.g. the roofline
-// ablation's bandwidth-inflated V100, which keeps the original name) can
-// never read each other's entries.
+// The cache is two-level: a hash table keyed by the profile's bits, each
+// entry carrying the dense per-menu-frequency curve. The read path is
+// lock-free — one table load plus a probe serves any number of frequencies
+// of a profile — and device forks running on a worker pool share their
+// parent's instance without contending on a lock. Publishers serialize on
+// mu: a new profile fills one slot of the current table, and when that would
+// leave the table more than half full the publisher builds one twice the
+// size and swaps it in, so publishing costs amortized O(1) per profile. The
+// device is identified by the cache instance itself — each Device owns (or
+// shares through Fork) exactly one cache, so two devices built from
+// look-alike specs (e.g. the roofline ablation's bandwidth-inflated V100,
+// which keeps the original name) can never read each other's entries.
 type analyticCache struct {
-	snap atomic.Pointer[map[kernels.Profile]*profileEntry]
-	mu   sync.Mutex // serializes publishers; readers never take it
+	table atomic.Pointer[entryTable]
+	mu    sync.Mutex // serializes publishers; readers never take it
+	n     int        // published entries, guarded by mu
 
-	hits   atomic.Uint64 // profile lookups served from the snapshot
+	hits   atomic.Uint64 // profile lookups served from the table
 	misses atomic.Uint64 // profile lookups that compiled and published
 	// Mirror counters in the observer's unstable tier: whether two parallel
 	// forks both miss on the same profile depends on scheduling, so these
@@ -50,10 +118,12 @@ type analyticCache struct {
 	obsMisses *obs.Counter
 }
 
+// initialTableSize is a new cache's slot count (a power of two).
+const initialTableSize = 16
+
 func newAnalyticCache() *analyticCache {
 	c := &analyticCache{}
-	empty := make(map[kernels.Profile]*profileEntry)
-	c.snap.Store(&empty)
+	c.table.Store(newEntryTable(initialTableSize))
 	return c
 }
 
@@ -62,82 +132,103 @@ func (c *analyticCache) setObserver(m *obs.Registry, device string) {
 	c.obsMisses = m.UnstableCounter("gpusim_analytic_cache_misses_total", obs.L("device", device))
 }
 
-// entry returns the compiled entry for p, compiling the profile and its
-// dense curve on first touch. Hits and misses count profile lookups (the
-// pre-compiled cache counted (profile, frequency) point lookups): a hit
-// means the entire curve was served without touching a lock.
-func (c *analyticCache) entry(d *Device, p *kernels.Profile) *profileEntry {
-	if e, ok := (*c.snap.Load())[*p]; ok {
+// entry returns the compiled entry for p, whose key is k, compiling the
+// profile and its dense curve on first touch. Hits and misses count profile
+// lookups (the pre-compiled cache counted (profile, frequency) point
+// lookups): a hit means the entire curve was served without touching a lock.
+func (c *analyticCache) entry(d *Device, p *kernels.Profile, k *profileKey) *profileEntry {
+	h := k.hash()
+	if e := c.table.Load().find(k, h); e != nil {
 		c.hits.Add(1)
 		c.obsHits.Inc()
 		return e
 	}
 	c.misses.Add(1)
 	c.obsMisses.Inc()
-	return c.compileAndPublish(d, p)
+	return c.compileAndPublish(d, p, k, h)
 }
 
 // compileAndPublish compiles p, evaluates its dense menu curve and publishes
-// a snapshot containing it. A publisher that lost the race to another fork
-// adopts the winner's entry, so concurrent sweeps converge on one shared
-// curve per profile.
-func (c *analyticCache) compileAndPublish(d *Device, p *kernels.Profile) *profileEntry {
+// the entry. A publisher that lost the race to another fork adopts the
+// winner's entry, so concurrent sweeps converge on one shared curve per
+// profile.
+func (c *analyticCache) compileAndPublish(d *Device, p *kernels.Profile, k *profileKey, h uint64) *profileEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur := *c.snap.Load()
-	if e, ok := cur[*p]; ok {
+	t := c.table.Load()
+	if e := t.find(k, h); e != nil {
 		return e
 	}
-	e := &profileEntry{curve: make([]Breakdown, len(d.tables.terms))}
+	e := &profileEntry{key: *k, curve: make([]Breakdown, len(d.tables.terms))}
 	d.spec.compileInto(&e.cp, p)
 	for i := range d.tables.terms {
 		d.spec.evalInto(&e.curve[i], &e.cp, &d.tables.terms[i])
 	}
-	next := make(map[kernels.Profile]*profileEntry, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	c.n++
+	if 2*c.n <= len(t.slots) {
+		t.insert(e, h)
+		return e
 	}
-	next[*p] = e
-	c.snap.Store(&next)
+	// Readers still probing the old table miss the new entry and land here,
+	// on the lock, where they find it in the table published below.
+	grown := newEntryTable(2 * len(t.slots))
+	for i := range t.slots {
+		if old := t.slots[i].Load(); old != nil {
+			grown.insert(old, old.key.hash())
+		}
+	}
+	grown.insert(e, h)
+	c.table.Store(grown)
 	return e
 }
 
-// entryFor returns the compiled cache entry for p, short-circuiting the
-// snapshot map lookup when the device re-touches the profile it served last
-// — the dominant pattern in sweeps, which walk one kernel across the whole
-// clock menu. The memo is per-Device, not shared: Device is documented
-// single-goroutine (forks get their own memo), and entries are immutable and
-// never evicted, so a memoized pointer cannot go stale. Memoized lookups
-// still count as cache hits.
+// entryFor returns the compiled cache entry for p, or nil when the device's
+// cache is detached. It short-circuits the table lookup when the device
+// re-touches the profile it served last — the dominant pattern in sweeps,
+// which walk one kernel across the whole clock menu. The memo is per-Device,
+// not shared: Device is documented single-goroutine (forks get their own
+// memo), and entries are immutable and never evicted, so a memoized pointer
+// cannot go stale. Memoized lookups still count as cache hits.
 func (d *Device) entryFor(p *kernels.Profile) *profileEntry {
-	if d.lastEntry != nil && *p == d.lastProfile {
+	if d.cache == nil {
+		return nil
+	}
+	k := keyOf(p)
+	if d.lastEntry != nil && d.lastEntry.key == k {
 		d.cache.hits.Add(1)
 		d.cache.obsHits.Inc()
 		return d.lastEntry
 	}
-	e := d.cache.entry(d, p)
-	d.lastProfile = *p
+	e := d.cache.entry(d, p, &k)
 	d.lastEntry = e
 	return e
 }
 
-// AnalyzeAt evaluates the noiseless analytical model for profile p at the
-// given core frequency. On-menu frequencies are served from the profile's
-// dense compiled curve — a lock-free snapshot read shared with every fork of
-// the device; off-menu frequencies evaluate the frequency terms directly
-// against the cached compiled profile.
-func (d *Device) AnalyzeAt(p kernels.Profile, mhz int) (b Breakdown) {
-	if d.cache == nil {
-		d.analyzeInto(&b, &p, mhz)
-		return b
+// breakdownAt returns p's model breakdown at mhz: a pointer into e's dense
+// curve when e is p's cache entry and mhz is on the menu, otherwise the
+// breakdown evaluated into scratch — from e's compiled profile, or from p
+// itself when e is nil (cache detached).
+func (d *Device) breakdownAt(scratch *Breakdown, e *profileEntry, p *kernels.Profile, mhz int) *Breakdown {
+	if e == nil {
+		d.analyzeInto(scratch, p, mhz)
+		return scratch
 	}
-	e := d.entryFor(&p)
 	if i, ok := d.tables.menuIndex(mhz); ok {
-		return e.curve[i]
+		return &e.curve[i]
 	}
 	ft := d.spec.freqTermsAt(mhz)
-	d.spec.evalInto(&b, &e.cp, &ft)
-	return b
+	d.spec.evalInto(scratch, &e.cp, &ft)
+	return scratch
+}
+
+// AnalyzeAt evaluates the noiseless analytical model for profile p at the
+// given core frequency. On-menu frequencies are served from the profile's
+// dense compiled curve — a lock-free table read shared with every fork of
+// the device; off-menu frequencies evaluate the frequency terms directly
+// against the cached compiled profile.
+func (d *Device) AnalyzeAt(p kernels.Profile, mhz int) Breakdown {
+	var scratch Breakdown
+	return *d.breakdownAt(&scratch, d.entryFor(&p), &p, mhz)
 }
 
 // analyzeCurveInto is the cacheless AnalyzeCurve body: one on-the-fly
@@ -153,21 +244,16 @@ func (d *Device) analyzeCurveInto(out []Breakdown, p *kernels.Profile, freqs []i
 // AnalyzeCurve evaluates the model for p at every frequency in freqs,
 // amortizing one profile lookup (or compile) over the whole batch. Each
 // returned Breakdown is bit-identical to AnalyzeAt(p, freqs[i]); full-menu
-// callers pay one snapshot load and len(freqs) dense copies.
+// callers pay one table lookup and len(freqs) dense copies.
 func (d *Device) AnalyzeCurve(p kernels.Profile, freqs []int) []Breakdown {
 	out := make([]Breakdown, len(freqs))
-	if d.cache == nil {
+	e := d.entryFor(&p)
+	if e == nil {
 		d.analyzeCurveInto(out, &p, freqs)
 		return out
 	}
-	e := d.entryFor(&p)
 	for i, f := range freqs {
-		if j, ok := d.tables.menuIndex(f); ok {
-			out[i] = e.curve[j]
-		} else {
-			ft := d.spec.freqTermsAt(f)
-			d.spec.evalInto(&out[i], &e.cp, &ft)
-		}
+		out[i] = *d.breakdownAt(&out[i], e, &p, f)
 	}
 	return out
 }

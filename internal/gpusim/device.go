@@ -243,13 +243,12 @@ type Device struct {
 	// bit-identical to recomputed ones.
 	tables *freqTables
 	cache  *analyticCache
-	// lastProfile/lastEntry memoize the most recent cache entry served to
-	// this device (sweeps touch one kernel across the whole menu, so the
-	// memo turns the common lookup into a struct compare). Private per
-	// device — never shared with forks' future lookups racing — and safe to
-	// seed from the parent at Fork: entries are immutable and live forever.
-	lastProfile kernels.Profile
-	lastEntry   *profileEntry
+	// lastEntry memoizes the most recent cache entry served to this device
+	// (sweeps touch one kernel across the whole menu, so the memo turns the
+	// common lookup into a key compare). Private per device — never shared
+	// with forks' future lookups racing — and safe to seed from the parent at
+	// Fork: entries are immutable and live forever.
+	lastEntry *profileEntry
 	// Observability handles (nil when no observer is attached; all no-ops
 	// then). Resolved once in SetObserver and shared by forks — counter
 	// accumulation is order-invariant, so sharing cannot perturb exports.
@@ -288,7 +287,6 @@ func (d *Device) Fork() *Device {
 		rng:         d.rng.Split(),
 		tables:      d.tables,
 		cache:       d.cache,
-		lastProfile: d.lastProfile,
 		lastEntry:   d.lastEntry,
 		launches:    d.launches,
 		dvfs:        d.dvfs,
@@ -359,7 +357,7 @@ func (d *Device) PowerCapW() float64 { return d.powerCapW }
 // (the sustained power at which the die reaches the throttle temperature).
 func (d *Device) effectiveCapW() float64 {
 	cap := d.powerCapW
-	s := d.spec
+	s := &d.spec
 	if s.TThrottleC > 0 && s.ThermalResKW > 0 {
 		thermal := (s.TThrottleC - s.TAmbientC) / s.ThermalResKW
 		if thermal > 0 && (cap == 0 || thermal < cap) {
@@ -376,44 +374,6 @@ func (d *Device) SteadyTempC(p kernels.Profile, mhz int) float64 {
 		return d.spec.TAmbientC
 	}
 	return d.spec.TAmbientC + d.spec.ThermalResKW*d.AnalyzeAt(p, mhz).TotalPowerW
-}
-
-// throttledFreq returns the frequency the power/thermal governor actually
-// runs p at: the requested clock, or the highest clock whose predicted power
-// fits the effective cap. If even the lowest clock exceeds the cap, the
-// lowest clock is used (matching real governors, which cannot stop the clock
-// entirely).
-func (d *Device) throttledFreq(p kernels.Profile, mhz int) int {
-	cap := d.effectiveCapW()
-	if cap == 0 {
-		return mhz
-	}
-	if d.AnalyzeAt(p, mhz).TotalPowerW <= cap {
-		return mhz
-	}
-	freqs := d.spec.CoreFreqsMHz
-	i := sort.SearchInts(freqs, mhz)
-	if i >= len(freqs) {
-		i = len(freqs) - 1
-	}
-	if d.cache != nil {
-		// The downclock walk scans the profile's dense compiled curve in
-		// place: one snapshot read for the whole descent instead of a cache
-		// lookup per candidate clock.
-		e := d.entryFor(&p)
-		for ; i > 0; i-- {
-			if e.curve[i].TotalPowerW <= cap {
-				return freqs[i]
-			}
-		}
-		return freqs[0]
-	}
-	for ; i > 0; i-- {
-		if d.AnalyzeAt(p, freqs[i]).TotalPowerW <= cap {
-			return freqs[i]
-		}
-	}
-	return freqs[0]
 }
 
 // EnergyCounterJ returns the cumulative energy consumed by all kernels run on
@@ -441,11 +401,7 @@ func (d *Device) Run(p kernels.Profile) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := d.Analytic(p, d.throttledFreq(p, d.coreFreqMHz))
-	r = d.noise.Perturb(r)
-	d.energyJ += r.EnergyJ
-	d.launches.Inc()
-	return r, nil
+	return d.observe(&p, d.coreFreqMHz), nil
 }
 
 // RunAt is Run at an explicit frequency; the device clock is left unchanged.
@@ -456,11 +412,32 @@ func (d *Device) RunAt(p kernels.Profile, mhz int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := d.Analytic(p, d.throttledFreq(p, mhz))
-	r = d.noise.Perturb(r)
+	return d.observe(&p, mhz), nil
+}
+
+// observe runs a validated profile requested at mhz. The power/thermal
+// governor keeps the requested clock when the model's power there fits the
+// effective cap; otherwise it runs the highest table clock at or below the
+// request whose power fits, or the lowest clock when none does (a real
+// governor cannot stop the clock entirely). The throttle check and the
+// result both read the profile's one cache entry. The noiseless result is
+// then perturbed and charged to the energy counter.
+func (d *Device) observe(p *kernels.Profile, mhz int) Result {
+	var scratch Breakdown
+	e := d.entryFor(p)
+	b := d.breakdownAt(&scratch, e, p, mhz)
+	if cap := d.effectiveCapW(); cap != 0 && !(b.TotalPowerW <= cap) {
+		freqs := d.spec.CoreFreqsMHz
+		i := min(sort.SearchInts(freqs, mhz), len(freqs)-1)
+		for i > 0 && !(d.breakdownAt(&scratch, e, p, freqs[i]).TotalPowerW <= cap) {
+			i--
+		}
+		b = d.breakdownAt(&scratch, e, p, freqs[i])
+	}
+	r := d.noise.Perturb(Result{TimeS: b.TimeS, EnergyJ: b.EnergyJ, AvgPowerW: b.TotalPowerW})
 	d.energyJ += r.EnergyJ
 	d.launches.Inc()
-	return r, nil
+	return r
 }
 
 // SetNoiseSigma replaces the relative noise level (0 disables noise).

@@ -9,6 +9,8 @@
 // general-purpose model derives its input-independent feature vector.
 package kernels
 
+import "math"
+
 // InstructionMix counts dynamic instructions executed per work item, bucketed
 // into the ten static feature classes of Table 1 of the paper.
 type InstructionMix struct {
@@ -156,18 +158,21 @@ func (p Profile) RawGlobalBytes() float64 {
 	return p.Mix.GlobalBytes() * p.WorkItems
 }
 
-// Validate reports whether the profile is well formed (non-negative counts,
-// at least one work item and one launch, reuse within [0,1)).
+// Validate reports whether the profile is well formed (finite, non-negative
+// counts, at least one work item and one launch, reuse within [0,1)). Every
+// check is written so that a NaN fails it.
 func (p Profile) Validate() error {
 	switch {
-	case p.WorkItems <= 0:
-		return errProfile("WorkItems must be positive")
-	case p.Launches <= 0:
-		return errProfile("Launches must be positive")
-	case p.CacheReuse < 0 || p.CacheReuse >= 1:
+	case !(p.WorkItems > 0) || math.IsInf(p.WorkItems, 1):
+		return errProfile("WorkItems must be positive and finite")
+	case !(p.Launches > 0) || math.IsInf(p.Launches, 1):
+		return errProfile("Launches must be positive and finite")
+	case !(p.CacheReuse >= 0 && p.CacheReuse < 1):
 		return errProfile("CacheReuse must be in [0,1)")
-	case p.WorkingSetBytes < 0:
-		return errProfile("WorkingSetBytes must be non-negative")
+	case !(p.WorkingSetBytes >= 0) || math.IsInf(p.WorkingSetBytes, 1):
+		return errProfile("WorkingSetBytes must be non-negative and finite")
+	case !p.Mix.finite():
+		return errProfile("instruction mix has non-finite counts")
 	case p.Mix.Total() <= 0:
 		return errProfile("instruction mix is empty")
 	}
@@ -175,6 +180,14 @@ func (p Profile) Validate() error {
 		return errProfile("instruction mix has negative counts")
 	}
 	return nil
+}
+
+// finite reports whether every count of m is finite: 0·x is NaN exactly
+// when x is NaN or infinite, and a NaN term makes the sum NaN.
+func (m *InstructionMix) finite() bool {
+	return 0*m.IntAdd+0*m.IntMul+0*m.IntDiv+0*m.IntBitwise+
+		0*m.FloatAdd+0*m.FloatMul+0*m.FloatDiv+0*m.SpecialFn+
+		0*m.GlobalAcc+0*m.LocalAcc == 0
 }
 
 func anyNegative(m InstructionMix) bool {

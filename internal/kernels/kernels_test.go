@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,46 @@ func TestProfileValidate(t *testing.T) {
 		c.mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestProfileValidateRejectsNonFinite sets each of the 14 numeric fields in
+// turn to NaN, +Inf and -Inf: a comparison-only check lets a NaN through
+// (every comparison with NaN is false), so each must fail on its own.
+func TestProfileValidateRejectsNonFinite(t *testing.T) {
+	good := Profile{
+		Name: "k", Mix: sampleMix(),
+		WorkItems: 100, Launches: 1, WorkingSetBytes: 1024, CacheReuse: 0.5,
+	}
+	fields := []struct {
+		name string
+		at   func(*Profile) *float64
+	}{
+		{"WorkItems", func(p *Profile) *float64 { return &p.WorkItems }},
+		{"Launches", func(p *Profile) *float64 { return &p.Launches }},
+		{"WorkingSetBytes", func(p *Profile) *float64 { return &p.WorkingSetBytes }},
+		{"CacheReuse", func(p *Profile) *float64 { return &p.CacheReuse }},
+		{"IntAdd", func(p *Profile) *float64 { return &p.Mix.IntAdd }},
+		{"IntMul", func(p *Profile) *float64 { return &p.Mix.IntMul }},
+		{"IntDiv", func(p *Profile) *float64 { return &p.Mix.IntDiv }},
+		{"IntBitwise", func(p *Profile) *float64 { return &p.Mix.IntBitwise }},
+		{"FloatAdd", func(p *Profile) *float64 { return &p.Mix.FloatAdd }},
+		{"FloatMul", func(p *Profile) *float64 { return &p.Mix.FloatMul }},
+		{"FloatDiv", func(p *Profile) *float64 { return &p.Mix.FloatDiv }},
+		{"SpecialFn", func(p *Profile) *float64 { return &p.Mix.SpecialFn }},
+		{"GlobalAcc", func(p *Profile) *float64 { return &p.Mix.GlobalAcc }},
+		{"LocalAcc", func(p *Profile) *float64 { return &p.Mix.LocalAcc }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := good
+			*f.at(&p) = v
+			err := p.Validate()
+			var pe errProfile
+			if !errors.As(err, &pe) {
+				t.Errorf("%s = %v: Validate returned %v, want an errProfile", f.name, v, err)
+			}
 		}
 	}
 }

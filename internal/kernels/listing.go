@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -21,8 +22,9 @@ import (
 //	end
 //	sin                // one special-function evaluation
 //
-// Counts are per work item. Nested loops multiply. The recognized opcodes
-// map exactly onto the ten Table 1 feature classes.
+// Counts are per work item and must be finite. Nested loops multiply; a
+// product or a running class total that overflows to infinity is an error.
+// The recognized opcodes map exactly onto the ten Table 1 feature classes.
 
 // opcodeClass maps listing opcodes to InstructionMix fields.
 var opcodeClass = map[string]func(*InstructionMix, float64){
@@ -77,10 +79,11 @@ func ParseListing(r io.Reader) (InstructionMix, error) {
 				return InstructionMix{}, fmt.Errorf("kernels: line %d: loop needs a trip count", line)
 			}
 			trips, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || trips <= 0 {
+			outer := multipliers[len(multipliers)-1] * trips
+			if err != nil || !(trips > 0) || math.IsInf(outer, 1) {
 				return InstructionMix{}, fmt.Errorf("kernels: line %d: bad trip count %q", line, fields[1])
 			}
-			multipliers = append(multipliers, multipliers[len(multipliers)-1]*trips)
+			multipliers = append(multipliers, outer)
 		case "end":
 			if len(multipliers) == 1 {
 				return InstructionMix{}, fmt.Errorf("kernels: line %d: end without loop", line)
@@ -94,7 +97,7 @@ func ParseListing(r io.Reader) (InstructionMix, error) {
 			count := 1.0
 			if len(fields) > 1 {
 				v, err := strconv.ParseFloat(fields[1], 64)
-				if err != nil || v < 0 {
+				if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 					return InstructionMix{}, fmt.Errorf("kernels: line %d: bad count %q", line, fields[1])
 				}
 				count = v
@@ -103,6 +106,9 @@ func ParseListing(r io.Reader) (InstructionMix, error) {
 				return InstructionMix{}, fmt.Errorf("kernels: line %d: trailing tokens", line)
 			}
 			apply(&mix, count*multipliers[len(multipliers)-1])
+			if !mix.finite() {
+				return InstructionMix{}, fmt.Errorf("kernels: line %d: count overflows the %s class", line, op)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {

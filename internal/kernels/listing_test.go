@@ -79,6 +79,29 @@ func TestParseListingErrors(t *testing.T) {
 	}
 }
 
+// TestParseListingRejectsNonFinite feeds every spelling of a non-finite
+// number strconv accepts, as a count and as a trip count, plus finite tokens
+// whose product or running total overflows: each must be a line error.
+func TestParseListingRejectsNonFinite(t *testing.T) {
+	var cases []struct{ name, src string }
+	for _, tok := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "inf", "infinity", "+Infinity", "1e400"} {
+		cases = append(cases,
+			struct{ name, src string }{"count " + tok, "fadd " + tok},
+			struct{ name, src string }{"trips " + tok, "loop " + tok + "\nfadd\nend"})
+	}
+	cases = append(cases,
+		struct{ name, src string }{"count times trips", "loop 1e200\nfadd 1e200\nend"},
+		struct{ name, src string }{"nested trips", "loop 1e200\nloop 1e200\nfadd\nend\nend"},
+		struct{ name, src string }{"running total", "fmul 1.5e308\nfmul 1.5e308"},
+		struct{ name, src string }{"fma total", "fadd 1.5e308\nfma 1.5e308"})
+	for _, c := range cases {
+		_, err := ParseListing(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: got %v, want a line error", c.name, err)
+		}
+	}
+}
+
 func TestListingRoundTrip(t *testing.T) {
 	orig := InstructionMix{
 		IntAdd: 5, IntMul: 2, IntDiv: 1, IntBitwise: 3,

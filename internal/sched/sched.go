@@ -27,14 +27,17 @@
 //     commanded clock) re-tunes later decisions on that device to the capped
 //     speed until a run at full speed clears the cap.
 //
-// Everything runs on simulated time in one goroutine: events are ordered by
-// (time, push order) in an internal/eventq queue, every stochastic draw
-// comes from the per-device seeded streams the queues already own, and the
-// SLO report is byte-identical across runs and worker counts.
+// Everything runs on simulated time in one goroutine: arrivals are taken in
+// (arrival, ID) order and merged with the frees and requeues they cause,
+// which an internal/eventq queue orders by (time, push order); every
+// stochastic draw comes from the per-device seeded streams the queues
+// already own, and the SLO report is byte-identical across runs and worker
+// counts.
 package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -157,10 +160,10 @@ func (c Config) withDefaults(baselineMHz int) Config {
 	return c
 }
 
-// event kinds of the discrete-event loop.
+// event kinds of the simulated-time event queue. Arrivals never enter it:
+// Run merges them in from the sorted job order.
 const (
-	evArrival = iota
-	evFree
+	evFree = iota
 	evRequeue
 )
 
@@ -168,8 +171,33 @@ const (
 // events by (time, push order).
 type event struct {
 	kind int
-	job  int // job index (evArrival, evRequeue)
 	dev  int // device index (evFree)
+}
+
+// JobTimeError reports a job whose arrival, deadline or nominal time is NaN
+// or infinite. Scheduling compares these times, and a NaN compares neither
+// before nor after any other, so such a job has no place in the event order.
+type JobTimeError struct {
+	ID    int     // the job's ID
+	Field string  // "ArrivalS", "DeadlineS" or "NominalS"
+	Value float64 // the non-finite value
+}
+
+func (e *JobTimeError) Error() string {
+	return fmt.Sprintf("sched: job %d: %s is %v, want a finite time", e.ID, e.Field, e.Value)
+}
+
+// checkTimes returns a *JobTimeError for the first non-finite time of j.
+func (j *Job) checkTimes() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"ArrivalS", j.ArrivalS}, {"DeadlineS", j.DeadlineS}, {"NominalS", j.NominalS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &JobTimeError{ID: j.ID, Field: f.name, Value: f.v}
+		}
+	}
+	return nil
 }
 
 // shapeKey is a job's shape: its prediction curve and its kernel list are
@@ -243,9 +271,10 @@ type Scheduler struct {
 
 	// shapes is the shape table of the scheduler's one Run, so nothing in it
 	// outlives the campaign; idle is dispatchIdle's scratch list of idle
-	// devices.
+	// devices; evs holds the queue events of execute's latest attempt.
 	shapes map[shapeKey]*shape
 	idle   []int
+	evs    []synergy.Event
 
 	queuedByTenant map[string]int
 	rep            *Report
@@ -344,15 +373,23 @@ func (s *Scheduler) alive() bool {
 func (s *Scheduler) dead(i int) bool { return s.deathS[i] > 0 }
 
 // Run executes the job stream to completion and returns the SLO report.
-// Jobs may be in any order; they are admitted at their arrival times.
+// Jobs may be in any order; they are admitted at their arrival times. A job
+// with a NaN or infinite time stops the run with a *JobTimeError before any
+// event runs.
 func (s *Scheduler) Run(jobs []Job) (*Report, error) {
 	if s.rep != nil {
 		return nil, fmt.Errorf("sched: scheduler already ran; build a fresh one per campaign")
 	}
+	for i := range jobs {
+		if err := jobs[i].checkTimes(); err != nil {
+			return nil, err
+		}
+	}
 	s.rep = newReport(s.cfg, len(s.queues))
-	states := make([]*jobState, len(jobs))
+	states := make([]jobState, len(jobs))
 	order := make([]int, len(jobs))
 	for i := range order {
+		states[i] = jobState{job: jobs[i], lastDev: -1}
 		order[i] = i
 	}
 	// Admit in (arrival, ID) order whatever the caller's slice order.
@@ -365,31 +402,25 @@ func (s *Scheduler) Run(jobs []Job) (*Report, error) {
 		}
 		return jobs[a].ID - jobs[b].ID
 	})
-	for _, i := range order {
-		states[i] = &jobState{job: jobs[i], lastDev: -1}
-		s.events.Push(jobs[i].ArrivalS, event{kind: evArrival, job: i})
-	}
 
-	for s.events.Len() > 0 {
-		now, e := s.events.Pop()
-		switch e.kind {
-		case evArrival:
-			if err := s.admit(states[e.job], now); err != nil {
-				return nil, err
-			}
-		case evFree:
-			s.busyDev[e.dev] = false
-			if err := s.dispatchIdle(now); err != nil {
-				return nil, err
-			}
-		case evRequeue:
-			js := s.pendingRequeue[0]
-			s.pendingRequeue = s.pendingRequeue[1:]
-			s.enqueue(js)
-			s.reAdmit(now)
-			if err := s.dispatchIdle(now); err != nil {
-				return nil, err
-			}
+	// The next arrival goes first unless a queued event is strictly earlier:
+	// the queue's (time, push order) rule, as if every arrival had been
+	// pushed before any event it causes.
+	for next := 0; next < len(order) || s.events.Len() > 0; {
+		var now float64
+		var err error
+		if t, ok := s.events.PeekTime(); next < len(order) && (!ok || jobs[order[next]].ArrivalS <= t) {
+			js := &states[order[next]]
+			next++
+			now = js.job.ArrivalS
+			err = s.admit(js, now)
+		} else {
+			var e event
+			now, e = s.events.Pop()
+			err = s.handle(now, e)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if now > s.rep.MakespanS {
 			s.rep.MakespanS = now
@@ -397,6 +428,19 @@ func (s *Scheduler) Run(jobs []Job) (*Report, error) {
 	}
 	s.finish()
 	return s.rep, nil
+}
+
+// handle runs one queued event.
+func (s *Scheduler) handle(now float64, e event) error {
+	if e.kind == evFree {
+		s.busyDev[e.dev] = false
+		return s.dispatchIdle(now)
+	}
+	js := s.pendingRequeue[0]
+	s.pendingRequeue = s.pendingRequeue[1:]
+	s.enqueue(js)
+	s.reAdmit(now)
+	return s.dispatchIdle(now)
 }
 
 // admit runs admission control for an arriving job and enqueues or rejects
@@ -677,17 +721,22 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 		}
 		first := q.EventCount()
 		t, e, err := w.RunOn(q)
+		// Read the attempt's events, then drop them from the queue's log:
+		// the report keeps everything the scheduler needs of them, so the
+		// log never holds more than one attempt.
+		s.evs = q.AppendEventsFrom(s.evs[:0], first)
+		q.TruncateEvents(first)
 		if err == nil {
 			busy += t
 			energy += e
-			s.observeClock(d, commanded, first)
+			s.observeClock(d, commanded)
 			s.complete(js, d, start, start+busy, p, energy)
 			return nil
 		}
 
 		// The failed attempt still burned its partial cost.
 		var wasteT, wasteE float64
-		for _, ev := range q.EventsFrom(first) {
+		for _, ev := range s.evs {
 			wasteT += ev.TimeS
 			wasteE += ev.EnergyJ
 		}
@@ -739,13 +788,13 @@ func pow(base float64, n int) float64 {
 	return out
 }
 
-// observeClock compares the clocks the submissions actually ran at against
-// the commanded clock and updates the device's observed thermal cap: a run
-// below the command sets the cap (later decisions on this device re-tune to
-// it), a full-speed run above the recorded cap clears it.
-func (s *Scheduler) observeClock(d, commanded, firstEvent int) {
+// observeClock compares the clocks the latest attempt's submissions actually
+// ran at against the commanded clock and updates the device's observed
+// thermal cap: a run below the command sets the cap (later decisions on this
+// device re-tune to it), a full-speed run above the recorded cap clears it.
+func (s *Scheduler) observeClock(d, commanded int) {
 	minF := commanded
-	for _, ev := range s.queues[d].EventsFrom(firstEvent) {
+	for _, ev := range s.evs {
 		if ev.FreqMHz < minF {
 			minF = ev.FreqMHz
 		}

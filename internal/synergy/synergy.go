@@ -336,27 +336,42 @@ func (q *Queue) Events() []Event {
 }
 
 // EventCount returns the number of events recorded so far. Together with
-// EventsFrom it lets a caller attribute the cost of a span of submissions
-// (e.g. one failed workload attempt) without draining the log.
+// AppendEventsFrom it lets a caller attribute the cost of a span of
+// submissions (e.g. one failed workload attempt) without draining the log.
 func (q *Queue) EventCount() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.events)
 }
 
-// EventsFrom returns a copy of the events recorded at or after index from.
-func (q *Queue) EventsFrom(from int) []Event {
+// AppendEventsFrom appends the events recorded at or after index from to dst
+// and returns the extended slice, so a caller reading one span per dispatch
+// can reuse one buffer.
+func (q *Queue) AppendEventsFrom(dst []Event, from int) []Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if from < 0 {
 		from = 0
 	}
 	if from >= len(q.events) {
-		return nil
+		return dst
 	}
-	out := make([]Event, len(q.events)-from)
-	copy(out, q.events[from:])
-	return out
+	return append(dst, q.events[from:]...)
+}
+
+// TruncateEvents drops the events recorded at or after index n: a caller
+// that has read a span of submissions and keeps its own books releases the
+// span instead of letting the log grow for the queue's lifetime.
+func (q *Queue) TruncateEvents(n int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if n < 0 {
+		n = 0
+	}
+	if n < len(q.events) {
+		clear(q.events[n:])
+		q.events = q.events[:n]
+	}
 }
 
 // DrainEvents returns the recorded events and clears the log.
@@ -520,7 +535,7 @@ func MeasureAt(q *Queue, w Workload, mhz, reps int) (Measurement, error) {
 	// The effective clock is the lowest clock any submission ran at: equal
 	// to the request on a healthy device, below it inside a throttle window.
 	effMHz := mhz
-	for _, ev := range q.EventsFrom(first) {
+	for _, ev := range q.AppendEventsFrom(nil, first) {
 		if ev.FreqMHz < effMHz {
 			effMHz = ev.FreqMHz
 		}
