@@ -8,7 +8,8 @@
 #                   bounded fuzzes of the curve kernel (FuzzPredictSweep),
 #                   the tree presort (FuzzPresort), the serve request key
 #                   (FuzzCacheKey) and the gpusim analytic-cache key
-#                   (FuzzAnalyticCache), the benchmark module's own vet
+#                   (FuzzAnalyticCache), the model upload decode
+#                   (FuzzLoadModel), the benchmark module's own vet
 #                   and tests (perfbench/), the solver's allocation guard
 #                   at GOMAXPROCS 1, 2, 4 and 8, and the worker gang's
 #                   tests ten times under the race detector
@@ -90,6 +91,13 @@ go test -run '^$' -fuzz '^FuzzCacheKey$' -fuzztime 10s ./internal/serve
 # checked-in corpus runs with every go test; this adds a bounded search.
 echo "==> fuzz FuzzAnalyticCache (10s)"
 go test -run '^$' -fuzz '^FuzzAnalyticCache$' -fuzztime 10s ./internal/gpusim
+
+# Model-upload fuzz: core.LoadModel is the decode behind every model the
+# serve registry publishes. No input may panic it, and every model it
+# accepts must answer PredictCurvesBatch with curves or an error. The
+# checked-in corpus runs with every go test; this adds a bounded search.
+echo "==> fuzz FuzzLoadModel (10s)"
+go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 10s ./internal/core
 
 # The benchmark is a Go module of its own, so the root go vet and go test
 # never enter it: vet it and run its arithmetic tests here.

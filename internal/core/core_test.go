@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -332,16 +333,16 @@ func TestMethodologyPortableToUnseenDevice(t *testing.T) {
 }
 
 // failingWorkload returns an error on its nth execution, for failure
-// injection through the measurement pipeline.
+// injection through the measurement pipeline. The sweep runs it from
+// several workers at once, so the run count is atomic.
 type failingWorkload struct {
-	failAfter int
-	runs      *int
+	failAfter int64
+	runs      *atomic.Int64
 }
 
 func (w failingWorkload) Name() string { return "failing" }
 func (w failingWorkload) RunOn(q *synergy.Queue) (float64, float64, error) {
-	*w.runs++
-	if *w.runs > w.failAfter {
+	if w.runs.Add(1) > w.failAfter {
 		return 0, 0, errInjected
 	}
 	return 1, 1, nil
@@ -351,7 +352,7 @@ var errInjected = fmt.Errorf("injected measurement failure")
 
 func TestBuildDatasetPropagatesWorkloadErrors(t *testing.T) {
 	q := testQueue(t)
-	runs := 0
+	var runs atomic.Int64
 	_, err := BuildDataset(q, CronosSchema(), []FeaturedWorkload{{
 		Workload: failingWorkload{failAfter: 3, runs: &runs},
 		Features: []float64{1, 1, 1},

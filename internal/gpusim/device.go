@@ -217,9 +217,11 @@ func (s Spec) FloorFreqMHz(mhz int) int {
 }
 
 // HasFreq reports whether mhz is a selectable core frequency.
-func (s Spec) HasFreq(mhz int) bool {
-	i := sort.SearchInts(s.CoreFreqsMHz, mhz)
-	return i < len(s.CoreFreqsMHz) && s.CoreFreqsMHz[i] == mhz
+func (s Spec) HasFreq(mhz int) bool { return hasFreq(s.CoreFreqsMHz, mhz) }
+
+func hasFreq(table []int, mhz int) bool {
+	i := sort.SearchInts(table, mhz)
+	return i < len(table) && table[i] == mhz
 }
 
 // Device is a simulated GPU. It carries the current core frequency, an
@@ -312,13 +314,18 @@ func (d *Device) SetObserver(o *obs.Observer) {
 // Spec returns the device description.
 func (d *Device) Spec() Spec { return d.spec }
 
+// HasFreq reports whether mhz is a selectable core frequency of the device.
+// It reads the frequency table in place: the per-dispatch clock checks go
+// through it rather than copy the whole Spec into a value receiver.
+func (d *Device) HasFreq(mhz int) bool { return hasFreq(d.spec.CoreFreqsMHz, mhz) }
+
 // CoreFreqMHz returns the currently selected core frequency.
 func (d *Device) CoreFreqMHz() int { return d.coreFreqMHz }
 
 // SetCoreFreqMHz selects a core frequency from the device table. Frequencies
 // not in the table are rejected, mirroring NVML semantics.
 func (d *Device) SetCoreFreqMHz(mhz int) error {
-	if !d.spec.HasFreq(mhz) {
+	if !d.HasFreq(mhz) {
 		return fmt.Errorf("gpusim: %s: frequency %d MHz not in table (range %d-%d)",
 			d.spec.Name, mhz, d.spec.FMinMHz(), d.spec.FMaxMHz())
 	}
@@ -406,7 +413,7 @@ func (d *Device) Run(p kernels.Profile) (Result, error) {
 
 // RunAt is Run at an explicit frequency; the device clock is left unchanged.
 func (d *Device) RunAt(p kernels.Profile, mhz int) (Result, error) {
-	if !d.spec.HasFreq(mhz) {
+	if !d.HasFreq(mhz) {
 		return Result{}, fmt.Errorf("gpusim: %s: frequency %d MHz not in table", d.spec.Name, mhz)
 	}
 	if err := p.Validate(); err != nil {

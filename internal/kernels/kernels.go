@@ -160,8 +160,9 @@ func (p Profile) RawGlobalBytes() float64 {
 
 // Validate reports whether the profile is well formed (finite, non-negative
 // counts, at least one work item and one launch, reuse within [0,1)). Every
-// check is written so that a NaN fails it.
-func (p Profile) Validate() error {
+// check is written so that a NaN fails it. The pointer receiver keeps the
+// per-submission check from copying the profile.
+func (p *Profile) Validate() error {
 	switch {
 	case !(p.WorkItems > 0) || math.IsInf(p.WorkItems, 1):
 		return errProfile("WorkItems must be positive and finite")
@@ -176,7 +177,7 @@ func (p Profile) Validate() error {
 	case p.Mix.Total() <= 0:
 		return errProfile("instruction mix is empty")
 	}
-	if anyNegative(p.Mix) {
+	if anyNegative(&p.Mix) {
 		return errProfile("instruction mix has negative counts")
 	}
 	return nil
@@ -190,7 +191,7 @@ func (m *InstructionMix) finite() bool {
 		0*m.GlobalAcc+0*m.LocalAcc == 0
 }
 
-func anyNegative(m InstructionMix) bool {
+func anyNegative(m *InstructionMix) bool {
 	return m.IntAdd < 0 || m.IntMul < 0 || m.IntDiv < 0 || m.IntBitwise < 0 ||
 		m.FloatAdd < 0 || m.FloatMul < 0 || m.FloatDiv < 0 || m.SpecialFn < 0 ||
 		m.GlobalAcc < 0 || m.LocalAcc < 0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model persistence: trained regressors serialize to a self-describing JSON
@@ -230,8 +231,9 @@ func encodeNode(t *Tree, i int32) *nodeJSON {
 }
 
 func decodeTree(p treeJSON) (*Tree, error) {
-	if p.D < 0 {
-		return nil, fmt.Errorf("%w: tree has negative feature dimension %d", ErrCorruptModel, p.D)
+	if p.D < 0 || p.D > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: tree feature dimension %d outside [0, %d]",
+			ErrCorruptModel, p.D, math.MaxInt32)
 	}
 	t := NewTree(p.MaxDepth, p.MinLeaf)
 	t.d = p.D
@@ -241,20 +243,16 @@ func decodeTree(p treeJSON) (*Tree, error) {
 	if err := decodeNode(t, p.Root, 0); err != nil {
 		return nil, err
 	}
-	// Every split must route through a feature the tree was trained on:
-	// an out-of-range index would read past the end of the prediction row.
-	for _, f := range t.feature {
-		if f >= int32(t.d) {
-			return nil, fmt.Errorf("%w: tree split on feature %d but dimension is %d",
-				ErrCorruptModel, f, t.d)
-		}
-	}
 	return t, nil
 }
 
 // decodeNode appends the nested payload into the tree's SoA arrays in
 // preorder (node, left subtree, right subtree) — the same layout fit
 // produces, so loaded and freshly trained trees are indistinguishable.
+// Every split must route through a feature the tree was trained on: an
+// out-of-range index would read past the end of the prediction row. The
+// index is checked as the persisted int, before it narrows to the int32 of
+// the node arrays, which t.d bounds.
 func decodeNode(t *Tree, p *nodeJSON, depth int) error {
 	if depth > 10000 {
 		return fmt.Errorf("%w: persisted tree deeper than 10000 levels", ErrCorruptModel)
@@ -266,9 +264,9 @@ func decodeNode(t *Tree, p *nodeJSON, depth int) error {
 	if p.Left == nil || p.Right == nil {
 		return fmt.Errorf("%w: persisted split node missing a child", ErrCorruptModel)
 	}
-	if p.Feature < 0 {
-		return fmt.Errorf("%w: persisted split node has negative feature index %d",
-			ErrCorruptModel, p.Feature)
+	if p.Feature < 0 || p.Feature >= t.d {
+		return fmt.Errorf("%w: persisted split on feature %d but dimension is %d",
+			ErrCorruptModel, p.Feature, t.d)
 	}
 	node := t.pushSplit(p.Feature, p.Thresh)
 	t.left[node] = int32(len(t.feature))

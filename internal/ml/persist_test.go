@@ -42,6 +42,20 @@ func TestLoadRegressorRejectsCorruptShapes(t *testing.T) {
 		{"tree split feature out of range",
 			`{"kind":"tree","payload":{"d":1,"root":{"feature":4,"thresh":1,` +
 				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+		// Split indices past int32: each once narrowed to a leaf marker or
+		// to an in-range feature before the range check saw it.
+		{"tree split feature 2^31",
+			`{"kind":"tree","payload":{"d":3,"root":{"feature":2147483648,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+		{"tree split feature 2^32",
+			`{"kind":"tree","payload":{"d":3,"root":{"feature":4294967296,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+		{"tree split feature 2^32+1",
+			`{"kind":"tree","payload":{"d":3,"root":{"feature":4294967297,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+		{"tree dimension past int32",
+			`{"kind":"tree","payload":{"d":4294967299,"root":{"feature":4294967297,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
 		{"forest no trees", `{"kind":"forest","payload":{"trees":[]}}`},
 		{"forest disagreeing tree dimensions",
 			`{"kind":"forest","payload":{"trees":[` +

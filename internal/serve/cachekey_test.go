@@ -126,48 +126,55 @@ func FuzzCacheKey(f *testing.F) {
 	})
 }
 
-// TestCacheHitArrivalAllocs guards the steady-state arrival path of an
-// open-loop shard whose every request hits the LRU: pop the arrival, key
-// it, answer it from the cache and schedule the next arrival. The one
-// allocation is the next *request.
+// TestCacheHitArrivalAllocs guards the steady-state arrival path of a
+// shard whose every request hits the LRU: pop the arrival, key it, answer
+// it from the cache and issue the next request, which is the open loop's
+// next arrival or, in the closed loop, the answered client's next request.
+// Request slots are recycled and the latency buffer is sized from the
+// request budget, so no arrival allocates.
 func TestCacheHitArrivalAllocs(t *testing.T) {
-	reg := NewRegistry("v100")
-	if _, err := reg.Publish("ligen", testPayload(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := reg.Lookup("ligen")
-	cfg := Config{}.withDefaults()
-	s := &shard{
-		cfg:       cfg,
-		sc:        ShardConfig{Shapes: testShapes()},
-		load:      Load{}.withDefaults(),
-		freqs:     testFreqs,
-		reg:       reg,
-		cache:     newLRU(cfg.CacheCap),
-		pending:   map[string]*flight{},
-		rng:       xrand.New(1),
-		remaining: math.MaxInt,
-		res:       &shardResult{perVersion: map[versionKey]int{}},
-	}
-	for _, sh := range s.sc.Shapes {
-		for _, tier := range s.load.Tiers {
-			key := appendCacheKey(nil, e, sh.Features, tier*sh.NominalS)
-			s.cache.put(string(key), Response{App: e.App, Device: e.Device, Version: e.Version})
-		}
-	}
-	s.scheduleArrival(0)
-	arrive := func() {
-		now, ev := s.events.Pop()
-		s.handleArrive(now, ev.req)
-	}
-	for i := 0; i < 100; i++ {
-		arrive()
-	}
-	allocs := testing.AllocsPerRun(1000, arrive)
-	if s.res.cacheHits != s.res.submitted {
-		t.Fatalf("%d of %d arrivals hit the cache; the guard needs every one to", s.res.cacheHits, s.res.submitted)
-	}
-	if allocs > 1 {
-		t.Errorf("a cache-hit arrival allocates %v times, want at most 1 (the next *request)", allocs)
+	payload := testPayload(t, 1)
+	for _, load := range []Load{
+		{Mode: "open", Requests: 2000},
+		{Mode: "closed", Clients: 1, RequestsPerClient: 2000},
+	} {
+		t.Run(load.Mode, func(t *testing.T) {
+			s, err := newShard(Config{}.withDefaults(), ShardConfig{
+				Device: "v100",
+				Freqs:  testFreqs,
+				Models: map[string][]byte{"ligen": payload},
+				Shapes: testShapes(),
+				Load:   load,
+			}, xrand.New(1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := s.entries[0]
+			version := s.versionSlot(e)
+			for _, sh := range s.sc.Shapes {
+				for _, tier := range s.load.Tiers {
+					key := appendCacheKey(nil, e, sh.Features, tier*sh.NominalS)
+					s.cache.put(string(key), Response{App: e.App, Device: e.Device, Version: e.Version}, version)
+				}
+			}
+			s.start()
+			arrive := func() {
+				now, ev := s.events.Pop()
+				s.handleArrive(now, ev.idx)
+			}
+			for i := 0; i < 100; i++ {
+				arrive()
+			}
+			allocs := testing.AllocsPerRun(1000, arrive)
+			if s.res.cacheHits != s.res.submitted {
+				t.Fatalf("%d of %d arrivals hit the cache; the guard needs every one to", s.res.cacheHits, s.res.submitted)
+			}
+			if s.events.Len() != 1 {
+				t.Fatalf("%d events queued after a hit, want the next arrival alone", s.events.Len())
+			}
+			if allocs > 0 {
+				t.Errorf("a cache-hit arrival allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

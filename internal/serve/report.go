@@ -96,8 +96,12 @@ func percentile(sorted []float64, q float64) float64 {
 // report.
 func mergeResults(results []*shardResult) *Report {
 	r := &Report{Shards: len(results)}
-	var lats []float64
-	pv := map[versionKey]int{}
+	n := 0
+	for _, sr := range results {
+		n += len(sr.latencies)
+	}
+	lats := make([]float64, 0, n)
+	var batchedFlights int
 	for _, sr := range results {
 		r.Submitted += sr.submitted
 		r.Completed += sr.completed
@@ -108,6 +112,7 @@ func mergeResults(results []*shardResult) *Report {
 		r.Coalesced += sr.coalesced
 		r.Misses += sr.misses
 		r.Batches += sr.batches
+		batchedFlights += sr.batchedFlights
 		if sr.maxBatchLen > r.MaxBatchLen {
 			r.MaxBatchLen = sr.maxBatchLen
 		}
@@ -121,13 +126,7 @@ func mergeResults(results []*shardResult) *Report {
 			r.MakespanS = sr.lastDoneS
 		}
 		lats = append(lats, sr.latencies...)
-		for k, n := range sr.perVersion {
-			pv[k] += n
-		}
-	}
-	var batchedFlights int
-	for _, sr := range results {
-		batchedFlights += sr.batchedFlights
+		r.PerVersion = append(r.PerVersion, sr.versions...)
 	}
 	if r.Batches > 0 {
 		r.MeanBatchFlights = float64(batchedFlights) / float64(r.Batches)
@@ -141,12 +140,8 @@ func mergeResults(results []*shardResult) *Report {
 	if r.MakespanS > 0 {
 		r.ThroughputRPS = float64(r.Completed) / r.MakespanS
 	}
-	r.PerVersion = make([]VersionCount, 0, len(pv))
-	for k := range pv {
-		r.PerVersion = append(r.PerVersion, VersionCount{
-			App: k.App, Device: k.Device, Version: k.Version, Responses: pv[k],
-		})
-	}
+	// Sort the shards' version slots by (device, app, version) and sum the
+	// slots of one version that shards sharing a device name each hold.
 	slices.SortFunc(r.PerVersion, func(a, b VersionCount) int {
 		if c := strings.Compare(a.Device, b.Device); c != 0 {
 			return c
@@ -156,6 +151,15 @@ func mergeResults(results []*shardResult) *Report {
 		}
 		return a.Version - b.Version
 	})
+	pv := r.PerVersion[:0]
+	for _, v := range r.PerVersion {
+		if k := len(pv) - 1; k >= 0 && pv[k].Device == v.Device && pv[k].App == v.App && pv[k].Version == v.Version {
+			pv[k].Responses += v.Responses
+			continue
+		}
+		pv = append(pv, v)
+	}
+	r.PerVersion = pv
 	return r
 }
 

@@ -12,9 +12,14 @@
 // walk across the clock menu) behind an LRU cache with single-flight miss
 // semantics. Both key a request by its bits (app, model version,
 // core.AppendInputKey of the features and the deadline), built in a buffer
-// each shard reuses, so a cache hit formats nothing and allocates no key.
-// Each shard's loop pops its events from an internal/eventq queue in
-// (time, push order). A closed- and open-loop synthetic load generator drives
+// each shard reuses; that key is the only thing a request hashes. Each
+// shard's loop pops pointer-free events (a kind and an int32 slot) from an
+// internal/eventq queue in (time, push order). Requests, flights and
+// batches live in per-shard slabs recycled through free lists, each model
+// version's response count lives in a slot resolved once per miss, the
+// latency buffer is sized once from the shard's request budget, and the LRU
+// is an index-linked list over a fixed array, so a cache-hit request
+// allocates nothing. A closed- and open-loop synthetic load generator drives
 // the service to millions of requests per campaign, per-device shards fan
 // out through internal/parallel, and p50/p99 latency plus throughput
 // publish through internal/obs.

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"dsenergy/internal/core"
 	"dsenergy/internal/ml"
 	"dsenergy/internal/obs"
+	"dsenergy/internal/xrand"
 )
 
 // Test fixtures: a synthetic analytic workload — time = work/clock, energy
@@ -115,7 +118,8 @@ func renderReport(t *testing.T, cfg Config) (string, *Report) {
 }
 
 func TestRunZeroLossWithReloads(t *testing.T) {
-	_, rep := renderReport(t, testConfig(t, 1, nil))
+	o := obs.NewObserver()
+	_, rep := renderReport(t, testConfig(t, 1, o))
 	if rep.Submitted == 0 {
 		t.Fatal("no requests submitted")
 	}
@@ -151,6 +155,23 @@ func TestRunZeroLossWithReloads(t *testing.T) {
 	}
 	if !vers[1] || !vers[2] {
 		t.Errorf("expected responses from versions 1 and 2 on v100-a, got %+v", rep.PerVersion)
+	}
+	// Every answer is attributed to exactly one version: each device's
+	// per-version responses sum to the requests it completed.
+	byDevice := map[string]int{}
+	for _, v := range rep.PerVersion {
+		byDevice[v.Device] += v.Responses
+	}
+	total := 0
+	for _, dev := range []string{"v100-a", "v100-b"} {
+		done := o.Metrics().Counter("serve_responses_total", obs.L("device", dev)).Value()
+		if done == 0 || uint64(byDevice[dev]) != done {
+			t.Errorf("%s: per-version responses sum to %d, completed %d", dev, byDevice[dev], done)
+		}
+		total += byDevice[dev]
+	}
+	if total != rep.Completed || len(byDevice) != 2 {
+		t.Errorf("per-version responses sum to %d over %d devices, completed %d", total, len(byDevice), rep.Completed)
 	}
 	if rep.P99LatencyS < rep.P50LatencyS || rep.MaxLatencyS < rep.P99LatencyS {
 		t.Errorf("latency percentiles out of order: %v", rep)
@@ -233,6 +254,7 @@ func TestMaxBatchClosesEarly(t *testing.T) {
 
 func TestRunRejectsBadConfigs(t *testing.T) {
 	base := testConfig(t, 1, nil)
+	nan, inf := math.NaN(), math.Inf(1)
 	for name, mutate := range map[string]func(*Config){
 		"no shards":     func(c *Config) { c.Shards = nil },
 		"empty device":  func(c *Config) { c.Shards[0].Device = "" },
@@ -242,13 +264,65 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		"corrupt initial model": func(c *Config) {
 			c.Shards[0].Models = map[string][]byte{"ligen": []byte(`{"schema":{}}`)}
 		},
+
+		"negative MaxBatch":          func(c *Config) { c.MaxBatch = -1 },
+		"negative CacheCap":          func(c *Config) { c.CacheCap = -1 },
+		"CacheCap past int32":        func(c *Config) { c.CacheCap = math.MaxInt32 + 1 },
+		"NaN CacheHitS":              func(c *Config) { c.CacheHitS = nan },
+		"negative CacheHitS":         func(c *Config) { c.CacheHitS = -0.001 },
+		"infinite BatchWindowS":      func(c *Config) { c.BatchWindowS = inf },
+		"NaN BatchWindowS":           func(c *Config) { c.BatchWindowS = nan },
+		"negative BatchBaseS":        func(c *Config) { c.BatchBaseS = -1 },
+		"infinite BatchBaseS":        func(c *Config) { c.BatchBaseS = inf },
+		"NaN BatchPerReqS":           func(c *Config) { c.BatchPerReqS = nan },
+		"negative BatchPerReqS":      func(c *Config) { c.BatchPerReqS = -1e-4 },
+		"negative Requests":          func(c *Config) { c.Shards[0].Load.Requests = -1 },
+		"negative Clients":           func(c *Config) { c.Shards[1].Load.Clients = -1 },
+		"negative RequestsPerClient": func(c *Config) { c.Shards[1].Load.RequestsPerClient = -5 },
+		"closed budget overflows": func(c *Config) {
+			c.Shards[1].Load.Clients, c.Shards[1].Load.RequestsPerClient = 1<<40, 1<<40
+		},
+		"negative MalformedEvery":    func(c *Config) { c.Shards[0].Load.MalformedEvery = -500 },
+		"NaN MeanInterarrivalS":      func(c *Config) { c.Shards[0].Load.MeanInterarrivalS = nan },
+		"negative MeanInterarrivalS": func(c *Config) { c.Shards[0].Load.MeanInterarrivalS = -0.0005 },
+		"infinite MeanInterarrivalS": func(c *Config) { c.Shards[0].Load.MeanInterarrivalS = inf },
+		"NaN MeanThinkS":             func(c *Config) { c.Shards[1].Load.MeanThinkS = nan },
+		"negative MeanThinkS":        func(c *Config) { c.Shards[1].Load.MeanThinkS = -1 },
+		"NaN tier":                   func(c *Config) { c.Shards[0].Load.Tiers = []float64{2, nan} },
+		"negative tier":              func(c *Config) { c.Shards[0].Load.Tiers = []float64{-2} },
+		"infinite tier":              func(c *Config) { c.Shards[0].Load.Tiers = []float64{inf} },
+		"NaN reload time": func(c *Config) {
+			c.Shards[0].Reloads = []Reload{{AtS: nan, App: "ligen", Payload: base.Shards[0].Reloads[0].Payload}}
+		},
+		"negative reload time": func(c *Config) {
+			c.Shards[0].Reloads = []Reload{{AtS: -1, App: "ligen", Payload: base.Shards[0].Reloads[0].Payload}}
+		},
+		"infinite reload time": func(c *Config) {
+			c.Shards[0].Reloads = []Reload{{AtS: inf, App: "ligen", Payload: base.Shards[0].Reloads[0].Payload}}
+		},
 	} {
-		cfg := testConfig(t, 1, nil)
+		cfg := base
 		cfg.Shards = append([]ShardConfig(nil), base.Shards...)
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestRunZeroSelectsDefaults pins the other side of the config checks: a
+// zero in each defaulted Config field and empty tiers are accepted and run
+// as the documented defaults.
+func TestRunZeroSelectsDefaults(t *testing.T) {
+	explicit := testConfig(t, 1, nil)
+	explicit.BatchWindowS, explicit.MaxBatch, explicit.CacheCap = 0.002, 64, 256
+	explicit.CacheHitS, explicit.BatchBaseS, explicit.BatchPerReqS = 0.0002, 0.001, 0.0001
+	explicit.Shards = append([]ShardConfig(nil), explicit.Shards...)
+	explicit.Shards[0].Load.Tiers = []float64{2, 4, 8}
+	want, _ := renderReport(t, explicit)
+	got, _ := renderReport(t, testConfig(t, 1, nil))
+	if got != want {
+		t.Errorf("zero config fields do not select their defaults:\n--- explicit ---\n%s--- zero ---\n%s", want, got)
 	}
 }
 
@@ -390,26 +464,75 @@ func TestRegistryVersioning(t *testing.T) {
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
 	k := func(i int) []byte { return fmt.Appendf(nil, "k%d", i) }
-	c.put(string(k(1)), Response{Version: 1})
-	c.put(string(k(2)), Response{Version: 2})
-	if _, ok := c.get(k(1)); !ok {
+	c.put(string(k(1)), Response{Version: 1}, 0)
+	c.put(string(k(2)), Response{Version: 2}, 0)
+	if c.get(k(1)) == nil {
 		t.Fatal("k1 evicted early")
 	}
-	c.put(string(k(3)), Response{Version: 3}) // k2 is now the LRU tail
-	if _, ok := c.get(k(2)); ok {
+	c.put(string(k(3)), Response{Version: 3}, 0) // k2 is now the LRU tail
+	if c.get(k(2)) != nil {
 		t.Error("k2 survived past capacity")
 	}
-	if _, ok := c.get(k(1)); !ok {
+	if c.get(k(1)) == nil {
 		t.Error("recently used k1 evicted")
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	c.put(string(k(1)), Response{Version: 9})
-	if r, _ := c.get(k(1)); r.Version != 9 {
-		t.Error("put did not update existing key")
+	c.put(string(k(1)), Response{Version: 9}, 4)
+	if e := c.get(k(1)); e == nil || e.resp.Version != 9 || e.version != 4 {
+		t.Errorf("put did not update existing key: %+v", e)
 	}
 	if c.len() != 2 {
 		t.Errorf("update changed len to %d", c.len())
+	}
+}
+
+// TestLRUMatchesListOrder replays a random get/put stream against a
+// container/list reference LRU: hits, misses and eviction order must agree
+// at every step.
+func TestLRUMatchesListOrder(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5} {
+		c := newLRU(capacity)
+		ref := list.New() // front = most recently used
+		rng := xrand.New(uint64(capacity))
+		for step := 0; step < 5000; step++ {
+			key := fmt.Appendf(nil, "k%d", rng.Intn(3*capacity))
+			var el *list.Element
+			for e := ref.Front(); e != nil; e = e.Next() {
+				if e.Value.(string) == string(key) {
+					el = e
+				}
+			}
+			if rng.Intn(2) == 0 {
+				got := c.get(key)
+				if (got != nil) != (el != nil) {
+					t.Fatalf("cap %d step %d: get(%s) hit=%v, reference hit=%v", capacity, step, key, got != nil, el != nil)
+				}
+				if el != nil {
+					ref.MoveToFront(el)
+				}
+				continue
+			}
+			c.put(string(key), Response{}, 0)
+			if el != nil {
+				ref.MoveToFront(el)
+			} else {
+				ref.PushFront(string(key))
+				if ref.Len() > capacity {
+					ref.Remove(ref.Back())
+				}
+			}
+			i := c.head
+			for e := ref.Front(); e != nil; e = e.Next() {
+				if i < 0 || c.ents[i].key != e.Value.(string) {
+					t.Fatalf("cap %d step %d: recency order differs from the reference", capacity, step)
+				}
+				i = c.ents[i].next
+			}
+			if i >= 0 || c.len() != ref.Len() {
+				t.Fatalf("cap %d step %d: cache holds %d entries, reference %d", capacity, step, c.len(), ref.Len())
+			}
+		}
 	}
 }

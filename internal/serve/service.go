@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -20,6 +22,9 @@ import (
 // on their own pre-split randomness, so the pool fan-out is byte-identical
 // to the serial loop for any worker count.
 func Run(cfg Config) (*Report, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("serve: no shards configured")
@@ -37,6 +42,59 @@ func Run(cfg Config) (*Report, error) {
 	return mergeResults(results), nil
 }
 
+// checkCount rejects a negative count; zero selects the field's default.
+func checkCount(name string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%s = %d, want a non-negative count", name, n)
+	}
+	return nil
+}
+
+// checkTime rejects a NaN, infinite or negative time; zero selects the
+// field's default.
+func checkTime(name string, s float64) error {
+	if !(s >= 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("%s = %v, want a finite non-negative time", name, s)
+	}
+	return nil
+}
+
+// validate rejects the values withDefaults cannot repair. The LRU's index
+// links are int32, which bounds CacheCap.
+func (c Config) validate() error {
+	errs := []error{
+		checkCount("MaxBatch", c.MaxBatch),
+		checkCount("CacheCap", c.CacheCap),
+		checkTime("CacheHitS", c.CacheHitS),
+		checkTime("BatchWindowS", c.BatchWindowS),
+		checkTime("BatchBaseS", c.BatchBaseS),
+		checkTime("BatchPerReqS", c.BatchPerReqS),
+	}
+	if c.CacheCap > math.MaxInt32 {
+		errs = append(errs, fmt.Errorf("CacheCap = %d exceeds %d", c.CacheCap, math.MaxInt32))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	return nil
+}
+
+// validate rejects the load values withDefaults cannot repair.
+func (l Load) validate() error {
+	errs := []error{
+		checkCount("Requests", l.Requests),
+		checkCount("Clients", l.Clients),
+		checkCount("RequestsPerClient", l.RequestsPerClient),
+		checkCount("MalformedEvery", l.MalformedEvery),
+		checkTime("MeanInterarrivalS", l.MeanInterarrivalS),
+		checkTime("MeanThinkS", l.MeanThinkS),
+	}
+	for i, tier := range l.Tiers {
+		errs = append(errs, checkTime(fmt.Sprintf("Tiers[%d]", i), tier))
+	}
+	return errors.Join(errs...)
+}
+
 // Event kinds of the shard's simulated-time loop.
 const (
 	evArrive = iota
@@ -46,22 +104,45 @@ const (
 )
 
 // event is one entry of the shard's event queue, which orders events by
-// (time, push order).
+// (time, push order). It holds no pointer, so the queue's swaps need no
+// write barrier: idx is a request slot (evArrive), a batch slot
+// (evBatchClose, evBatchDone) or an index into ShardConfig.Reloads
+// (evReload).
 type event struct {
-	kind   int
-	req    *request // evArrive
-	batch  *batch   // evBatchClose, evBatchDone
-	reload int      // index into ShardConfig.Reloads (evReload)
+	kind int32
+	idx  int32
 }
 
-// request is one advisory query in flight through the shard.
+// slab is a recycling arena addressed by int32 slot: alloc reuses the most
+// recently released slot before growing, so a shard's steady state
+// allocates nothing. A slot keeps its old contents until the caller
+// overwrites them, which lets slices inside it keep their capacity.
+type slab[T any] struct {
+	items []T
+	free  []int32
+}
+
+func (p *slab[T]) alloc() int32 {
+	if n := len(p.free); n > 0 {
+		i := p.free[n-1]
+		p.free = p.free[:n-1]
+		return i
+	}
+	var zero T
+	p.items = append(p.items, zero)
+	return int32(len(p.items) - 1)
+}
+
+func (p *slab[T]) release(i int32) { p.free = append(p.free, i) }
+
+// request is one advisory query in flight through the shard, from its
+// arrival until it is answered or refused.
 type request struct {
-	shape     Shape
-	tier      float64
-	deadlineS float64 // advisory compute deadline: tier x NominalS
 	arriveS   float64
+	deadlineS float64 // advisory compute deadline: tier x NominalS
+	client    int     // closed-loop client index; -1 for open loop
+	shape     int32   // index into ShardConfig.Shapes
 	malformed bool
-	client    int // closed-loop client index; -1 for open loop
 }
 
 // flight is one single-flight computation: the first miss for a key creates
@@ -70,29 +151,25 @@ type request struct {
 type flight struct {
 	key       string
 	entry     *Entry // model version pinned at flight creation
+	version   int32  // entry's slot in shardResult.versions
 	features  []float64
 	deadlineS float64
-	waiters   []*request
+	waiters   []int32 // request slots
 }
 
 // batch is one coalescing window of flights bound for one PredictCurvesBatch
-// call per model version.
+// call per model version. Its slot is recycled once neither of its events,
+// the window timer and the completion, is still queued.
 type batch struct {
-	flights []*flight
+	flights []int32 // flight slots
 	closed  bool
+	queued  int
 }
 
 // client is one closed-loop load generator.
 type client struct {
 	rng    *xrand.Rand
 	issued int
-}
-
-// versionKey attributes responses to one published model version.
-type versionKey struct {
-	App     string
-	Device  string
-	Version int
 }
 
 // shardResult is one shard's raw accounting, merged in shard order.
@@ -106,9 +183,9 @@ type shardResult struct {
 	reloads, reloadsRejected          int
 	escalations, onPareto             int
 	predEnergyJ, predEnergyMaxJ       float64
-	latencies                         []float64
+	latencies                         []float64 // sized once from the request budget
 	lastDoneS                         float64
-	perVersion                        map[versionKey]int
+	versions                          []VersionCount // one slot per answering model version
 }
 
 // shard is the running state of one device's event loop.
@@ -118,16 +195,26 @@ type shard struct {
 	load      Load
 	freqs     []int
 	reg       *Registry
+	entries   []*Entry // serving entry per shape (nil: no model), refreshed on publish
+	versionOf map[*Entry]int32
 	cache     *lru
-	pending   map[string]*flight
-	key       []byte // the current request's key, reused across requests
-	open      *batch
+	pending   map[string]int32 // key → flight slot
+	key       []byte           // the current request's key, reused across requests
+	reqs      slab[request]
+	flights   slab[flight]
+	batches   slab[batch]
+	open      int32 // the open batch's slot; -1 when none
 	events    eventq.Queue[event]
 	rng       *xrand.Rand // open-loop arrivals and request content
 	remaining int         // open-loop arrivals not yet scheduled
 	clients   []*client
-	reqs      int // requests generated, for the malformed cadence
+	generated int // requests generated, for the malformed cadence
 	res       *shardResult
+
+	// Scratch of handleBatchDone, reused across batches.
+	groups       []*Entry
+	groupFlights []int32
+	inputs       [][]float64
 
 	// Instruments (nil-safe when no observer is attached).
 	ctrSubmitted  *obs.Counter
@@ -144,6 +231,44 @@ type shard struct {
 }
 
 func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
+	if o != nil {
+		defer o.Profile().Phase("serve.shard").Start()()
+	}
+	s, err := newShard(cfg, sc, rng, o)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	for s.events.Len() > 0 {
+		now, e := s.events.Pop()
+		switch e.kind {
+		case evArrive:
+			s.handleArrive(now, e.idx)
+		case evBatchClose:
+			if !s.batches.items[e.idx].closed {
+				s.closeBatch(now, e.idx)
+			}
+			s.unqueueBatch(e.idx)
+		case evBatchDone:
+			if err := s.handleBatchDone(now, e.idx); err != nil {
+				return nil, err
+			}
+			s.unqueueBatch(e.idx)
+		case evReload:
+			s.handleReload(now, &sc.Reloads[e.idx])
+		}
+	}
+	if len(s.pending) != 0 || s.open >= 0 {
+		return nil, fmt.Errorf("serve: shard %s drained with %d stranded flights", sc.Device, len(s.pending))
+	}
+	s.trace.Add("serve.shard", s.res.lastDoneS, obs.L("device", sc.Device),
+		obs.L("requests", strconv.Itoa(s.res.submitted)))
+	return s.res, nil
+}
+
+// newShard validates one shard's configuration, publishes its initial
+// models and sizes its buffers; cfg has its defaults applied.
+func newShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) {
 	if sc.Device == "" {
 		return nil, fmt.Errorf("serve: shard with empty device name")
 	}
@@ -153,12 +278,26 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 	if len(sc.Shapes) == 0 {
 		return nil, fmt.Errorf("serve: shard %s has no request shapes", sc.Device)
 	}
-	load := sc.Load.withDefaults()
-	if load.Mode != "open" && load.Mode != "closed" {
-		return nil, fmt.Errorf("serve: shard %s has unknown load mode %q", sc.Device, load.Mode)
+	errs := []error{sc.Load.validate()}
+	for i := range sc.Reloads {
+		errs = append(errs, checkTime(fmt.Sprintf("Reloads[%d].AtS", i), sc.Reloads[i].AtS))
 	}
-	if o != nil {
-		defer o.Profile().Phase("serve.shard").Start()()
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("serve: shard %s: %w", sc.Device, err)
+	}
+	load := sc.Load.withDefaults()
+	var budget int // the most requests the shard can answer
+	switch load.Mode {
+	case "open":
+		budget = load.Requests
+	case "closed":
+		if load.RequestsPerClient > math.MaxInt/load.Clients {
+			return nil, fmt.Errorf("serve: shard %s: %d clients x %d requests overflows",
+				sc.Device, load.Clients, load.RequestsPerClient)
+		}
+		budget = load.Clients * load.RequestsPerClient
+	default:
+		return nil, fmt.Errorf("serve: shard %s has unknown load mode %q", sc.Device, load.Mode)
 	}
 
 	freqs := append([]int(nil), sc.Freqs...)
@@ -178,15 +317,18 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 	m := o.Metrics()
 	dev := obs.L("device", sc.Device)
 	s := &shard{
-		cfg:     cfg,
-		sc:      sc,
-		load:    load,
-		freqs:   freqs,
-		reg:     reg,
-		cache:   newLRU(cfg.CacheCap),
-		pending: map[string]*flight{},
-		rng:     rng,
-		res:     &shardResult{device: sc.Device, perVersion: map[versionKey]int{}},
+		cfg:       cfg,
+		sc:        sc,
+		load:      load,
+		freqs:     freqs,
+		reg:       reg,
+		entries:   make([]*Entry, len(sc.Shapes)),
+		versionOf: map[*Entry]int32{},
+		cache:     newLRU(cfg.CacheCap),
+		pending:   map[string]int32{},
+		open:      -1,
+		rng:       rng,
+		res:       &shardResult{device: sc.Device, latencies: make([]float64, 0, budget)},
 
 		ctrSubmitted:  m.Counter("serve_requests_total", dev),
 		ctrCompleted:  m.Counter("serve_responses_total", dev),
@@ -201,48 +343,50 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 			[]float64{0.0005, 0.001, 0.002, 0.005, 0.01, 0.05}, dev),
 		trace: o.Trace(),
 	}
+	s.resolveEntries()
+	return s, nil
+}
 
-	for i := range sc.Reloads {
-		s.events.Push(sc.Reloads[i].AtS, event{kind: evReload, reload: i})
+// start queues the scheduled reloads and the first arrivals.
+func (s *shard) start() {
+	for i := range s.sc.Reloads {
+		s.events.Push(s.sc.Reloads[i].AtS, event{kind: evReload, idx: int32(i)})
 	}
-	switch load.Mode {
+	switch s.load.Mode {
 	case "open":
-		s.remaining = load.Requests
+		s.remaining = s.load.Requests
 		s.scheduleArrival(0)
 	case "closed":
 		// Each client owns a pre-split stream: its think times and request
 		// content depend only on its own draws and its response times.
-		crngs := rng.Split().SplitN(load.Clients)
-		s.clients = make([]*client, load.Clients)
+		crngs := s.rng.Split().SplitN(s.load.Clients)
+		s.clients = make([]*client, s.load.Clients)
 		for i := range s.clients {
 			s.clients[i] = &client{rng: crngs[i]}
 			s.issueFromClient(0, i)
 		}
 	}
+}
 
-	for s.events.Len() > 0 {
-		now, e := s.events.Pop()
-		switch e.kind {
-		case evArrive:
-			s.handleArrive(now, e.req)
-		case evBatchClose:
-			if !e.batch.closed {
-				s.closeBatch(now, e.batch)
-			}
-		case evBatchDone:
-			if err := s.handleBatchDone(now, e.batch); err != nil {
-				return nil, err
-			}
-		case evReload:
-			s.handleReload(now, sc.Reloads[e.reload])
-		}
+// resolveEntries looks up the serving entry of every shape. Only this
+// shard publishes to its registry, so the entries hold until the next
+// successful publish.
+func (s *shard) resolveEntries() {
+	for i := range s.sc.Shapes {
+		s.entries[i], _ = s.reg.Lookup(s.sc.Shapes[i].App)
 	}
-	if len(s.pending) != 0 || s.open != nil {
-		return nil, fmt.Errorf("serve: shard %s drained with %d stranded flights", sc.Device, len(s.pending))
+}
+
+// versionSlot returns e's response-count slot, adding one on e's first
+// flight.
+func (s *shard) versionSlot(e *Entry) int32 {
+	v, ok := s.versionOf[e]
+	if !ok {
+		v = int32(len(s.res.versions))
+		s.res.versions = append(s.res.versions, VersionCount{App: e.App, Device: e.Device, Version: e.Version})
+		s.versionOf[e] = v
 	}
-	s.trace.Add("serve.shard", s.res.lastDoneS, dev,
-		obs.L("requests", strconv.Itoa(s.res.submitted)))
-	return s.res, nil
+	return v
 }
 
 // scheduleArrival pushes the arrival of the next open-loop request, if any
@@ -255,7 +399,7 @@ func (s *shard) scheduleArrival(nowS float64) {
 	s.remaining--
 	gap := -s.load.MeanInterarrivalS * math.Log(1-s.rng.Float64())
 	t := nowS + gap
-	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(s.rng, t, -1)})
+	s.events.Push(t, event{kind: evArrive, idx: s.newRequest(s.rng, t, -1)})
 }
 
 // issueFromClient generates client i's next request at or after nowS.
@@ -267,32 +411,29 @@ func (s *shard) issueFromClient(nowS float64, i int) {
 	c.issued++
 	gap := -s.load.MeanThinkS * math.Log(1-c.rng.Float64())
 	t := nowS + gap
-	s.events.Push(t, event{kind: evArrive, req: s.makeRequest(c.rng, t, i)})
+	s.events.Push(t, event{kind: evArrive, idx: s.newRequest(c.rng, t, i)})
 }
 
-// makeRequest draws one request's content: a popularity-skewed shape (low
-// indices dominate, which is what gives the LRU a working set) and a
-// deadline tier.
-func (s *shard) makeRequest(rng *xrand.Rand, arriveS float64, clientIdx int) *request {
+// newRequest draws one request's content into a free slot: a
+// popularity-skewed shape (low indices dominate, which is what gives the
+// LRU a working set) and a deadline tier.
+func (s *shard) newRequest(rng *xrand.Rand, arriveS float64, clientIdx int) int32 {
 	u := rng.Float64()
 	idx := int(u * u * float64(len(s.sc.Shapes)))
 	if idx >= len(s.sc.Shapes) {
 		idx = len(s.sc.Shapes) - 1
 	}
-	shape := s.sc.Shapes[idx]
 	tier := s.load.Tiers[rng.Intn(len(s.load.Tiers))]
-	r := &request{
-		shape:     shape,
-		tier:      tier,
-		deadlineS: tier * shape.NominalS,
+	s.generated++
+	ri := s.reqs.alloc()
+	s.reqs.items[ri] = request{
 		arriveS:   arriveS,
+		deadlineS: tier * s.sc.Shapes[idx].NominalS,
 		client:    clientIdx,
+		shape:     int32(idx),
+		malformed: s.load.MalformedEvery > 0 && s.generated%s.load.MalformedEvery == 0,
 	}
-	s.reqs++
-	if s.load.MalformedEvery > 0 && s.reqs%s.load.MalformedEvery == 0 {
-		r.malformed = true
-	}
-	return r
+	return ri
 }
 
 // appendCacheKey appends the identity of a request against the model
@@ -310,49 +451,58 @@ func appendCacheKey(b []byte, e *Entry, features []float64, deadlineS float64) [
 	return core.AppendInputKey(b, deadlineS)
 }
 
-func (s *shard) handleArrive(nowS float64, r *request) {
+func (s *shard) handleArrive(nowS float64, ri int32) {
+	// Copy the request out: scheduling the next arrival may grow the slab.
+	r := s.reqs.items[ri]
 	if r.client < 0 {
 		s.scheduleArrival(nowS)
 	}
 	s.res.submitted++
 	s.ctrSubmitted.Inc()
 
-	feats := r.shape.Features
+	feats := s.sc.Shapes[r.shape].Features
 	if r.malformed && len(feats) > 0 {
 		feats = feats[:len(feats)-1]
 	}
-	e, ok := s.reg.Lookup(r.shape.App)
-	if !ok {
-		s.reject(nowS, r, true)
+	e := s.entries[r.shape]
+	if e == nil {
+		s.reject(nowS, ri, true)
 		return
 	}
 	if len(feats) != e.Model.FeatureDim() {
-		s.reject(nowS, r, false)
+		s.reject(nowS, ri, false)
 		return
 	}
 	s.key = appendCacheKey(s.key[:0], e, feats, r.deadlineS)
-	if resp, ok := s.cache.get(s.key); ok {
+	if ent := s.cache.get(s.key); ent != nil {
 		s.res.cacheHits++
 		s.ctrHits.Inc()
-		s.deliver(nowS+s.cfg.CacheHitS, r, resp)
+		s.deliver(nowS+s.cfg.CacheHitS, ri, &ent.resp, ent.version)
 		return
 	}
-	if fl, ok := s.pending[string(s.key)]; ok {
+	if fi, ok := s.pending[string(s.key)]; ok {
 		s.res.coalesced++
 		s.ctrCoalesced.Inc()
-		fl.waiters = append(fl.waiters, r)
+		fl := &s.flights.items[fi]
+		fl.waiters = append(fl.waiters, ri)
 		return
 	}
 	s.res.misses++
 	key := string(s.key)
-	fl := &flight{key: key, entry: e, features: feats, deadlineS: r.deadlineS, waiters: []*request{r}}
-	s.pending[key] = fl
-	if s.open == nil {
-		s.open = &batch{}
-		s.events.Push(nowS+s.cfg.BatchWindowS, event{kind: evBatchClose, batch: s.open})
+	fi := s.flights.alloc()
+	fl := &s.flights.items[fi]
+	*fl = flight{key: key, entry: e, version: s.versionSlot(e), features: feats,
+		deadlineS: r.deadlineS, waiters: append(fl.waiters[:0], ri)}
+	s.pending[key] = fi
+	if s.open < 0 {
+		s.open = s.batches.alloc()
+		b := &s.batches.items[s.open]
+		*b = batch{flights: b.flights[:0], queued: 1}
+		s.events.Push(nowS+s.cfg.BatchWindowS, event{kind: evBatchClose, idx: s.open})
 	}
-	s.open.flights = append(s.open.flights, fl)
-	if len(s.open.flights) >= s.cfg.MaxBatch {
+	b := &s.batches.items[s.open]
+	b.flights = append(b.flights, fi)
+	if len(b.flights) >= s.cfg.MaxBatch {
 		s.closeBatch(nowS, s.open)
 	}
 }
@@ -360,7 +510,7 @@ func (s *shard) handleArrive(nowS float64, r *request) {
 // reject answers a refused request on the short path: no prediction is made
 // and no zero answer is fabricated, but the client still gets its response
 // (an error) after the cache-hit cost.
-func (s *shard) reject(nowS float64, r *request, noModel bool) {
+func (s *shard) reject(nowS float64, ri int32, noModel bool) {
 	s.res.rejected++
 	if noModel {
 		s.res.rejectedNoModel++
@@ -373,15 +523,21 @@ func (s *shard) reject(nowS float64, r *request, noModel bool) {
 	if doneS > s.res.lastDoneS {
 		s.res.lastDoneS = doneS
 	}
-	if r.client >= 0 {
-		s.issueFromClient(doneS, r.client)
+	client := s.reqs.items[ri].client
+	s.reqs.release(ri)
+	if client >= 0 {
+		s.issueFromClient(doneS, client)
 	}
 }
 
-// deliver records one answered request and, for a closed-loop client,
-// triggers its next think cycle.
-func (s *shard) deliver(doneS float64, r *request, resp Response) {
+// deliver records one answered request against its model version's slot,
+// frees the request's slot and, for a closed-loop client, triggers its next
+// think cycle.
+func (s *shard) deliver(doneS float64, ri int32, resp *Response, version int32) {
+	r := &s.reqs.items[ri]
 	lat := doneS - r.arriveS
+	client := r.client
+	s.reqs.release(ri)
 	s.res.latencies = append(s.res.latencies, lat)
 	s.histLatency.Observe(lat)
 	if doneS > s.res.lastDoneS {
@@ -389,7 +545,7 @@ func (s *shard) deliver(doneS float64, r *request, resp Response) {
 	}
 	s.res.completed++
 	s.ctrCompleted.Inc()
-	s.res.perVersion[versionKey{resp.App, resp.Device, resp.Version}]++
+	s.res.versions[version].Responses++
 	if resp.Escalated {
 		s.res.escalations++
 	}
@@ -398,63 +554,73 @@ func (s *shard) deliver(doneS float64, r *request, resp Response) {
 	}
 	s.res.predEnergyJ += resp.PredEnergyJ
 	s.res.predEnergyMaxJ += resp.PredEnergyMaxJ
-	if r.client >= 0 {
-		s.issueFromClient(doneS, r.client)
+	if client >= 0 {
+		s.issueFromClient(doneS, client)
 	}
 }
 
 // closeBatch seals the batch and schedules its compute completion.
-func (s *shard) closeBatch(nowS float64, b *batch) {
+func (s *shard) closeBatch(nowS float64, bi int32) {
+	b := &s.batches.items[bi]
 	b.closed = true
-	if b == s.open {
-		s.open = nil
+	b.queued++
+	if bi == s.open {
+		s.open = -1
 	}
+	n := len(b.flights)
 	s.res.batches++
 	s.ctrBatches.Inc()
-	s.res.batchedFlights += len(b.flights)
-	if len(b.flights) > s.res.maxBatchLen {
-		s.res.maxBatchLen = len(b.flights)
+	s.res.batchedFlights += n
+	if n > s.res.maxBatchLen {
+		s.res.maxBatchLen = n
 	}
-	computeS := s.cfg.BatchBaseS + s.cfg.BatchPerReqS*float64(len(b.flights))
-	s.events.Push(nowS+computeS, event{kind: evBatchDone, batch: b})
+	computeS := s.cfg.BatchBaseS + s.cfg.BatchPerReqS*float64(n)
+	s.events.Push(nowS+computeS, event{kind: evBatchDone, idx: bi})
+}
+
+// unqueueBatch records that one of the batch's events popped and frees its
+// slot after the last.
+func (s *shard) unqueueBatch(bi int32) {
+	b := &s.batches.items[bi]
+	if b.queued--; b.queued == 0 {
+		s.batches.release(bi)
+	}
 }
 
 // handleBatchDone evaluates the batch — one PredictCurvesBatch block per
-// pinned model version — and answers every waiter, including any that
-// coalesced onto a flight while the batch was computing.
-func (s *shard) handleBatchDone(nowS float64, b *batch) error {
-	type group struct {
-		entry   *Entry
-		flights []*flight
-	}
-	var groups []*group
-	byEntry := map[*Entry]*group{}
-	for _, fl := range b.flights {
-		g, ok := byEntry[fl.entry]
-		if !ok {
-			g = &group{entry: fl.entry}
-			byEntry[fl.entry] = g
-			groups = append(groups, g)
+// pinned model version, in order of each version's first flight — and
+// answers every waiter, including any that coalesced onto a flight while
+// the batch was computing.
+func (s *shard) handleBatchDone(nowS float64, bi int32) error {
+	flights := s.batches.items[bi].flights
+	s.groups = s.groups[:0]
+	for _, fi := range flights {
+		if e := s.flights.items[fi].entry; !slices.Contains(s.groups, e) {
+			s.groups = append(s.groups, e)
 		}
-		g.flights = append(g.flights, fl)
 	}
-	for _, g := range groups {
-		inputs := make([][]float64, len(g.flights))
-		for i, fl := range g.flights {
-			inputs[i] = fl.features
+	for _, e := range s.groups {
+		s.groupFlights, s.inputs = s.groupFlights[:0], s.inputs[:0]
+		for _, fi := range flights {
+			if fl := &s.flights.items[fi]; fl.entry == e {
+				s.groupFlights = append(s.groupFlights, fi)
+				s.inputs = append(s.inputs, fl.features)
+			}
 		}
-		curves, err := g.entry.Model.PredictCurvesBatch(inputs, s.freqs)
+		curves, err := e.Model.PredictCurvesBatch(s.inputs, s.freqs)
 		if err != nil {
 			return fmt.Errorf("serve: shard %s batch inference: %w", s.sc.Device, err)
 		}
-		for i, fl := range g.flights {
-			resp := g.entry.AdviseFromCurve(curves[i], fl.deadlineS)
+		for i, fi := range s.groupFlights {
+			fl := &s.flights.items[fi]
+			resp := e.AdviseFromCurve(curves[i], fl.deadlineS)
 			delete(s.pending, fl.key)
-			s.cache.put(fl.key, resp)
+			s.cache.put(fl.key, resp, fl.version)
 			s.res.batchedRequests += len(fl.waiters)
-			for _, r := range fl.waiters {
-				s.deliver(nowS, r, resp)
+			for _, ri := range fl.waiters {
+				s.deliver(nowS, ri, &resp, fl.version)
 			}
+			s.flights.release(fi)
 		}
 	}
 	return nil
@@ -462,7 +628,7 @@ func (s *shard) handleBatchDone(nowS float64, b *batch) error {
 
 // handleReload offers a scheduled payload to the registry; a corrupt one is
 // rejected and the serving version is untouched.
-func (s *shard) handleReload(nowS float64, rl Reload) {
+func (s *shard) handleReload(nowS float64, rl *Reload) {
 	dev := obs.L("device", s.sc.Device)
 	ver, err := s.reg.Publish(rl.App, rl.Payload)
 	if err != nil {
@@ -471,6 +637,7 @@ func (s *shard) handleReload(nowS float64, rl Reload) {
 		s.trace.Add("serve.reload.rejected", nowS, dev, obs.L("app", rl.App))
 		return
 	}
+	s.resolveEntries()
 	s.res.reloads++
 	s.ctrReloadOK.Inc()
 	s.trace.Add("serve.reload", nowS, dev, obs.L("app", rl.App),

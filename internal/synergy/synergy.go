@@ -187,7 +187,7 @@ func (q *Queue) SupportedFreqsMHz() []int {
 func (q *Queue) SetCoreFreqMHz(mhz int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.dev.Spec().HasFreq(mhz) {
+	if !q.dev.HasFreq(mhz) {
 		return fmt.Errorf("synergy: %s: unsupported frequency %d MHz", q.dev.Spec().Name, mhz)
 	}
 	if q.inj != nil {
@@ -264,7 +264,7 @@ func (q *Queue) SubmitAt(p kernels.Profile, mhz int) (gpusim.Result, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.inj != nil {
-		if !q.dev.Spec().HasFreq(mhz) {
+		if !q.dev.HasFreq(mhz) {
 			return gpusim.Result{}, fmt.Errorf("synergy: %s: unsupported frequency %d MHz", q.dev.Spec().Name, mhz)
 		}
 		return q.submitInjected(p, mhz)
