@@ -19,9 +19,11 @@
 #                   the examples' stdout diffed against examples/*/output.txt;
 #                   serve -quick diffed against cmd/serve/testdata/quick.txt
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
-#                   passes plus the interprocedural determinism contracts
-#                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc);
-#                   self-lint must report zero non-baselined findings
+#                   passes, the interprocedural determinism contracts
+#                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc)
+#                   and the unreachable-code report over the call graph;
+#                   self-lint must report zero unsuppressed findings, and a
+#                   per-package run must pass too
 #
 # Run from the repository root: ./ci.sh
 # Artifacts (dsalint JSON report) land in ci-artifacts/.
@@ -210,14 +212,21 @@ for dir in examples/*/; do
     diff "examples/$ex/output.txt" "$obsdir/example-$ex.txt"
 done
 
-# Self-lint: the full domain-aware suite over the whole module. The JSON
-# report is archived for inspection; the text run is the hard gate and must
-# report zero findings that are not baselined in source (//dsalint:ignore).
+# Self-lint: the full domain-aware suite over the whole module, the
+# unreachable pass included: every function must be reached by some program
+# (cmd/*, examples/*, perfbench), so dead code cannot come back. The JSON
+# report is archived for inspection; the run is the hard gate and must
+# report zero findings that are not suppressed in source (//dsalint:ignore).
 echo "==> dsalint ./... (self-lint, JSON report archived)"
 mkdir -p ci-artifacts
 go run ./cmd/dsalint -json ./... > ci-artifacts/dsalint.json || {
-    echo "dsalint: non-baselined findings (see ci-artifacts/dsalint.json)" >&2
+    echo "dsalint: unsuppressed findings (see ci-artifacts/dsalint.json)" >&2
     exit 1
 }
+
+# Per-package lint: README documents running dsalint on single packages. Such
+# a run cannot see the programs, so the unreachable pass must stay silent.
+echo "==> dsalint ./internal/ml ./internal/serve (subset run)"
+go run ./cmd/dsalint ./internal/ml ./internal/serve
 
 echo "CI gate passed."

@@ -1,7 +1,7 @@
 // Command dataset runs the measurement campaign of the training phase
-// (Figure 11, steps 1-3) and writes the resulting dataset as CSV, so the
-// expensive sweep is acquired once and reused by modeling runs (the
-// counterpart of core.ReadCSV / Dataset.WriteCSV).
+// (Figure 11, steps 1-3) and writes the resulting dataset as CSV
+// (Dataset.WriteCSV) for analysis outside the pipeline. No program reads the
+// file back: the modeling commands re-run the sweep they train on.
 //
 // Usage:
 //

@@ -9,22 +9,17 @@
 //
 // Patterns are package directories relative to the module root; `./...`
 // (the default) analyzes the whole module, `./internal/ml` one package and
-// `./internal/...` a subtree. Flags:
+// `./internal/...` a subtree. The unreachable pass needs every program of the
+// module, so it reports only on a run that loads every package. Flags:
 //
 //	-json            emit findings as a JSON array instead of text
 //	-disable=p1,p2   skip the named passes (repeatable, comma-separated)
 //	-list            print the available passes and exit
 //	-calls           dump the interprocedural call graph instead of linting
-//	-baseline=file   drop findings whose canonical line appears in file
 //
 // Individual findings are suppressed in source with a
 // `//dsalint:ignore <pass>` comment on, or on the line above, the flagged
-// statement. A baseline file (one canonical `file:line:col: [pass] message`
-// line per accepted finding, `#` comments allowed) tolerates known debt
-// without editing source: create one with `dsalint ./... > baseline.txt`,
-// then gate with `dsalint -baseline baseline.txt ./...`, which exits 0 while
-// only baselined findings remain and reports stale entries once they are
-// fixed.
+// statement.
 package main
 
 import (
@@ -33,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"dsenergy/internal/analysis"
@@ -53,17 +47,15 @@ func (d *disableFlag) Set(v string) error {
 
 func main() {
 	var (
-		jsonOut  bool
-		disable  disableFlag
-		list     bool
-		calls    bool
-		baseline string
+		jsonOut bool
+		disable disableFlag
+		list    bool
+		calls   bool
 	)
 	flag.BoolVar(&jsonOut, "json", false, "emit findings as JSON")
 	flag.Var(&disable, "disable", "comma-separated pass names to skip (repeatable)")
 	flag.BoolVar(&list, "list", false, "list available passes and exit")
 	flag.BoolVar(&calls, "calls", false, "dump the call graph instead of linting")
-	flag.StringVar(&baseline, "baseline", "", "file of accepted findings to subtract")
 	flag.Parse()
 
 	if list {
@@ -73,13 +65,13 @@ func main() {
 		return
 	}
 
-	if err := run(jsonOut, calls, baseline, disable, flag.Args()); err != nil {
+	if err := run(jsonOut, calls, disable, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "dsalint:", err)
 		os.Exit(2)
 	}
 }
 
-func run(jsonOut, calls bool, baseline string, disable []string, patterns []string) error {
+func run(jsonOut, calls bool, disable []string, patterns []string) error {
 	root, err := findModuleRoot()
 	if err != nil {
 		return err
@@ -115,12 +107,6 @@ func run(jsonOut, calls bool, baseline string, disable []string, patterns []stri
 	}
 
 	diags := runner.Run(pkgs)
-	if baseline != "" {
-		diags, err = subtractBaseline(diags, baseline)
-		if err != nil {
-			return err
-		}
-	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -142,48 +128,6 @@ func run(jsonOut, calls bool, baseline string, disable []string, patterns []stri
 		os.Exit(1)
 	}
 	return nil
-}
-
-// subtractBaseline drops diagnostics whose canonical line appears in the
-// baseline file and reports stale baseline entries (accepted findings that no
-// longer fire) on stderr so the file can be shrunk as debt is paid down.
-func subtractBaseline(diags []analysis.Diagnostic, path string) ([]analysis.Diagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	accepted := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		accepted[line] = false // false = not yet matched by a live finding
-	}
-	var kept []analysis.Diagnostic
-	suppressed := 0
-	for _, d := range diags {
-		if _, ok := accepted[d.String()]; ok {
-			accepted[d.String()] = true
-			suppressed++
-			continue
-		}
-		kept = append(kept, d)
-	}
-	stale := make([]string, 0)
-	for line, hit := range accepted {
-		if !hit {
-			stale = append(stale, line)
-		}
-	}
-	sort.Strings(stale)
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "dsalint: %d finding(s) suppressed by baseline %s\n", suppressed, path)
-	}
-	for _, line := range stale {
-		fmt.Fprintf(os.Stderr, "dsalint: stale baseline entry (no longer fires): %s\n", line)
-	}
-	return kept, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod.

@@ -21,6 +21,7 @@ import (
 	"dsenergy/internal/ml"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/sched"
+	"dsenergy/internal/serve"
 	"dsenergy/internal/synergy"
 )
 
@@ -312,7 +313,11 @@ func serveRun(t *testing.T, seed uint64, workers int) []byte {
 	cfg.Jobs = workers
 	o := obs.NewObserver()
 	cfg.Obs = o
-	r, err := cfg.Serve()
+	sc, err := cfg.ServeCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := serve.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

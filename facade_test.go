@@ -8,6 +8,7 @@ package dsenergy_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"dsenergy/internal/core"
@@ -201,33 +202,6 @@ func TestFacadeTuningPolicies(t *testing.T) {
 	if got := (tuner.PerfConstraint{MinSpeedup: 0.95}).Select(curve).FreqMHz; got != 1297 {
 		t.Errorf("perf-constraint chose %d", got)
 	}
-	if (tuner.MinEDP{}).Name() == "" || (tuner.MinED2P{}).Name() == "" {
-		t.Error("EDP policies unnamed")
-	}
-}
-
-func TestFacadePowerTrace(t *testing.T) {
-	tb, err := synergy.NewPlatform(42, gpusim.V100Spec(), gpusim.MI100Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := tb.Queues()[0]
-	w, _ := cronos.NewWorkload(20, 8, 8, 2)
-	if _, _, err := w.RunOn(q); err != nil {
-		t.Fatal(err)
-	}
-	events := q.Events()
-	var total float64
-	for _, e := range events {
-		total += e.TimeS
-	}
-	trace, err := synergy.PowerTrace(events, total/8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) < 4 {
-		t.Errorf("trace too sparse: %d", len(trace))
-	}
 }
 
 func TestFacadeDatasetCSV(t *testing.T) {
@@ -247,30 +221,9 @@ func TestFacadeDatasetCSV(t *testing.T) {
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(ds.Samples) {
-		t.Errorf("round trip lost samples: %d vs %d", len(got.Samples), len(ds.Samples))
-	}
-}
-
-func TestFacadeBranchedLigandSerialization(t *testing.T) {
-	l, err := ligen.GenLigandBranched(xrand.New(5), "b", 30, 4, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ligen.WriteLigand(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ligen.ReadLigand(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumAtoms() != 30 || got.NumFragments() != 4 {
-		t.Errorf("round trip structure: %d atoms, %d fragments", got.NumAtoms(), got.NumFragments())
+	// Two header rows, then one row per sample.
+	if rows := strings.Count(buf.String(), "\n"); rows != 2+len(ds.Samples) {
+		t.Errorf("CSV has %d rows, want %d", rows, 2+len(ds.Samples))
 	}
 }
 

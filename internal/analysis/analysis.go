@@ -1,8 +1,9 @@
 // Package analysis is a stdlib-only static-analysis framework encoding the
 // repository's domain invariants: dimensioned quantities stay dimensionally
 // consistent, randomness flows through the seeded xrand streams, map
-// iteration never feeds nondeterministic orderings into model training, and
-// goroutines launched in the hot packages are always joined.
+// iteration never feeds nondeterministic orderings into model training,
+// goroutines launched in the hot packages are always joined, and every
+// function is reached by some program.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // discovered by walking the module tree (skipping testdata, vendor and
@@ -84,8 +85,10 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+func (p *Pass) IsTestFile(pos token.Pos) bool { return isTestFile(p.Fset, pos) }
+
+func isTestFile(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // Analyzer is one named pass.
@@ -114,6 +117,7 @@ func All() []*Analyzer {
 		DetLoop,
 		SharedWrite,
 		FloatAcc,
+		Unreachable,
 	}
 }
 

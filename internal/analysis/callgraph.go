@@ -121,6 +121,11 @@ type Program struct {
 	// addrTaken lists in-module functions/literals whose address escapes,
 	// grouped for function-value CHA.
 	addrTaken []*FuncNode
+
+	// reached caches programReach; reachDone marks it computed (nil when the
+	// run is partial).
+	reached   map[*FuncNode]bool
+	reachDone bool
 }
 
 // NewProgram builds the call graph for the loaded packages. Packages must
@@ -230,26 +235,30 @@ func (p *Program) external(obj *types.Func) *FuncNode {
 	return n
 }
 
-// collectAddrTaken records every in-module function referenced outside call
-// position and every literal not immediately invoked: the candidate targets
-// of calls through function-typed values.
+// collectAddrTaken records every in-module function or method referenced
+// outside call position (method values included) and every literal not
+// immediately invoked: the candidate targets of calls through function-typed
+// values.
 func (p *Program) collectAddrTaken() {
 	seen := map[*FuncNode]bool{}
 	for _, pkg := range p.Packages {
+		// called holds the names in call position. ast.Inspect visits a call
+		// before its Fun, so the name is excluded before it is reached.
+		called := map[*ast.Ident]bool{}
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.CallExpr:
-					// The Fun position is a call, not an address take; walk
-					// arguments only for idents (literals handled below).
-					for _, arg := range x.Args {
-						if id, ok := unparen(arg).(*ast.Ident); ok {
-							p.markAddrTaken(pkg, id, seen)
-						}
+					switch fun := calleeExpr(x.Fun).(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
 					}
-					return true
 				case *ast.Ident:
-					p.markAddrTaken(pkg, x, seen)
+					if !called[x] {
+						p.markAddrTaken(pkg, x, seen)
+					}
 				case *ast.FuncLit:
 					if node := p.byLit[x]; node != nil && !seen[node] {
 						seen[node] = true
@@ -268,7 +277,7 @@ func (p *Program) markAddrTaken(pkg *Package, id *ast.Ident, seen map[*FuncNode]
 	if !ok {
 		return
 	}
-	node := p.byObj[obj]
+	node := p.byObj[obj.Origin()]
 	if node == nil || seen[node] {
 		return
 	}
@@ -287,8 +296,6 @@ func (p *Program) resolveBody(n *FuncNode) {
 				p.siteEdges[x] = append(p.siteEdges[x], callee)
 			}
 		case *ast.FuncLit:
-			// walkShallow prunes literal bodies but still visits the literal
-			// node itself.
 			if lit := p.byLit[x]; lit != nil {
 				p.addEdge(CallEdge{Caller: n, Callee: lit, Site: x, Kind: EdgeContains})
 			}
@@ -339,26 +346,43 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []*FuncNode {
 }
 
 // staticCallee resolves call.Fun to a *types.Func when the callee is known
-// statically (including interface methods, which the caller expands).
+// statically (including interface methods, which the caller expands). A
+// function or method of an instantiated generic type resolves to its generic
+// declaration, the object the graph indexes.
 func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := calleeExpr(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return obj
+			return obj.Origin()
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[fun]; ok {
 			if obj, ok := sel.Obj().(*types.Func); ok {
-				return obj
+				return obj.Origin()
 			}
 			return nil
 		}
 		// Package-qualified call (fmt.Fprintf): no Selection entry.
 		if obj, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return obj
+			return obj.Origin()
 		}
 	}
 	return nil
+}
+
+// calleeExpr strips the parentheses and explicit type arguments around a
+// callee: (f), f[int] and pkg.F[K, V] name f and pkg.F.
+func calleeExpr(fun ast.Expr) ast.Expr {
+	for {
+		switch x := unparen(fun).(type) {
+		case *ast.IndexExpr:
+			fun = x.X
+		case *ast.IndexListExpr:
+			fun = x.X
+		default:
+			return x
+		}
+	}
 }
 
 // interfaceMethodOf returns the receiver interface of obj, or nil when obj
@@ -398,7 +422,9 @@ func (p *Program) implementationsOf(m *types.Func) []*FuncNode {
 	return out
 }
 
-// funcValueTargets lists the address-taken nodes whose signature matches.
+// funcValueTargets lists the address-taken nodes whose signature matches. A
+// method matches through its method value, whose signature drops the
+// receiver.
 func (p *Program) funcValueTargets(sig *types.Signature) []*FuncNode {
 	var out []*FuncNode
 	for _, n := range p.addrTaken {
@@ -411,7 +437,7 @@ func (p *Program) funcValueTargets(sig *types.Signature) []*FuncNode {
 				nsig, _ = typeOf(n.Pkg, lit).(*types.Signature)
 			}
 		}
-		if nsig == nil || nsig.Recv() != nil {
+		if nsig == nil {
 			continue
 		}
 		if types.Identical(types.NewSignatureType(nil, nil, nil, nsig.Params(), nsig.Results(), nsig.Variadic()), sig) {

@@ -27,12 +27,29 @@ var fixtureCases = []struct {
 	{DetLoop, []string{"detloop"}},
 	{SharedWrite, []string{"sharedwrite", "sharedwrite/internal/parallel"}},
 	{FloatAcc, []string{"floatacc", "floatacc/internal/parallel"}},
+	{Unreachable, []string{"unreachable", "unreachable/lib"}},
 }
 
-// loadFixtures loads the named testdata directories with a shared loader.
+// loadFixtures loads the named testdata directories with a shared loader
+// rooted at testdata. A first directory holding its own go.mod, with every
+// other directory inside it, is loaded as a module of its own, the way
+// dsalint loads the repository: the loader is rooted there, so a run over
+// all of its directories holds the whole module.
 func loadFixtures(t *testing.T, dirs ...string) []*Package {
 	t.Helper()
-	l, err := NewLoader("testdata", "fixture")
+	root, modulePath := "testdata", "fixture"
+	if _, err := os.Stat(filepath.Join(root, dirs[0], "go.mod")); err == nil && within(dirs[0], dirs) {
+		root, modulePath = filepath.Join(root, dirs[0]), ""
+		rel := make([]string, len(dirs))
+		for i, d := range dirs {
+			rel[i] = strings.TrimPrefix(strings.TrimPrefix(d, dirs[0]), "/")
+			if rel[i] == "" {
+				rel[i] = "."
+			}
+		}
+		dirs = rel
+	}
+	l, err := NewLoader(root, modulePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +62,16 @@ func loadFixtures(t *testing.T, dirs ...string) []*Package {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs
+}
+
+// within reports whether every directory of dirs is top or lies below it.
+func within(top string, dirs []string) bool {
+	for _, d := range dirs {
+		if d != top && !strings.HasPrefix(d, top+"/") {
+			return false
+		}
+	}
+	return true
 }
 
 func renderDiags(diags []Diagnostic) string {
@@ -99,5 +126,23 @@ func TestFixtureNegativesAreCovered(t *testing.T) {
 				t.Errorf("%s flagged a clean fixture: %s", tc.analyzer.Name, d)
 			}
 		}
+	}
+}
+
+// TestUnreachableSilentOnPartialRun loads the fixture module's library
+// without its program: a run that cannot see every program of the module
+// must not report what they reach.
+func TestUnreachableSilentOnPartialRun(t *testing.T) {
+	l, err := NewLoader(filepath.Join("testdata", "unreachable"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Analyzers: []*Analyzer{Unreachable}, Disabled: map[string]bool{}}
+	if diags := r.Run([]*Package{pkg}); len(diags) != 0 {
+		t.Errorf("partial run reported:\n%s", renderDiags(diags))
 	}
 }

@@ -183,15 +183,14 @@ func isChanExpr(pass *Pass, e ast.Expr) bool {
 }
 
 // walkShallow visits every node of body except the bodies of nested function
-// literals.
+// literals; the literals themselves are visited.
 func walkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+		if n == nil {
+			return true
 		}
-		if n != nil {
-			visit(n)
-		}
-		return true
+		visit(n)
+		_, isLit := n.(*ast.FuncLit)
+		return !isLit
 	})
 }

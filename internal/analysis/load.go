@@ -21,6 +21,8 @@ type Package struct {
 	ModulePath string      // the loader's module path, shared by every package of a run
 	Files      []*ast.File // primary package files plus external _test package files
 	Info       *types.Info
+
+	loader *Loader
 }
 
 // Loader discovers, parses and type-checks the packages of one module tree
@@ -71,6 +73,11 @@ func NewLoader(root, modulePath string) (*Loader, error) {
 		loading:    map[string]bool{},
 		parsed:     map[string]*dirFiles{},
 	}, nil
+}
+
+// inModule reports whether path names a package of the module.
+func inModule(modulePath, path string) bool {
+	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
 }
 
 // readModulePath extracts the module path from a go.mod file.
@@ -162,6 +169,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		ModulePath: l.ModulePath,
 		Files:      files,
 		Info:       info,
+		loader:     l,
 	}, nil
 }
 
@@ -171,7 +179,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if cp, ok := l.cache[path]; ok {
 		return cp.pkg, nil
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
+	if inModule(l.ModulePath, path) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
 		if rel == "" {
 			rel = "."

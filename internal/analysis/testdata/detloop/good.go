@@ -26,3 +26,19 @@ func countEntries(w io.Writer, plan map[string]int) {
 	}
 	fmt.Fprintf(w, "%d entries\n", n)
 }
+
+func tally(sum *int, v int) { *sum += v }
+
+// report has tally's signature but is only ever called directly, so a call
+// through a variable holding tally cannot reach it.
+func report(sum *int, v int) { fmt.Println(*sum, v) }
+
+func sumAll(m map[string]int) int {
+	sum := 0
+	apply := tally
+	for _, v := range m {
+		apply(&sum, v)
+	}
+	report(&sum, len(m))
+	return sum
+}

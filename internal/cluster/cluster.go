@@ -22,7 +22,6 @@ import (
 	"dsenergy/internal/cronos"
 	"dsenergy/internal/faults"
 	"dsenergy/internal/gpusim"
-	"dsenergy/internal/kernels"
 	"dsenergy/internal/ligen"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/synergy"
@@ -285,11 +284,4 @@ func (c *Cluster) ScreenLiGen(in ligen.Input) (Result, error) {
 func (c *Cluster) haloExchangeS(nx, ny int) float64 {
 	haloBytes := float64(cronos.Ghost) * float64(nx) * float64(ny) * cronos.NVars * 8
 	return 2 * (haloBytes/(c.net.BandwidthGBs*1e9) + c.net.LatencyS)
-}
-
-// haloProfile is exposed for white-box tests: the raw communication volume
-// of one Cronos substep on this cluster for an nx×ny plane.
-func (c *Cluster) haloProfile(nx, ny int) kernels.InstructionMix {
-	words := float64(cronos.Ghost) * float64(nx) * float64(ny) * cronos.NVars * 2
-	return kernels.InstructionMix{GlobalAcc: words}
 }

@@ -149,16 +149,6 @@ func TestClusterFrequencyControl(t *testing.T) {
 	}
 }
 
-func TestHaloProfileVolume(t *testing.T) {
-	c := newCluster(t, 2)
-	mix := c.haloProfile(160, 64)
-	// Ghost(2) x 160 x 64 x 8 vars x 2 words.
-	want := 2.0 * 160 * 64 * 8 * 2
-	if mix.GlobalAcc != want {
-		t.Errorf("halo words %g, want %g", mix.GlobalAcc, want)
-	}
-}
-
 func TestShardSizesPartitionProperty(t *testing.T) {
 	// Property: ligand shards across n devices differ by at most one and
 	// sum to the campaign size (checked indirectly through total energy

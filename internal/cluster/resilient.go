@@ -133,9 +133,6 @@ func (c *Cluster) SetFaultPlan(plan faults.Plan, rc ResilienceConfig) error {
 	return nil
 }
 
-// Resilient reports whether a non-empty fault plan is attached.
-func (c *Cluster) Resilient() bool { return c.inj != nil }
-
 // alive returns the indices of devices not yet permanently failed, ascending.
 func (c *Cluster) alive() []int {
 	var out []int

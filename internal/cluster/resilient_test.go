@@ -274,3 +274,6 @@ func TestSetCoreFreqRollbackRestoresUnpinned(t *testing.T) {
 		}
 	}
 }
+
+// Resilient reports whether a non-empty fault plan is attached.
+func (c *Cluster) Resilient() bool { return c.inj != nil }

@@ -363,8 +363,8 @@ func TestBuildDatasetPropagatesWorkloadErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "injected") {
 		t.Errorf("error lost its cause: %v", err)
 	}
-	// The device clock must be restored even after a failed sweep.
-	if q.Device().CoreFreqMHz() != q.BaselineFreqMHz() {
+	// The baseline clock must be restored even after a failed sweep.
+	if q.PinnedFreqMHz() != 0 {
 		t.Error("failed measurement leaked a pinned frequency")
 	}
 }
@@ -450,9 +450,9 @@ func TestPredictCurvesBatchMatchesPredictCurves(t *testing.T) {
 
 // TestPredictCurvesMatchPerRowReference pins the curve path against a
 // per-row reference: one assembled (features, clock) row per clock,
-// baseline row first, through ml.PredictBatch. Raw and normalized forests
-// are checked on menus that hold the baseline clock, leave it out, and
-// repeat clocks out of order.
+// baseline row first, through each model's Predict. Raw and normalized
+// forests are checked on menus that hold the baseline clock, leave it out,
+// and repeat clocks out of order.
 func TestPredictCurvesMatchPerRowReference(t *testing.T) {
 	q := testQueue(t)
 	ds := cronosDataset(t, q, paperGrids[:4])
@@ -490,7 +490,11 @@ func TestPredictCurvesMatchPerRowReference(t *testing.T) {
 				for _, f := range freqs {
 					rows = append(rows, sampleRow(in, f))
 				}
-				want := m.deriveCurve(ml.PredictBatch(m.timeModel, rows), ml.PredictBatch(m.energyModel, rows), freqs)
+				times, energies := make([]float64, len(rows)), make([]float64, len(rows))
+				for j, row := range rows {
+					times[j], energies[j] = m.timeModel.Predict(row), m.energyModel.Predict(row)
+				}
+				want := m.deriveCurve(times, energies, freqs)
 				for label, got := range map[string][]CurvePoint{"batch": batch[i], "single": m.PredictCurves(in, freqs)} {
 					if len(got) != len(want) {
 						t.Fatalf("normalized=%v %s %s input %v: %d points, want %d", m.Normalized, name, label, in, len(got), len(want))
@@ -606,7 +610,12 @@ func syntheticDataset(inputs int) *Dataset {
 // scores averaged in input order — and the errors of the serial one.
 func TestCompareAlgorithmsWorkerInvariance(t *testing.T) {
 	ds := syntheticDataset(6)
-	specs := ml.DefaultSpecs()
+	specs := []ml.Spec{
+		{Algorithm: "linear"},
+		{Algorithm: "lasso", Params: map[string]float64{"alpha": 0.01}},
+		{Algorithm: "svr", Params: map[string]float64{"C": 10, "epsilon": 0.01}},
+		{Algorithm: "forest"},
+	}
 	const seed = 11
 	want := make([]AlgorithmScore, len(specs))
 	for i, spec := range specs {

@@ -7,10 +7,10 @@ import (
 	"strconv"
 )
 
-// Dataset persistence: measurement campaigns are expensive on real hardware
-// (the paper sweeps 196 clocks x 5 repetitions per input), so the training
-// set is written once and re-read by every modeling run. The format is CSV
-// with a two-line header carrying the schema and device metadata.
+// Dataset export: measurement campaigns are expensive on real hardware (the
+// paper sweeps 196 clocks x 5 repetitions per input), so the training set is
+// written out for analysis outside the pipeline. The format is CSV with a
+// two-line header carrying the schema and device metadata.
 
 // WriteCSV serializes the dataset. Layout:
 //
@@ -47,74 +47,4 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a dataset serialized by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-
-	meta, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("core: reading dataset metadata: %w", err)
-	}
-	if len(meta) != 4 || meta[0] != "#dsenergy-dataset" {
-		return nil, fmt.Errorf("core: not a dsenergy dataset (bad magic row)")
-	}
-	base, err := strconv.Atoi(meta[3])
-	if err != nil {
-		return nil, fmt.Errorf("core: bad baseline frequency %q", meta[3])
-	}
-
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("core: reading dataset header: %w", err)
-	}
-	if len(header) < 4 {
-		return nil, fmt.Errorf("core: header too short: %v", header)
-	}
-	nf := len(header) - 3
-	if header[nf] != "freq_mhz" || header[nf+1] != "time_s" || header[nf+2] != "energy_j" {
-		return nil, fmt.Errorf("core: unexpected header columns: %v", header)
-	}
-
-	ds := &Dataset{
-		Schema:          Schema{App: meta[1], Features: append([]string(nil), header[:nf]...)},
-		Device:          meta[2],
-		BaselineFreqMHz: base,
-	}
-	line := 2
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: line %d: %w", line, err)
-		}
-		line++
-		if len(row) != nf+3 {
-			return nil, fmt.Errorf("core: line %d: %d columns, want %d", line, len(row), nf+3)
-		}
-		s := Sample{Features: make([]float64, nf)}
-		for j := 0; j < nf; j++ {
-			if s.Features[j], err = strconv.ParseFloat(row[j], 64); err != nil {
-				return nil, fmt.Errorf("core: line %d feature %d: %w", line, j, err)
-			}
-		}
-		if s.FreqMHz, err = strconv.Atoi(row[nf]); err != nil {
-			return nil, fmt.Errorf("core: line %d frequency: %w", line, err)
-		}
-		if s.TimeS, err = strconv.ParseFloat(row[nf+1], 64); err != nil {
-			return nil, fmt.Errorf("core: line %d time: %w", line, err)
-		}
-		if s.EnergyJ, err = strconv.ParseFloat(row[nf+2], 64); err != nil {
-			return nil, fmt.Errorf("core: line %d energy: %w", line, err)
-		}
-		if s.TimeS <= 0 || s.EnergyJ <= 0 {
-			return nil, fmt.Errorf("core: line %d: non-positive measurement", line)
-		}
-		ds.Samples = append(ds.Samples, s)
-	}
-	return ds, nil
 }

@@ -2,90 +2,40 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"dsenergy/internal/ml"
 )
 
-func TestDatasetCSVRoundTrip(t *testing.T) {
-	q := testQueue(t)
-	orig := cronosDataset(t, q, paperGrids[:3])
-
+// TestDatasetWriteCSVFormat pins the CSV layout WriteCSV documents: the
+// metadata row, the header and one row per sample with shortest-round-trip
+// floats, and the error for a sample whose width disagrees with the schema.
+func TestDatasetWriteCSVFormat(t *testing.T) {
+	ds := &Dataset{
+		Schema:          Schema{App: "cronos", Features: []string{"nx", "ny"}},
+		Device:          "NVIDIA V100",
+		BaselineFreqMHz: 1297,
+		Samples: []Sample{
+			{Features: []float64{64, 32}, FreqMHz: 1297, TimeS: 0.5, EnergyJ: 120.25},
+			{Features: []float64{128, 0.1}, FreqMHz: 735, TimeS: 1.0 / 3, EnergyJ: 1e-7},
+		},
+	}
 	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
+	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	want := "#dsenergy-dataset,cronos,NVIDIA V100,1297\n" +
+		"nx,ny,freq_mhz,time_s,energy_j\n" +
+		"64,32,1297,0.5,120.25\n" +
+		"128,0.1,735,0.3333333333333333,1e-07\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
-	if got.Schema.App != orig.Schema.App || got.Device != orig.Device ||
-		got.BaselineFreqMHz != orig.BaselineFreqMHz {
-		t.Errorf("metadata differs: %+v vs %+v", got.Schema, orig.Schema)
-	}
-	if len(got.Samples) != len(orig.Samples) {
-		t.Fatalf("sample count %d, want %d", len(got.Samples), len(orig.Samples))
-	}
-	for i := range orig.Samples {
-		a, b := orig.Samples[i], got.Samples[i]
-		if a.FreqMHz != b.FreqMHz || a.TimeS != b.TimeS || a.EnergyJ != b.EnergyJ {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Features {
-			if a.Features[j] != b.Features[j] {
-				t.Fatalf("sample %d feature %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestReloadedDatasetTrainsIdentically(t *testing.T) {
-	q := testQueue(t)
-	orig := cronosDataset(t, q, paperGrids[:3])
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := forestTestSpec()
-	m1, err := TrainNormalized(orig, spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := TrainNormalized(reloaded, spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqs := []int{orig.BaselineFreqMHz, q.Spec().FMaxMHz()}
-	c1 := m1.PredictCurves([]float64{20, 8, 8}, freqs)
-	c2 := m2.PredictCurves([]float64{20, 8, 8}, freqs)
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("reloaded dataset trains differently at %d: %+v vs %+v", i, c1[i], c2[i])
-		}
-	}
-}
-
-func TestReadCSVRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":    "nope,a,b,100\n",
-		"short meta":   "#dsenergy-dataset,a,b\nx,freq_mhz,time_s,energy_j\n",
-		"bad baseline": "#dsenergy-dataset,a,b,xx\nx,freq_mhz,time_s,energy_j\n",
-		"bad header":   "#dsenergy-dataset,a,b,100\nx,nope,time_s,energy_j\n",
-		"short header": "#dsenergy-dataset,a,b,100\nfreq_mhz,time_s\n",
-		"bad feature":  "#dsenergy-dataset,a,b,100\nx,freq_mhz,time_s,energy_j\nzz,100,1,1\n",
-		"bad freq":     "#dsenergy-dataset,a,b,100\nx,freq_mhz,time_s,energy_j\n1,zz,1,1\n",
-		"bad time":     "#dsenergy-dataset,a,b,100\nx,freq_mhz,time_s,energy_j\n1,100,zz,1\n",
-		"neg energy":   "#dsenergy-dataset,a,b,100\nx,freq_mhz,time_s,energy_j\n1,100,1,-3\n",
-	}
-	for name, text := range cases {
-		if _, err := ReadCSV(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: expected parse error", name)
-		}
+	ds.Samples[1].Features = []float64{1}
+	if err := ds.WriteCSV(&bytes.Buffer{}); err == nil {
+		t.Error("WriteCSV accepted a sample narrower than the schema")
 	}
 }
 
@@ -129,11 +79,22 @@ func TestModelSaveUntrained(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsGarbage: every malformed upload is rejected with the
+// typed ml.ErrCorruptModel, from bytes that are not JSON to a payload of the
+// wrong shape.
 func TestLoadModelRejectsGarbage(t *testing.T) {
-	if _, err := LoadModel(strings.NewReader("nope")); err == nil {
-		t.Error("expected error for non-JSON")
+	cases := map[string]string{
+		"not json":        "nope",
+		"torn object":     "{",
+		"array":           "[]",
+		"garbage models":  `{"time_model":"bm90IGpzb24=","energy_model":"bm90IGpzb24="}`,
+		"no models":       `{"schema":{}}`,
+		"unknown kind":    `{"time_model":{"kind":"boosted","payload":{}}}`,
+		"malformed trees": `{"time_model":{"kind":"forest","payload":{"trees":"x"}}}`,
 	}
-	if _, err := LoadModel(strings.NewReader(`{"time_model":"bm90IGpzb24=","energy_model":"bm90IGpzb24="}`)); err == nil {
-		t.Error("expected error for garbage payloads")
+	for name, payload := range cases {
+		if _, err := LoadModel(strings.NewReader(payload)); !errors.Is(err, ml.ErrCorruptModel) {
+			t.Errorf("%s: error %v, want ErrCorruptModel", name, err)
+		}
 	}
 }

@@ -45,11 +45,12 @@ func (m *Model) Save(w io.Writer) error {
 	})
 }
 
-// LoadModel reads a model written by Save.
+// LoadModel reads a model written by Save. Every rejection wraps
+// ml.ErrCorruptModel.
 func LoadModel(r io.Reader) (*Model, error) {
 	var mj modelJSON
 	if err := json.NewDecoder(r).Decode(&mj); err != nil {
-		return nil, fmt.Errorf("core: decoding model: %w", err)
+		return nil, fmt.Errorf("core: decoding model: %w: %w", ml.ErrCorruptModel, err)
 	}
 	tm, err := ml.LoadRegressor(bytes.NewReader(mj.TimeModel))
 	if err != nil {

@@ -1,10 +1,6 @@
 package cronos
 
-import (
-	"fmt"
-	"io"
-	"math"
-)
+import "math"
 
 // Diagnostics for validating and inspecting solver state. The scheme is a
 // cell-centered finite-volume method without constrained transport, so ∇·B
@@ -30,31 +26,6 @@ func (g *Grid) MaxDivB() float64 {
 		}
 	}
 	return max
-}
-
-// Extrema holds the range of one conserved variable over the interior.
-type Extrema struct {
-	Min, Max float64
-}
-
-// VarExtrema returns the interior range of conserved variable v.
-func (g *Grid) VarExtrema(v int) Extrema {
-	e := Extrema{Min: math.Inf(1), Max: math.Inf(-1)}
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			row := g.Idx(0, j, k)
-			for i := 0; i < g.NX; i++ {
-				x := g.U[v][row+i]
-				if x < e.Min {
-					e.Min = x
-				}
-				if x > e.Max {
-					e.Max = x
-				}
-			}
-		}
-	}
-	return e
 }
 
 // KineticEnergy integrates ½ρv² over the interior.
@@ -110,33 +81,6 @@ func (g *Grid) IsFinite() bool {
 	return true
 }
 
-// WriteSliceCSV writes the z=k plane of conserved variable v as CSV rows
-// (y-major), a simple snapshot format for external plotting.
-func (g *Grid) WriteSliceCSV(w io.Writer, v, k int) error {
-	if v < 0 || v >= NVars {
-		return fmt.Errorf("cronos: variable index %d out of range", v)
-	}
-	if k < 0 || k >= g.NZ {
-		return fmt.Errorf("cronos: z index %d out of range", k)
-	}
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%.8g", g.At(v, i, j, k)); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Profile1D extracts conserved variable v along x at the given (j,k) row —
 // the standard way to compare shock-tube solutions against references.
 func (g *Grid) Profile1D(v, j, k int) []float64 {
@@ -146,3 +90,12 @@ func (g *Grid) Profile1D(v, j, k int) []float64 {
 	}
 	return out
 }
+
+// Cells returns the number of interior cells.
+func (g *Grid) Cells() int { return g.NX * g.NY * g.NZ }
+
+// Set assigns conserved variable v at interior coordinates (i,j,k).
+func (g *Grid) Set(v, i, j, k int, val float64) { g.U[v][g.Idx(i, j, k)] = val }
+
+// TotalEnergy integrates total energy density over the interior.
+func (g *Grid) TotalEnergy() float64 { return g.interiorSum(g.U[IEn]) * g.DX * g.DY * g.DZ }

@@ -75,9 +75,6 @@ func NewGrid(nx, ny, nz int) (*Grid, error) {
 	return g, nil
 }
 
-// Cells returns the number of interior cells.
-func (g *Grid) Cells() int { return g.NX * g.NY * g.NZ }
-
 // Idx flattens interior coordinates (i,j,k) in [0,NX)×[0,NY)×[0,NZ) —
 // ghost cells are addressed with negative or ≥N coordinates.
 func (g *Grid) Idx(i, j, k int) int {
@@ -86,9 +83,6 @@ func (g *Grid) Idx(i, j, k int) int {
 
 // At returns conserved variable v at interior coordinates (i,j,k).
 func (g *Grid) At(v, i, j, k int) float64 { return g.U[v][g.Idx(i, j, k)] }
-
-// Set assigns conserved variable v at interior coordinates (i,j,k).
-func (g *Grid) Set(v, i, j, k int, val float64) { g.U[v][g.Idx(i, j, k)] = val }
 
 // Clone returns a deep copy of the grid (used by the RK stages).
 func (g *Grid) Clone() *Grid {
@@ -111,9 +105,6 @@ func (g *Grid) CopyFrom(o *Grid) {
 // TotalMass integrates density over the interior (a conservation invariant
 // under periodic boundaries).
 func (g *Grid) TotalMass() float64 { return g.interiorSum(g.U[IRho]) * g.DX * g.DY * g.DZ }
-
-// TotalEnergy integrates total energy density over the interior.
-func (g *Grid) TotalEnergy() float64 { return g.interiorSum(g.U[IEn]) * g.DX * g.DY * g.DZ }
 
 // interiorSum sums one field u laid out on g's mesh over the interior cells,
 // row by row.

@@ -103,26 +103,6 @@ func fastSpeed3(w *prim) (cfx, cfy, cfz float64) {
 	return f(w.bx), f(w.by), f(w.bz)
 }
 
-// velAlong returns the velocity component of w along dir.
-func velAlong(w prim, dir int) float64 {
-	switch dir {
-	case 0:
-		return w.vx
-	case 1:
-		return w.vy
-	default:
-		return w.vz
-	}
-}
-
-// physFlux computes the ideal-MHD flux vector of state w along direction dir.
-func physFlux(w prim, dir int) [NVars]float64 {
-	c := toCons(&w)
-	var f [NVars]float64
-	physFluxCons(&w, &c, dir, &f)
-	return f
-}
-
 // physFluxCons is physFlux with the conserved view of w supplied by the
 // caller, so hll converts each side exactly once and shares the result with
 // its intermediate-state term. The per-direction cases are the fully
@@ -165,15 +145,6 @@ func physFluxCons(w *prim, c *cons, dir int, f *[NVars]float64) {
 		f[IBy] = w.by*vn - w.vy*bn
 		f[IBz] = 0
 	}
-}
-
-// hll computes the HLL approximate Riemann flux between left and right
-// states along dir. It is the test-facing wrapper over hllInto, which the
-// sweeps call to write each face flux in place.
-func hll(l, r *prim, dir int) [NVars]float64 {
-	var f [NVars]float64
-	hllInto(l, r, dir, &f)
-	return f
 }
 
 // hllInto writes the HLL flux between left and right states along dir into

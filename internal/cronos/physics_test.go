@@ -238,3 +238,32 @@ func TestFaceStatesMatchReconstruct(t *testing.T) {
 		}
 	}
 }
+
+// velAlong returns the velocity component of w along dir.
+func velAlong(w prim, dir int) float64 {
+	switch dir {
+	case 0:
+		return w.vx
+	case 1:
+		return w.vy
+	default:
+		return w.vz
+	}
+}
+
+// physFlux computes the ideal-MHD flux vector of state w along direction dir.
+func physFlux(w prim, dir int) [NVars]float64 {
+	c := toCons(&w)
+	var f [NVars]float64
+	physFluxCons(&w, &c, dir, &f)
+	return f
+}
+
+// hll computes the HLL approximate Riemann flux between left and right
+// states along dir. It is the test-facing wrapper over hllInto, which the
+// sweeps call to write each face flux in place.
+func hll(l, r *prim, dir int) [NVars]float64 {
+	var f [NVars]float64
+	hllInto(l, r, dir, &f)
+	return f
+}

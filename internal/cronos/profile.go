@@ -125,13 +125,3 @@ func (w Workload) AnalyticOn(dev *gpusim.Device, mhz int) (timeS, energyJ float6
 func (w Workload) AnalyticCurveOn(dev *gpusim.Device, freqs []int) (timesS, energiesJ []float64) {
 	return synergy.Kernels(w.Profiles()).AnalyticCurveOn(dev, freqs)
 }
-
-// ExpectedFluxEvalsPerStep returns the HLL flux evaluations the reference
-// solver performs per full timestep (three substeps × three directional
-// sweeps with one extra face per pencil), used to cross-check the analytic
-// per-cell costs against the instrumented solver.
-func (w Workload) ExpectedFluxEvalsPerStep() int64 {
-	nx, ny, nz := int64(w.NX), int64(w.NY), int64(w.NZ)
-	perSubstep := (nx+1)*ny*nz + nx*(ny+1)*nz + nx*ny*(nz+1)
-	return 3 * perSubstep
-}

@@ -114,9 +114,8 @@ func TestWorkloadRunOnQueue(t *testing.T) {
 	if timeS <= 0 || energyJ <= 0 {
 		t.Fatalf("non-positive observation: t=%g e=%g", timeS, energyJ)
 	}
-	evs := q.Events()
-	if len(evs) != 4 {
-		t.Errorf("want 4 kernel events, got %d", len(evs))
+	if got := q.EventCount(); got != 4 {
+		t.Errorf("want 4 kernel events, got %d", got)
 	}
 }
 
@@ -128,4 +127,14 @@ func mustV100(t *testing.T) *gpusim.Device {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// ExpectedFluxEvalsPerStep returns the HLL flux evaluations the reference
+// solver performs per full timestep (three substeps × three directional
+// sweeps with one extra face per pencil), used to cross-check the analytic
+// per-cell costs against the instrumented solver.
+func (w Workload) ExpectedFluxEvalsPerStep() int64 {
+	nx, ny, nz := int64(w.NX), int64(w.NY), int64(w.NZ)
+	perSubstep := (nx+1)*ny*nz + nx*(ny+1)*nz + nx*ny*(nz+1)
+	return 3 * perSubstep
 }

@@ -121,9 +121,6 @@ func (s *ScalarSolver) Init(f func(x, y, z float64) float64) {
 	s.mesh.fillGhosts(s.u, s.Boundary)
 }
 
-// Total integrates the conserved quantity over the interior.
-func (s *ScalarSolver) Total() float64 { return s.mesh.interiorSum(s.u) * s.DX * s.DY * s.DZ }
-
 // computeChanges evaluates -∇·F into changes and returns the global CFL
 // value, parallel over z-planes. Each cell's update and the CFL max are
 // independent of the partition, so every worker count gives the same bytes.

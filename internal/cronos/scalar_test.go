@@ -159,3 +159,6 @@ func TestUserProvidedLaw(t *testing.T) {
 		t.Error("no steps taken")
 	}
 }
+
+// Total integrates the conserved quantity over the interior.
+func (s *ScalarSolver) Total() float64 { return s.mesh.interiorSum(s.u) * s.DX * s.DY * s.DZ }

@@ -1,9 +1,7 @@
 package cronos
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -123,16 +121,6 @@ func TestEnergyPartitions(t *testing.T) {
 	}
 }
 
-func TestVarExtrema(t *testing.T) {
-	g, _ := NewGrid(4, 4, 4)
-	InitUniform(g, 3, 1, [3]float64{0, 0, 0})
-	g.Set(IRho, 1, 1, 1, 9)
-	e := g.VarExtrema(IRho)
-	if e.Min != 3 || e.Max != 9 {
-		t.Errorf("extrema %+v, want {3 9}", e)
-	}
-}
-
 func TestIsFiniteDetectsNaN(t *testing.T) {
 	g, _ := NewGrid(4, 4, 4)
 	InitUniform(g, 1, 1, [3]float64{0, 0, 0})
@@ -142,28 +130,6 @@ func TestIsFiniteDetectsNaN(t *testing.T) {
 	g.Set(IEn, 2, 2, 2, math.NaN())
 	if g.IsFinite() {
 		t.Error("NaN not detected")
-	}
-}
-
-func TestWriteSliceCSV(t *testing.T) {
-	g, _ := NewGrid(3, 2, 2)
-	InitUniform(g, 1.5, 1, [3]float64{0, 0, 0})
-	var buf bytes.Buffer
-	if err := g.WriteSliceCSV(&buf, IRho, 0); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(lines))
-	}
-	if lines[0] != "1.5,1.5,1.5" {
-		t.Errorf("row %q", lines[0])
-	}
-	if err := g.WriteSliceCSV(&buf, 99, 0); err == nil {
-		t.Error("expected error for bad variable index")
-	}
-	if err := g.WriteSliceCSV(&buf, IRho, 9); err == nil {
-		t.Error("expected error for bad plane index")
 	}
 }
 

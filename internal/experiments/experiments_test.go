@@ -427,15 +427,6 @@ func TestCSVRenderers(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "figure,series,device,freq_mhz") {
 		t.Errorf("csv header %q", lines[0])
 	}
-
-	r13 := Fig13Result{Cronos: []AccuracyBar{{Label: "10x4x4", DSSpeedup: 0.01, GPSpeedup: 0.1}}}
-	buf.Reset()
-	if err := RenderFig13CSV(&buf, r13); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 5 { // header + 4 rows
-		t.Errorf("fig13 csv line count %d, want 5", got)
-	}
 }
 
 func TestFutureWorkPerKernel(t *testing.T) {

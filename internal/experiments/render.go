@@ -64,39 +64,6 @@ func RenderFigureCSV(w io.Writer, f Figure) error {
 	return cw.Error()
 }
 
-// RenderFig13CSV writes the accuracy comparison in long CSV format: one row
-// per (application, input, target, model).
-func RenderFig13CSV(w io.Writer, r Fig13Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "input", "target", "model", "mape"}); err != nil {
-		return err
-	}
-	emit := func(app string, bars []AccuracyBar) error {
-		for _, b := range bars {
-			rows := [][]string{
-				{app, b.Label, "speedup", "domain-specific", strconv.FormatFloat(b.DSSpeedup, 'g', -1, 64)},
-				{app, b.Label, "speedup", "general-purpose", strconv.FormatFloat(b.GPSpeedup, 'g', -1, 64)},
-				{app, b.Label, "norm_energy", "domain-specific", strconv.FormatFloat(b.DSNormEnergy, 'g', -1, 64)},
-				{app, b.Label, "norm_energy", "general-purpose", strconv.FormatFloat(b.GPNormEnergy, 'g', -1, 64)},
-			}
-			for _, row := range rows {
-				if err := cw.Write(row); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := emit("cronos", r.Cronos); err != nil {
-		return err
-	}
-	if err := emit("ligen", r.LiGen); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // RenderFig13 prints the accuracy comparison as the four bar groups of
 // Figure 13 plus the aggregate GP/DS error ratios.
 func RenderFig13(w io.Writer, r Fig13Result) {

@@ -235,15 +235,6 @@ func (c Config) ServeCampaign() (serve.Config, error) {
 	}, nil
 }
 
-// Serve runs the frequency-advisor serving campaign.
-func (c Config) Serve() (*serve.Report, error) {
-	cfg, err := c.ServeCampaign()
-	if err != nil {
-		return nil, err
-	}
-	return serve.Run(cfg)
-}
-
 // sameResponse compares two advisory responses bit-for-bit: integer and
 // boolean fields directly, float fields through their IEEE-754 words.
 func sameResponse(a, b serve.Response) bool {

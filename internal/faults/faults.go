@@ -233,9 +233,6 @@ func NewInjector(plan Plan, devices int) (*Injector, error) {
 // Device returns the per-device injector for device index i.
 func (in *Injector) Device(i int) *DeviceInjector { return in.devices[i] }
 
-// Devices returns the device count the injector was built for.
-func (in *Injector) Devices() int { return len(in.devices) }
-
 // DeviceInjector holds the fault state of one device. It is not safe for
 // concurrent use on its own; the owning synergy.Queue serializes all
 // consultations under its submission lock.
@@ -247,9 +244,6 @@ type DeviceInjector struct {
 	clockSets int
 	dead      bool
 }
-
-// Dead reports whether the device has permanently failed.
-func (d *DeviceInjector) Dead() bool { return d.dead }
 
 // Fork derives a child injector for one partition of a pre-split parallel
 // execution (e.g. one frequency of a parallel sweep). The child shares the

@@ -11,7 +11,7 @@ func TestEmptyPlanInjectsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < in.Devices(); i++ {
+	for i := 0; i < len(in.devices); i++ {
 		d := in.Device(i)
 		for s := 0; s < 100; s++ {
 			if dec := d.OnSubmit(); dec.Err != nil || dec.CapMHz != 0 {
@@ -107,7 +107,7 @@ func TestScheduledPermanentFailure(t *testing.T) {
 	if dec.Frac < 0 || dec.Frac >= 1 {
 		t.Errorf("fault fraction %g out of [0,1)", dec.Frac)
 	}
-	if !d.Dead() {
+	if !d.dead {
 		t.Error("device not marked dead")
 	}
 	// Everything after death fails, including clock sets.

@@ -138,6 +138,3 @@ func (m *ClusteredModel) PredictCurves(mix kernels.InstructionMix, freqs []int) 
 	}
 	return out, nil
 }
-
-// NumClusters returns the trained cluster count.
-func (m *ClusteredModel) NumClusters() int { return len(m.curves) }

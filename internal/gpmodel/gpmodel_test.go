@@ -145,8 +145,8 @@ func TestClusteredModelTrainsAndPredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumClusters() != 6 {
-		t.Errorf("clusters %d, want 6", m.NumClusters())
+	if len(m.curves) != 6 {
+		t.Errorf("clusters %d, want 6", len(m.curves))
 	}
 	curves, err := m.PredictCurves(computeMix(), []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()})
 	if err != nil {

@@ -267,13 +267,3 @@ func (d *Device) DisableAnalyticCache() {
 	d.cache = nil
 	d.lastEntry = nil
 }
-
-// AnalyticCacheStats reports the device's analytic-cache profile-lookup
-// hit/miss counters (zero for devices without a cache). Forks share their
-// parent's counters.
-func (d *Device) AnalyticCacheStats() (hits, misses uint64) {
-	if d.cache == nil {
-		return 0, 0
-	}
-	return d.cache.hits.Load(), d.cache.misses.Load()
-}

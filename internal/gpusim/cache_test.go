@@ -481,3 +481,13 @@ func BenchmarkAnalyzeCurve(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(freqs)), "ns/point")
 	})
 }
+
+// AnalyticCacheStats reports the device's analytic-cache profile-lookup
+// hit/miss counters (zero for devices without a cache). Forks share their
+// parent's counters.
+func (d *Device) AnalyticCacheStats() (hits, misses uint64) {
+	if d.cache == nil {
+		return 0, 0
+	}
+	return d.cache.hits.Load(), d.cache.misses.Load()
+}

@@ -344,22 +344,6 @@ func (d *Device) ResetCoreFreq() {
 	}
 }
 
-// SetPowerCapW sets a board power limit in the style of NVML's power
-// management limit / ROCm-SMI's power cap: when a kernel's steady-state
-// power at the selected clock would exceed the cap, the device throttles to
-// the highest table frequency that satisfies it. A cap of 0 disables
-// limiting. Negative caps are rejected.
-func (d *Device) SetPowerCapW(watts float64) error {
-	if watts < 0 {
-		return fmt.Errorf("gpusim: %s: negative power cap %g W", d.spec.Name, watts)
-	}
-	d.powerCapW = watts
-	return nil
-}
-
-// PowerCapW returns the current power limit (0 = unlimited).
-func (d *Device) PowerCapW() float64 { return d.powerCapW }
-
 // effectiveCapW combines the explicit power cap with the thermal ceiling
 // (the sustained power at which the die reaches the throttle temperature).
 func (d *Device) effectiveCapW() float64 {
@@ -372,15 +356,6 @@ func (d *Device) effectiveCapW() float64 {
 		}
 	}
 	return cap
-}
-
-// SteadyTempC returns the steady-state die temperature for the profile at
-// the given clock (ambient when no thermal model is configured).
-func (d *Device) SteadyTempC(p kernels.Profile, mhz int) float64 {
-	if d.spec.ThermalResKW <= 0 {
-		return d.spec.TAmbientC
-	}
-	return d.spec.TAmbientC + d.spec.ThermalResKW*d.AnalyzeAt(p, mhz).TotalPowerW
 }
 
 // EnergyCounterJ returns the cumulative energy consumed by all kernels run on
@@ -446,6 +421,3 @@ func (d *Device) observe(p *kernels.Profile, mhz int) Result {
 	d.launches.Inc()
 	return r
 }
-
-// SetNoiseSigma replaces the relative noise level (0 disables noise).
-func (d *Device) SetNoiseSigma(sigma float64) { d.noise.Sigma = sigma }

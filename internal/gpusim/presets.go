@@ -104,7 +104,11 @@ func MI100Spec() Spec {
 // A100Spec describes an NVIDIA A100 (SXM4, 40 GB HBM2e) — not part of the
 // paper's testbed, but included to exercise the methodology's claimed
 // architecture independence: the modeling pipeline only needs the device's
-// frequency table and baseline clock.
+// frequency table and baseline clock. No program runs it; core's
+// TestMethodologyPortableToUnseenDevice tests the paper's §6 portability
+// claim with it.
+//
+//dsalint:ignore unreachable
 func A100Spec() Spec {
 	return Spec{
 		Name:   "NVIDIA A100",
@@ -146,23 +150,6 @@ func A100Spec() Spec {
 		LaunchFixedS: 3.5e-6,
 		LaunchCycles: 1500,
 	}
-}
-
-// Specs returns the preset testbed, in the order the paper introduces it.
-func Specs() []Spec { return []Spec{V100Spec(), MI100Spec()} }
-
-// AllSpecs returns every preset, including devices beyond the paper's
-// testbed.
-func AllSpecs() []Spec { return []Spec{V100Spec(), MI100Spec(), A100Spec()} }
-
-// SpecByName returns the preset with the given name, or false.
-func SpecByName(name string) (Spec, bool) {
-	for _, s := range AllSpecs() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
 }
 
 // freqTable returns n evenly spaced integer frequencies from lo to hi MHz

@@ -143,21 +143,6 @@ type Profile struct {
 	CacheReuse float64
 }
 
-// TotalComputeCycles returns the lane-cycles of the whole launch.
-func (p Profile) TotalComputeCycles() float64 {
-	return p.Mix.ComputeCycles() * p.WorkItems
-}
-
-// TotalFlops returns the floating point work of one launch.
-func (p Profile) TotalFlops() float64 {
-	return p.Mix.Flops() * p.WorkItems
-}
-
-// RawGlobalBytes returns the cache-unaware DRAM traffic of one launch.
-func (p Profile) RawGlobalBytes() float64 {
-	return p.Mix.GlobalBytes() * p.WorkItems
-}
-
 // Validate reports whether the profile is well formed (finite, non-negative
 // counts, at least one work item and one launch, reuse within [0,1)). Every
 // check is written so that a NaN fails it. The pointer receiver keeps the

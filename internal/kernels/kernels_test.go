@@ -161,16 +161,3 @@ func TestProfileValidateRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
-
-func TestProfileTotals(t *testing.T) {
-	p := Profile{Mix: InstructionMix{FloatAdd: 2, GlobalAcc: 3}, WorkItems: 10, Launches: 4}
-	if got := p.TotalFlops(); got != 20 {
-		t.Errorf("total flops %g, want 20", got)
-	}
-	if got := p.RawGlobalBytes(); got != 120 {
-		t.Errorf("raw bytes %g, want 120", got)
-	}
-	if got := p.TotalComputeCycles(); got != (2+3)*10 {
-		t.Errorf("total cycles %g, want 50", got)
-	}
-}

@@ -122,29 +122,3 @@ func ParseListing(r io.Reader) (InstructionMix, error) {
 	}
 	return mix, nil
 }
-
-// WriteListing renders a mix back into the listing format (single flat block,
-// counts merged per class) — the inverse used for inspection and round-trip
-// testing.
-func WriteListing(w io.Writer, m InstructionMix) error {
-	emit := func(op string, n float64) error {
-		if n == 0 {
-			return nil
-		}
-		_, err := fmt.Fprintf(w, "%s %g\n", op, n)
-		return err
-	}
-	for _, e := range []struct {
-		op string
-		n  float64
-	}{
-		{"iadd", m.IntAdd}, {"imul", m.IntMul}, {"idiv", m.IntDiv}, {"and", m.IntBitwise},
-		{"fadd", m.FloatAdd}, {"fmul", m.FloatMul}, {"fdiv", m.FloatDiv}, {"sin", m.SpecialFn},
-		{"ld.global", m.GlobalAcc}, {"ld.shared", m.LocalAcc},
-	} {
-		if err := emit(e.op, e.n); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -99,25 +98,6 @@ func TestParseListingRejectsNonFinite(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "line ") {
 			t.Errorf("%s: got %v, want a line error", c.name, err)
 		}
-	}
-}
-
-func TestListingRoundTrip(t *testing.T) {
-	orig := InstructionMix{
-		IntAdd: 5, IntMul: 2, IntDiv: 1, IntBitwise: 3,
-		FloatAdd: 10, FloatMul: 12, FloatDiv: 2, SpecialFn: 4,
-		GlobalAcc: 8, LocalAcc: 6,
-	}
-	var buf bytes.Buffer
-	if err := WriteListing(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseListing(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != orig {
-		t.Errorf("round trip: %+v vs %+v", got, orig)
 	}
 }
 

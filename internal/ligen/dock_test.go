@@ -1,6 +1,7 @@
 package ligen
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -229,5 +230,68 @@ func TestScreenReportsFailingLigand(t *testing.T) {
 		if !strings.Contains(err.Error(), "ligand 3 (hollow)") {
 			t.Errorf("workers=%d: error %q does not name the atom-less ligand", workers, err)
 		}
+	}
+}
+
+// BondLengthStats verifies that a pose preserved the molecule's bond
+// geometry (rigid-body and rotamer moves must not stretch bonds): it returns
+// the min and max bonded distance across the pose.
+func BondLengthStats(l *Ligand, coords []Vec3) (min, max float64, err error) {
+	if len(coords) != len(l.Atoms) {
+		return 0, 0, fmt.Errorf("ligen: pose has %d atoms, ligand %d", len(coords), len(l.Atoms))
+	}
+	if len(l.Bonds) == 0 {
+		return 0, 0, fmt.Errorf("ligen: ligand has no bonds")
+	}
+	min, max = math.Inf(1), math.Inf(-1)
+	for _, b := range l.Bonds {
+		d := coords[b[0]].Sub(coords[b[1]]).Norm()
+		if d < min {
+			min = d
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return min, max, nil
+}
+
+func TestBondLengthStatsDetectsStretch(t *testing.T) {
+	l, _ := GenLigand(xrand.New(8), "t", 10, 2)
+	coords := make([]Vec3, 10)
+	for i := range coords {
+		coords[i] = l.Atoms[i].Pos
+	}
+	min, max, err := BondLengthStats(l, coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEq(min, bondLength, 1e-9) || !almostEq(max, bondLength, 1e-9) {
+		t.Errorf("pristine pose bond range [%g, %g], want all %g", min, max, bondLength)
+	}
+	coords[9] = coords[9].Add(Vec3{10, 0, 0})
+	_, max2, _ := BondLengthStats(l, coords)
+	if max2 <= max {
+		t.Error("stretched bond not detected")
+	}
+	if _, _, err := BondLengthStats(l, coords[:3]); err == nil {
+		t.Error("expected error for wrong coordinate count")
+	}
+}
+
+func TestDockedPosePreservesBondGeometry(t *testing.T) {
+	// End-to-end: the docking engine must never distort the molecule.
+	pocket := testPocket(t)
+	l, _ := GenLigand(xrand.New(10), "t", 24, 4)
+	r, err := Dock(l, pocket, TestParams(), xrand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, max, err := BondLengthStats(l, r.BestPose.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEq(min, bondLength, 1e-6) || !almostEq(max, bondLength, 1e-6) {
+		t.Errorf("docking distorted bonds: range [%g, %g]", min, max)
 	}
 }

@@ -91,13 +91,6 @@ type Ligand struct {
 	Fragments [][]int // atom indices per rigid fragment
 }
 
-// NumAtoms returns the atom count (the paper's f_atoms feature).
-func (l *Ligand) NumAtoms() int { return len(l.Atoms) }
-
-// NumFragments returns the rigid fragment count (the paper's f_fragments
-// feature; one more than the rotamer count).
-func (l *Ligand) NumFragments() int { return len(l.Fragments) }
-
 const bondLength = 1.5 // ångström, a typical C-C bond
 
 // GenLigand synthesizes a ligand with the requested number of atoms and
@@ -160,55 +153,6 @@ func GenLigand(rng *xrand.Rand, name string, atoms, fragments int) (*Ligand, err
 			moving = append(moving, i)
 		}
 		l.Rotamers = append(l.Rotamers, Rotamer{A: pivot - 1, B: pivot, Moving: moving})
-	}
-	return l, nil
-}
-
-// GenLigandBranched synthesizes a ligand with side chains: a backbone chain
-// carrying the rotatable bonds plus single-atom branches attached along it
-// (branchFrac of the atoms become branches). Branch atoms belong to their
-// backbone atom's fragment and move with it under rotamer rotations, so the
-// rigid-fragment invariants hold exactly as for chain ligands.
-func GenLigandBranched(rng *xrand.Rand, name string, atoms, fragments int, branchFrac float64) (*Ligand, error) {
-	if branchFrac < 0 || branchFrac >= 1 {
-		return nil, fmt.Errorf("ligen: branchFrac must be in [0,1), got %g", branchFrac)
-	}
-	branches := int(branchFrac * float64(atoms))
-	backbone := atoms - branches
-	if backbone < 2 || fragments > backbone {
-		return nil, fmt.Errorf("ligen: %d atoms with branchFrac %g leaves a %d-atom backbone (need >= 2 and >= fragments=%d)",
-			atoms, branchFrac, backbone, fragments)
-	}
-	// Generate the backbone with the chain generator, then graft branches.
-	l, err := GenLigand(rng, name, backbone, fragments)
-	if err != nil {
-		return nil, err
-	}
-	// fragOf maps backbone atom -> fragment index.
-	fragOf := make([]int, backbone)
-	for fi, frag := range l.Fragments {
-		for _, a := range frag {
-			fragOf[a] = fi
-		}
-	}
-	for b := 0; b < branches; b++ {
-		host := 1 + (b*(backbone-2))/max(branches, 1) // spread along the chain
-		dir := Vec3{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() + 0.5}.Normalize()
-		idx := len(l.Atoms)
-		l.Atoms = append(l.Atoms, Atom{
-			Pos:    l.Atoms[host].Pos.Add(dir.Scale(bondLength)),
-			Charge: 0.15 * math.Pow(-1, float64(b)) * (0.5 + rng.Float64()),
-			Radius: 1.4 + 0.2*rng.Float64(),
-		})
-		l.Bonds = append(l.Bonds, [2]int{host, idx})
-		fi := fragOf[host]
-		l.Fragments[fi] = append(l.Fragments[fi], idx)
-		// The branch moves with every rotamer that moves its host.
-		for ri := range l.Rotamers {
-			if host >= l.Rotamers[ri].B {
-				l.Rotamers[ri].Moving = append(l.Rotamers[ri].Moving, idx)
-			}
-		}
 	}
 	return l, nil
 }

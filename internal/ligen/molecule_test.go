@@ -172,109 +172,9 @@ func almostEq(a, b, tol float64) bool {
 	return d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func TestGenLigandBranchedStructure(t *testing.T) {
-	l, err := GenLigandBranched(xrand.New(31), "b", 40, 5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.NumAtoms() != 40 {
-		t.Fatalf("atoms %d, want 40", l.NumAtoms())
-	}
-	if l.NumFragments() != 5 {
-		t.Fatalf("fragments %d, want 5", l.NumFragments())
-	}
-	if len(l.Bonds) != 39 {
-		t.Fatalf("bonds %d, want 39 (tree)", len(l.Bonds))
-	}
-	// Fragments still partition the atom set.
-	seen := make([]bool, 40)
-	for _, frag := range l.Fragments {
-		for _, a := range frag {
-			if seen[a] {
-				t.Fatalf("atom %d in two fragments", a)
-			}
-			seen[a] = true
-		}
-	}
-	for a, s := range seen {
-		if !s {
-			t.Fatalf("atom %d in no fragment", a)
-		}
-	}
-	// Branch atoms must exist (degree-3 backbone atoms).
-	deg := make([]int, 40)
-	for _, b := range l.Bonds {
-		deg[b[0]]++
-		deg[b[1]]++
-	}
-	has3 := false
-	for _, d := range deg {
-		if d >= 3 {
-			has3 = true
-		}
-	}
-	if !has3 {
-		t.Error("branched ligand has no branch points")
-	}
-}
+// NumAtoms returns the atom count (the paper's f_atoms feature).
+func (l *Ligand) NumAtoms() int { return len(l.Atoms) }
 
-func TestGenLigandBranchedRotamerClosure(t *testing.T) {
-	// Every rotamer's moving set must be closed under bonds except across
-	// its own axis: a moving atom's bonded neighbours are either moving or
-	// the axis atom A. This is what makes rotation a rigid motion.
-	l, err := GenLigandBranched(xrand.New(32), "b", 30, 4, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj := map[int][]int{}
-	for _, b := range l.Bonds {
-		adj[b[0]] = append(adj[b[0]], b[1])
-		adj[b[1]] = append(adj[b[1]], b[0])
-	}
-	for ri, r := range l.Rotamers {
-		moving := map[int]bool{}
-		for _, m := range r.Moving {
-			moving[m] = true
-		}
-		for _, m := range r.Moving {
-			for _, nb := range adj[m] {
-				if !moving[nb] && nb != r.A {
-					t.Fatalf("rotamer %d: moving atom %d bonded to static atom %d (not the axis)",
-						ri, m, nb)
-				}
-			}
-		}
-	}
-}
-
-func TestGenLigandBranchedDocks(t *testing.T) {
-	p, err := GenPocket(xrand.New(33), 20, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := GenLigandBranched(xrand.New(34), "b", 25, 3, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Dock(l, p, TestParams(), xrand.New(35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Docking must preserve the branched topology's bond lengths too.
-	min, max, err := BondLengthStats(l, r.BestPose.Coords)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(min, bondLength, 1e-6) || !almostEq(max, bondLength, 1e-6) {
-		t.Errorf("branched docking distorted bonds: [%g, %g]", min, max)
-	}
-}
-
-func TestGenLigandBranchedValidation(t *testing.T) {
-	if _, err := GenLigandBranched(xrand.New(1), "b", 10, 2, 1.5); err == nil {
-		t.Error("expected error for branchFrac >= 1")
-	}
-	if _, err := GenLigandBranched(xrand.New(1), "b", 4, 4, 0.5); err == nil {
-		t.Error("expected error when backbone shorter than fragments")
-	}
-}
+// NumFragments returns the rigid fragment count (the paper's f_fragments
+// feature; one more than the rotamer count).
+func (l *Ligand) NumFragments() int { return len(l.Fragments) }

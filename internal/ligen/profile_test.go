@@ -188,7 +188,7 @@ func TestWorkloadRunOnQueue(t *testing.T) {
 	if ts <= 0 || ej <= 0 {
 		t.Fatalf("non-positive observation t=%g e=%g", ts, ej)
 	}
-	if got := len(q.Events()); got != 3 {
+	if got := q.EventCount(); got != 3 {
 		t.Errorf("want 3 kernel events, got %d", got)
 	}
 }

@@ -114,27 +114,12 @@ func BenchmarkForestFitLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkForestPredictBatch measures bulk inference: 2000 rows through a
-// 50-tree forest per iteration.
-func BenchmarkForestPredictBatch(b *testing.B) {
-	X, y := benchDataWide(2000, 8)
-	m := NewForest(ForestConfig{NumTrees: 50, Seed: 1})
-	if err := m.Fit(X, y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = PredictBatch(m, X)
-	}
-}
-
 // BenchmarkForestPredictSweep measures the curve kernel: one input through a
 // 50-tree forest at every value of a clock sweep (baseline first, then an
 // ascending menu, as core.Model.PredictCurvesBatch lays it out), at the
 // 10- and 19-value sweeps of a 9- and an 18-clock menu. The rows arm
-// evaluates the same sweep as one assembled row per value through
-// PredictBatch, the per-row walk the kernel replaces.
+// evaluates the same sweep as one assembled row per value through Predict,
+// the per-row walk the kernel replaces.
 func BenchmarkForestPredictSweep(b *testing.B) {
 	X, y := benchData(2000)
 	m := NewForest(ForestConfig{NumTrees: 50, Seed: 1})
@@ -164,7 +149,9 @@ func BenchmarkForestPredictSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("values=%d/rows", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = PredictBatch(m, rows)
+				for j, row := range rows {
+					out[j] = m.Predict(row)
+				}
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func evalFold(spec Spec, X [][]float64, y []float64, test []int, scratch []bool,
 // bit-identical for every worker count.
 //
 // perm optionally supplies the length-n shuffle; nil derives it from the
-// seed as always. GridSearch computes Perm(n) once and shares it (read-only)
+// seed as always. gridSearch computes Perm(n) once and shares it (read-only)
 // across every grid point, since every point would derive the identical
 // permutation from the same (n, seed) anyway.
 func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, workers int, perm []int) (float64, error) {
@@ -96,56 +96,7 @@ func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, worker
 	return total / float64(k), nil
 }
 
-// KFoldMAPE estimates generalization MAPE with shuffled k-fold
-// cross-validation: the spec is re-fit on each training fold and evaluated
-// on the held-out fold; the mean MAPE across folds is returned.
-func KFoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64) (float64, error) {
-	return kfoldMAPE(spec, X, y, k, seed, 1, nil)
-}
-
-// KFoldMAPEParallel is KFoldMAPE with the folds trained on a worker pool
-// (workers <= 0 selects GOMAXPROCS). Every fold's model seed derives from
-// the fold index alone, so the estimate is bit-identical to KFoldMAPE.
-func KFoldMAPEParallel(spec Spec, X [][]float64, y []float64, k int, seed uint64, workers int) (float64, error) {
-	return kfoldMAPE(spec, X, y, k, seed, workers, nil)
-}
-
-// GroupSplit partitions a dataset by a group label — the paper's
-// leave-one-input-out protocol, where every sample sharing the input feature
-// vector forms a group and the whole group is held out together.
-type GroupSplit struct {
-	TrainIdx []int
-	TestIdx  []int
-	Group    string
-}
-
-// LeaveOneGroupOut returns one split per distinct group label, in sorted
-// group order.
-func LeaveOneGroupOut(groups []string) []GroupSplit {
-	uniq := map[string][]int{}
-	for i, g := range groups {
-		uniq[g] = append(uniq[g], i)
-	}
-	names := make([]string, 0, len(uniq))
-	for g := range uniq {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-
-	splits := make([]GroupSplit, 0, len(names))
-	for _, g := range names {
-		s := GroupSplit{Group: g, TestIdx: uniq[g]}
-		for i, gi := range groups {
-			if gi != g {
-				s.TrainIdx = append(s.TrainIdx, i)
-			}
-		}
-		splits = append(splits, s)
-	}
-	return splits
-}
-
-// GridPoint is one hyper-parameter assignment evaluated by GridSearch.
+// GridPoint is one hyper-parameter assignment evaluated by GridSearchParallel.
 type GridPoint struct {
 	Params map[string]float64
 	MAPE   float64
@@ -227,17 +178,12 @@ func gridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64
 	return points, nil
 }
 
-// GridSearch exhaustively evaluates the Cartesian product of the parameter
-// grid with k-fold CV and returns every point (best first). This reproduces
-// the paper's random-forest tuning over max_depth, n_estimators and
-// max_features.
-func GridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64, k int, seed uint64) ([]GridPoint, error) {
-	return gridSearch(base, grid, X, y, k, seed, 1)
-}
-
-// GridSearchParallel is GridSearch with the grid points evaluated on a
-// worker pool (workers <= 0 selects GOMAXPROCS). The ranking is identical to
-// the serial search for every worker count.
+// GridSearchParallel exhaustively evaluates the Cartesian product of the
+// parameter grid with k-fold CV and returns every point (best first). This
+// reproduces the paper's random-forest tuning over max_depth, n_estimators
+// and max_features. The grid points are evaluated on a worker pool
+// (workers <= 0 selects GOMAXPROCS); the ranking is identical for every
+// worker count.
 func GridSearchParallel(base Spec, grid map[string][]float64, X [][]float64, y []float64, k int, seed uint64, workers int) ([]GridPoint, error) {
 	return gridSearch(base, grid, X, y, k, seed, workers)
 }

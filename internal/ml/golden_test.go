@@ -17,8 +17,8 @@ import (
 // Golden determinism lock for the CART/forest training engine.
 //
 // The goldens in testdata/golden_engine.json snapshot the exact float64 bits
-// of fitted-model predictions, OOB estimates, feature importances,
-// grid-search rankings and the SHA-256 of the persisted model bytes, for
+// of fitted-model predictions, grid-search rankings, k-fold estimates and
+// the SHA-256 of the persisted model bytes, for
 // several datasets chosen to stress the split finder:
 //
 //   - continuous features (no ties outside bootstrap duplication),
@@ -26,8 +26,8 @@ import (
 //     column of the real datasets),
 //   - exact duplicate rows.
 //
-// Provenance. The "continuous" entries — and every prediction, OOB value and
-// CV estimate on the tie datasets except one probe — were generated by the
+// Provenance. The "continuous" entries — and every prediction and CV
+// estimate on the tie datasets except one probe — were generated by the
 // legacy engine (per-node sort.Slice, pointer nodes) and reproduced
 // byte-for-byte by the pre-sorted engine, which proves the rewrite preserves
 // the legacy selection semantics wherever those semantics were well defined.
@@ -39,7 +39,7 @@ import (
 // them. The pre-sorted engine canonicalizes tie order to (value, original
 // row index), so tie-heavy fits are deterministic by construction; the
 // "ties"/"dupes" entries affected by tie runs with distinct targets (a few
-// persisted-tree hashes, importances, and CV MAPEs) were regenerated from
+// persisted-tree hashes and CV MAPEs) were regenerated from
 // the canonical order.
 //
 // Any future engine change must reproduce every byte, for Workers 1 and
@@ -116,6 +116,15 @@ func goldenDataset(name string) (X [][]float64, y []float64, probes [][]float64)
 
 // bitsOf encodes exact float64 identity as hex so the golden file survives
 // formatting round trips.
+// predictRows returns r's prediction for every row of X.
+func predictRows(r Regressor, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = r.Predict(x)
+	}
+	return out
+}
+
 func bitsOf(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
 func bitsSlice(vs []float64) []string {
@@ -137,11 +146,8 @@ func persistDigest(t *testing.T, r Regressor) string {
 }
 
 type goldenForest struct {
-	Preds      []string `json:"preds"`
-	OOB        string   `json:"oob"`
-	OOBN       int      `json:"oob_n"`
-	Importance []string `json:"importance"`
-	Persist    string   `json:"persist"`
+	Preds   []string `json:"preds"`
+	Persist string   `json:"persist"`
 }
 
 type goldenTree struct {
@@ -169,7 +175,7 @@ var goldenForestConfigs = []struct {
 }{
 	{"small", ForestConfig{NumTrees: 12, Seed: 7}},
 	{"subsample", ForestConfig{NumTrees: 10, MaxFeatures: 2, Seed: 11}},
-	{"bounded-oob", ForestConfig{NumTrees: 8, MaxDepth: 6, MinLeaf: 3, Seed: 13, ComputeOOB: true}},
+	{"bounded-oob", ForestConfig{NumTrees: 8, MaxDepth: 6, MinLeaf: 3, Seed: 13}},
 }
 
 var goldenTreeConfigs = []struct {
@@ -202,17 +208,9 @@ func buildGolden(t *testing.T) goldenFile {
 				if err := f.Fit(X, y); err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", ds, fc.name, workers, err)
 				}
-				imp, err := ForestFeatureImportance(f, len(X[0]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				oob, oobN := f.OOBMAPE()
 				got := goldenForest{
-					Preds:      bitsSlice(PredictBatch(f, probes)),
-					OOB:        bitsOf(oob),
-					OOBN:       oobN,
-					Importance: bitsSlice(imp),
-					Persist:    persistDigest(t, f),
+					Preds:   bitsSlice(predictRows(f, probes)),
+					Persist: persistDigest(t, f),
 				}
 				if workers == 1 {
 					ref = got
@@ -229,7 +227,7 @@ func buildGolden(t *testing.T) goldenFile {
 				t.Fatalf("%s/%s: %v", ds, tc.name, err)
 			}
 			g.Trees[ds+"/"+tc.name] = goldenTree{
-				Preds:   bitsSlice(PredictBatch(tr, probes)),
+				Preds:   bitsSlice(predictRows(tr, probes)),
 				Depth:   tr.Depth(),
 				Leaves:  tr.Leaves(),
 				Persist: persistDigest(t, tr),
@@ -237,10 +235,10 @@ func buildGolden(t *testing.T) goldenFile {
 		}
 
 		spec := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 6}}
-		pts, err := GridSearch(spec, map[string][]float64{
+		pts, err := gridSearch(spec, map[string][]float64{
 			"max_depth":        {2, 5},
 			"min_samples_leaf": {1, 3},
-		}, X, y, 3, 17)
+		}, X, y, 3, 17, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +248,7 @@ func buildGolden(t *testing.T) goldenFile {
 		}
 		g.Grids[ds] = gp
 
-		kf, err := KFoldMAPE(spec, X, y, 4, 23)
+		kf, err := kfoldMAPE(spec, X, y, 4, 23, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,8 +258,8 @@ func buildGolden(t *testing.T) goldenFile {
 }
 
 // TestGoldenEngine asserts the current engine reproduces the pre-refactor
-// snapshot byte for byte (predictions, OOB, importances, persisted model
-// bytes, grid rankings), for Workers 1 and Workers 0.
+// snapshot byte for byte (predictions, persisted model bytes, grid rankings,
+// k-fold estimates), for Workers 1 and Workers 0.
 func TestGoldenEngine(t *testing.T) {
 	got := buildGolden(t)
 	raw, err := json.MarshalIndent(got, "", "  ")
@@ -314,4 +312,49 @@ func TestGoldenEngine(t *testing.T) {
 			t.Error("golden bytes differ (encoding-level change); inspect testdata/golden_engine.json")
 		}
 	}
+}
+
+// Depth returns the fitted tree's depth (0 for a stump).
+func (t *Tree) Depth() int {
+	if len(t.feature) == 0 {
+		return 0
+	}
+	return t.depthAt(0)
+}
+
+func (t *Tree) depthAt(i int32) int {
+	if t.feature[i] < 0 {
+		return 0
+	}
+	l, r := t.depthAt(t.left[i]), t.depthAt(t.right[i])
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}
+
+// Leaves returns the fitted leaf count.
+func (t *Tree) Leaves() int {
+	var n int
+	for _, f := range t.feature {
+		if f < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// subtreeLeafCounts returns, for every node, the number of leaves under it.
+// Children follow their parent in the preorder layout, so one reverse sweep
+// suffices.
+func (t *Tree) subtreeLeafCounts() []int32 {
+	counts := make([]int32, len(t.feature))
+	for i := len(t.feature) - 1; i >= 0; i-- {
+		if t.feature[i] < 0 {
+			counts[i] = 1
+		} else {
+			counts[i] = counts[t.left[i]] + counts[t.right[i]]
+		}
+	}
+	return counts
 }

@@ -152,15 +152,6 @@ func (km *KMeans) Predict(x []float64) int {
 	return bi
 }
 
-// Assignments returns the cluster index of every row of X.
-func (km *KMeans) Assignments(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = km.Predict(x)
-	}
-	return out
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {

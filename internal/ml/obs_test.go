@@ -24,11 +24,11 @@ func TestObserverDoesNotPerturbTraining(t *testing.T) {
 		t.Errorf("observer changed forest prediction: %g vs %g", pa, pb)
 	}
 
-	base, err := KFoldMAPE(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 8}}, X, y, 4, 1)
+	base, err := kfoldMAPE(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 8}}, X, y, 4, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := KFoldMAPE(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 8}, Obs: obs.NewObserver()}, X, y, 4, 1)
+	got, err := kfoldMAPE(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 8}, Obs: obs.NewObserver()}, X, y, 4, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTrainingCountersAreScheduleIndependent(t *testing.T) {
 	counts := func(workers int) (uint64, uint64, string) {
 		o := obs.NewObserver()
 		spec := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 6}, Obs: o}
-		if _, err := KFoldMAPEParallel(spec, X, y, 5, 1, workers); err != nil {
+		if _, err := kfoldMAPE(spec, X, y, 5, 1, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

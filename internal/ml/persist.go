@@ -12,13 +12,14 @@ import (
 // envelope, so a model trained from an expensive measurement campaign can be
 // stored next to its dataset and reloaded without refitting.
 
-// ErrCorruptModel is the typed error LoadRegressor wraps every shape-
-// validation failure in: a payload that decodes as JSON but cannot have been
-// written by SaveRegressor over a fitted model (empty coefficient vectors,
-// disagreeing support-vector array lengths, out-of-range tree feature
-// indices, an empty forest). Callers that hot-reload persisted models match
-// it with errors.Is to reject the new version and keep serving the old one,
-// instead of loading a model that panics or predicts garbage at first use.
+// ErrCorruptModel is the typed error LoadRegressor wraps every rejection in:
+// malformed JSON, an unknown model kind, and a payload that decodes but
+// cannot have been written by SaveRegressor over a fitted model (empty
+// coefficient vectors, disagreeing support-vector array lengths,
+// out-of-range tree feature indices, an empty forest). Callers that
+// hot-reload persisted models match it with errors.Is to reject the new
+// version and keep serving the old one, instead of loading a model that
+// panics or predicts garbage at first use.
 var ErrCorruptModel = errors.New("ml: corrupt persisted model")
 
 // envelope is the on-disk wrapper; Kind selects the payload.
@@ -112,12 +113,12 @@ func SaveRegressor(w io.Writer, r Regressor) error {
 func LoadRegressor(r io.Reader) (Regressor, error) {
 	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("ml: decoding model envelope: %w", err)
+		return nil, fmt.Errorf("%w: decoding model envelope: %w", ErrCorruptModel, err)
 	}
 	switch env.Kind {
 	case "linear":
 		var p linearJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
+		if err := unmarshalPayload(env.Payload, &p); err != nil {
 			return nil, err
 		}
 		if len(p.Coef) == 0 {
@@ -126,7 +127,7 @@ func LoadRegressor(r io.Reader) (Regressor, error) {
 		return &Linear{Coef: p.Coef, Intercept: p.Intercept}, nil
 	case "lasso":
 		var p lassoJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
+		if err := unmarshalPayload(env.Payload, &p); err != nil {
 			return nil, err
 		}
 		if len(p.Coef) == 0 {
@@ -138,7 +139,7 @@ func LoadRegressor(r io.Reader) (Regressor, error) {
 		return m, nil
 	case "svr":
 		var p svrJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
+		if err := unmarshalPayload(env.Payload, &p); err != nil {
 			return nil, err
 		}
 		if err := validateSVR(p); err != nil {
@@ -149,13 +150,13 @@ func LoadRegressor(r io.Reader) (Regressor, error) {
 		return m, nil
 	case "tree":
 		var p treeJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
+		if err := unmarshalPayload(env.Payload, &p); err != nil {
 			return nil, err
 		}
 		return decodeTree(p)
 	case "forest":
 		var p forestJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
+		if err := unmarshalPayload(env.Payload, &p); err != nil {
 			return nil, err
 		}
 		if len(p.Trees) == 0 {
@@ -176,8 +177,17 @@ func LoadRegressor(r io.Reader) (Regressor, error) {
 		}
 		return f, nil
 	default:
-		return nil, fmt.Errorf("ml: unknown persisted model kind %q", env.Kind)
+		return nil, fmt.Errorf("%w: unknown model kind %q", ErrCorruptModel, env.Kind)
 	}
+}
+
+// unmarshalPayload decodes one kind's payload into v; malformed JSON is a
+// corrupt model.
+func unmarshalPayload(payload json.RawMessage, v any) error {
+	if err := json.Unmarshal(payload, v); err != nil {
+		return fmt.Errorf("%w: decoding %T payload: %w", ErrCorruptModel, v, err)
+	}
+	return nil
 }
 
 // validateSVR checks the support-vector arrays agree on their dimensions: n

@@ -1,8 +1,8 @@
 // Package ml is a from-scratch machine-learning library covering what the
 // paper uses from scikit-learn: linear regression, Lasso, ε-SVR with an RBF
-// kernel, random-forest regression, grid-search hyper-parameter tuning,
-// k-fold and leave-one-group-out cross-validation, and the MAPE/MAE/RMSE/R²
-// metrics. Everything is stdlib-only and deterministic (seeded generators).
+// kernel, random-forest regression, grid-search hyper-parameter tuning with
+// k-fold cross-validation, and the MAPE metric. Everything is stdlib-only and
+// deterministic (seeded generators).
 package ml
 
 import (
@@ -20,25 +20,6 @@ type Regressor interface {
 	Fit(X [][]float64, y []float64) error
 	// Predict returns the model output for one feature row.
 	Predict(x []float64) float64
-}
-
-// PredictBatch applies r to every row of X, for blocks of unrelated rows such
-// as a permutation-importance pass over the training set. Forests traverse
-// tree-major over the flat node arrays; every other regressor runs a per-row
-// Predict loop. Either way out[i] is bit-identical to r.Predict(X[i]),
-// including Predict's zero for a row too short to route. Prediction curves
-// — one input across a clock menu — go through the width-checked
-// PredictSweep instead.
-func PredictBatch(r Regressor, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if f, ok := r.(*Forest); ok {
-		f.predictBatchInto(X, out)
-		return out
-	}
-	for i, x := range X {
-		out[i] = r.Predict(x)
-	}
-	return out
 }
 
 // Spec names a regression algorithm plus its hyper-parameters, so training
@@ -94,20 +75,9 @@ func (s Spec) New(seed uint64) (Regressor, error) {
 	}
 }
 
-// DefaultSpecs returns the four algorithm families the paper compares in
-// §5.2.1, with defaults.
-func DefaultSpecs() []Spec {
-	return []Spec{
-		{Algorithm: "linear"},
-		{Algorithm: "lasso", Params: map[string]float64{"alpha": 0.01}},
-		{Algorithm: "svr", Params: map[string]float64{"C": 10, "epsilon": 0.01}},
-		{Algorithm: "forest"},
-	}
-}
-
 // ErrNaNInput reports a NaN feature or target in training data. The tree
 // presort ranks every column under a total order, which NaN does not have,
-// so every Fit (and PermutationImportance) refuses such data.
+// so every Fit refuses such data.
 var ErrNaNInput = errors.New("ml: NaN in training data")
 
 // columnStats returns each of the d columns' mean and population standard
@@ -162,13 +132,4 @@ func checkXY(X [][]float64, y []float64) (rows, cols int, err error) {
 		}
 	}
 	return len(X), cols, nil
-}
-
-// cloneMatrix deep-copies X.
-func cloneMatrix(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, r := range X {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out
 }

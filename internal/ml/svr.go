@@ -393,17 +393,6 @@ func (s *SVR) Predict(x []float64) float64 {
 	return out
 }
 
-// NumSupportVectors returns the count of nonzero dual coefficients.
-func (s *SVR) NumSupportVectors() int {
-	n := 0
-	for _, b := range s.beta {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // rbf evaluates exp(−γ‖a−b‖²).
 func (s *SVR) rbf(a, b []float64) float64 {
 	var d2 float64

@@ -371,51 +371,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// Depth returns the fitted tree's depth (0 for a stump).
-func (t *Tree) Depth() int {
-	if len(t.feature) == 0 {
-		return 0
-	}
-	return t.depthAt(0)
-}
-
-func (t *Tree) depthAt(i int32) int {
-	if t.feature[i] < 0 {
-		return 0
-	}
-	l, r := t.depthAt(t.left[i]), t.depthAt(t.right[i])
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Leaves returns the fitted leaf count.
-func (t *Tree) Leaves() int {
-	var n int
-	for _, f := range t.feature {
-		if f < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// subtreeLeafCounts returns, for every node, the number of leaves under it.
-// Children follow their parent in the preorder layout, so one reverse sweep
-// suffices.
-func (t *Tree) subtreeLeafCounts() []int32 {
-	counts := make([]int32, len(t.feature))
-	for i := len(t.feature) - 1; i >= 0; i-- {
-		if t.feature[i] < 0 {
-			counts[i] = 1
-		} else {
-			counts[i] = counts[t.left[i]] + counts[t.right[i]]
-		}
-	}
-	return counts
-}
-
 func meanRows(y []float64, rows []int32) float64 {
 	var s float64
 	for _, i := range rows {

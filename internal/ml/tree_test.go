@@ -177,7 +177,7 @@ func FuzzPresort(f *testing.F) {
 		}
 		for ti, got := range forest.trees {
 			ws.reset(n, d)
-			ref := forest.bootstrapTree(ti, ws, cols, y, nil)
+			ref := forest.bootstrapTree(ti, ws, cols, y)
 			referencePresort(ws)
 			ref.fit(ws)
 			sameNodes(t, "forest tree", got, ref)

@@ -5,8 +5,8 @@
 //
 // The layer separates three signals by how reproducible they are:
 //
-//   - Metrics (Registry): counters, gauges and histograms keyed by name and
-//     sorted labels. The deterministic export contains only values that are
+//   - Metrics (Registry): counters and histograms keyed by name and sorted
+//     labels. The deterministic export contains only values that are
 //     functions of the simulated work itself (kernel launches, DVFS
 //     transitions, injected faults, CV folds): integer counts and
 //     order-invariant histogram statistics, so the export is byte-identical

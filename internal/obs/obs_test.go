@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeNilSafety(t *testing.T) {
+func TestNilObserverIsNoOp(t *testing.T) {
 	var o *Observer
 	// Every operation on a nil observer must be a safe no-op.
 	o.Metrics().Counter("x").Inc()
-	o.Metrics().Gauge("g").Set(3)
 	o.Metrics().Histogram("h", []float64{1}).Observe(0.5)
 	o.Trace().Add("span", 1.0)
 	stop := o.Profile().Phase("p").Start()
@@ -59,7 +58,7 @@ func TestRegistryExportSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta").Add(1)
 	r.Counter("alpha", L("k", "v")).Add(2)
-	r.Gauge("mid").Set(1.5)
+	r.Counter("mid").Add(3)
 	var a, b bytes.Buffer
 	if err := r.WriteText(&a); err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestRegistryExportSortedAndStable(t *testing.T) {
 		t.Fatal("repeated exports differ")
 	}
 	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	want := []string{"alpha{k=v} 2", "mid 1.5", "zeta 1"}
+	want := []string{"alpha{k=v} 2", "mid 3", "zeta 1"}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines, want %d", len(lines), len(want))
 	}
@@ -267,7 +266,6 @@ func TestProfilePhases(t *testing.T) {
 func TestWriteJSONShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(2)
-	r.Gauge("g").Set(0.25)
 	r.Histogram("h", []float64{1}).Observe(0.5)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -276,7 +274,6 @@ func TestWriteJSONShape(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`"c": {"type":"counter","value":2}`,
-		`"g": {"type":"gauge","value":0.25}`,
 		`"h": {"type":"histogram","count":1,"min":0.5,"max":0.5,"buckets":[{"le":1,"count":1},{"le":"+Inf","count":0}]}`,
 	} {
 		if !strings.Contains(out, want) {

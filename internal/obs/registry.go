@@ -47,28 +47,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-write-wins float metric. Because "last write" is
-// schedule-dependent under concurrency, gauges belong in the deterministic
-// export only when they are set from a single goroutine or at points where
-// every schedule produces the same final value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. Safe on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the stored value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram records a distribution of float observations into fixed
 // buckets. It deliberately does NOT keep a running sum: a float sum
 // accumulated in schedule order is not byte-deterministic, whereas bucket
@@ -148,7 +126,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
@@ -158,7 +135,6 @@ type metric struct {
 	kind     metricKind
 	unstable bool
 	counter  *Counter
-	gauge    *Gauge
 	hist     *Histogram
 }
 
@@ -218,8 +194,6 @@ func (r *Registry) get(name string, labels []Label, kind metricKind, unstable bo
 	switch kind {
 	case kindCounter:
 		m.counter = &Counter{}
-	case kindGauge:
-		m.gauge = &Gauge{}
 	case kindHistogram:
 		m.hist = newHistogram(bounds)
 	}
@@ -244,14 +218,6 @@ func (r *Registry) UnstableCounter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.get(name, labels, kindCounter, true, nil).counter
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.get(name, labels, kindGauge, false, nil).gauge
 }
 
 // Histogram returns the histogram for (name, labels), creating it with the
@@ -304,8 +270,6 @@ func (r *Registry) writeText(w io.Writer, filter exportFilter) error {
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.key(), m.counter.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %s\n", m.key(), formatFloat(m.gauge.Value()))
 		case kindHistogram:
 			err = writeHistText(w, m)
 		}
@@ -361,8 +325,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			body = fmt.Sprintf(`{"type":"counter","value":%d}`, m.counter.Value())
-		case kindGauge:
-			body = fmt.Sprintf(`{"type":"gauge","value":%s}`, jsonFloat(m.gauge.Value()))
 		case kindHistogram:
 			body = histJSON(m.hist)
 		}

@@ -65,16 +65,6 @@ func (t *Trace) Absorb(child *Trace) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of spans recorded so far.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Spans returns a copy of the recorded spans in order.
 func (t *Trace) Spans() []Span {
 	if t == nil {

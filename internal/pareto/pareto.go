@@ -19,15 +19,6 @@ type Point struct {
 	NormEnergy float64 // lower is better
 }
 
-// Dominates reports whether p is at least as good as q in both objectives
-// and strictly better in at least one.
-func (p Point) Dominates(q Point) bool {
-	if p.Speedup < q.Speedup || p.NormEnergy > q.NormEnergy {
-		return false
-	}
-	return p.Speedup > q.Speedup || p.NormEnergy < q.NormEnergy
-}
-
 // Front returns the Pareto-optimal subset of points, sorted by descending
 // speedup. Duplicate outcomes are reduced to a single representative (the
 // lowest frequency, being the cheaper configuration).
@@ -115,27 +106,4 @@ func MeanFrontDistance(achieved, front []Point) float64 {
 		total += best
 	}
 	return total / float64(len(achieved))
-}
-
-// Hypervolume returns the area dominated by the front relative to a
-// reference point (refSpeedup, refEnergy) with refSpeedup below and
-// refEnergy above every front point — a scalar quality indicator for
-// comparing predicted fronts.
-func Hypervolume(front []Point, refSpeedup, refEnergy float64) float64 {
-	f := Front(front) // ensure sorted, non-dominated
-	var area float64
-	prevSpeedup := refSpeedup
-	// Iterate from lowest speedup (end of the descending-sorted front).
-	for i := len(f) - 1; i >= 0; i-- {
-		p := f[i]
-		w := p.Speedup - prevSpeedup
-		h := refEnergy - p.NormEnergy
-		if w > 0 && h > 0 {
-			area += w * h
-		}
-		if p.Speedup > prevSpeedup {
-			prevSpeedup = p.Speedup
-		}
-	}
-	return area
 }

@@ -192,27 +192,6 @@ func TestMeanFrontDistance(t *testing.T) {
 	}
 }
 
-func TestHypervolume(t *testing.T) {
-	front := []Point{
-		{Speedup: 1.0, NormEnergy: 1.0},
-		{Speedup: 0.8, NormEnergy: 0.8},
-	}
-	// Reference corner (0.5, 1.5): point 1 contributes (1.0-0.8)*(1.5-1.0),
-	// point 2 contributes (0.8-0.5)*(1.5-0.8).
-	want := 0.2*0.5 + 0.3*0.7
-	if got := Hypervolume(front, 0.5, 1.5); !almostEq(got, want, 1e-12) {
-		t.Errorf("hypervolume %g, want %g", got, want)
-	}
-	// A strictly better front has larger hypervolume.
-	better := []Point{
-		{Speedup: 1.1, NormEnergy: 0.9},
-		{Speedup: 0.8, NormEnergy: 0.7},
-	}
-	if Hypervolume(better, 0.5, 1.5) <= Hypervolume(front, 0.5, 1.5) {
-		t.Error("dominating front should have larger hypervolume")
-	}
-}
-
 func TestFrequencies(t *testing.T) {
 	pts := []Point{{FreqMHz: 100}, {FreqMHz: 200}}
 	fs := Frequencies(pts)
@@ -222,3 +201,12 @@ func TestFrequencies(t *testing.T) {
 }
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Dominates reports whether p is at least as good as q in both objectives
+// and strictly better in at least one.
+func (p Point) Dominates(q Point) bool {
+	if p.Speedup < q.Speedup || p.NormEnergy > q.NormEnergy {
+		return false
+	}
+	return p.Speedup > q.Speedup || p.NormEnergy < q.NormEnergy
+}

@@ -181,7 +181,7 @@ func TestGenerateStreamShape(t *testing.T) {
 			t.Fatalf("job %d has non-positive nominal time %g", i, j.NominalS)
 		}
 		// Deadline slack respects both the multiplier range and the floor.
-		slack := j.SlackS()
+		slack := j.DeadlineS - j.ArrivalS
 		if slack < 1.0-1e-12 {
 			t.Fatalf("job %d slack %gs is below the default 1s floor", i, slack)
 		}

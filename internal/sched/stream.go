@@ -73,9 +73,6 @@ func (j Job) Workload() (synergy.Workload, error) {
 	return cronos.NewWorkload(j.Grid[0], j.Grid[1], j.Grid[2], j.Steps)
 }
 
-// SlackS is the deadline slack the stream generator granted beyond arrival.
-func (j Job) SlackS() float64 { return j.DeadlineS - j.ArrivalS }
-
 // StreamConfig controls the seeded multi-tenant job stream. The zero value of
 // every field selects the documented default.
 type StreamConfig struct {

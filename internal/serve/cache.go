@@ -68,8 +68,6 @@ func (c *lru) put(key string, resp Response, version int32) {
 	c.items[key] = i
 }
 
-func (c *lru) len() int { return len(c.items) }
-
 func (c *lru) moveToFront(i int32) {
 	if c.head != i {
 		c.unlink(i)

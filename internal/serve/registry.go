@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,17 +74,6 @@ func (r *Registry) Publish(app string, payload []byte) (int, error) {
 func (r *Registry) Lookup(app string) (*Entry, bool) {
 	e, ok := (*r.snap.Load())[app]
 	return e, ok
-}
-
-// Apps returns the published application names, sorted.
-func (r *Registry) Apps() []string {
-	snap := *r.snap.Load()
-	out := make([]string, 0, len(snap))
-	for app := range snap {
-		out = append(out, app)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Advise answers one advisory query against the current version for app:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -476,15 +477,15 @@ func TestLRU(t *testing.T) {
 	if c.get(k(1)) == nil {
 		t.Error("recently used k1 evicted")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if len(c.items) != 2 {
+		t.Errorf("len = %d, want 2", len(c.items))
 	}
 	c.put(string(k(1)), Response{Version: 9}, 4)
 	if e := c.get(k(1)); e == nil || e.resp.Version != 9 || e.version != 4 {
 		t.Errorf("put did not update existing key: %+v", e)
 	}
-	if c.len() != 2 {
-		t.Errorf("update changed len to %d", c.len())
+	if len(c.items) != 2 {
+		t.Errorf("update changed len to %d", len(c.items))
 	}
 }
 
@@ -530,9 +531,20 @@ func TestLRUMatchesListOrder(t *testing.T) {
 				}
 				i = c.ents[i].next
 			}
-			if i >= 0 || c.len() != ref.Len() {
-				t.Fatalf("cap %d step %d: cache holds %d entries, reference %d", capacity, step, c.len(), ref.Len())
+			if i >= 0 || len(c.items) != ref.Len() {
+				t.Fatalf("cap %d step %d: cache holds %d entries, reference %d", capacity, step, len(c.items), ref.Len())
 			}
 		}
 	}
+}
+
+// Apps returns the published application names, sorted.
+func (r *Registry) Apps() []string {
+	snap := *r.snap.Load()
+	out := make([]string, 0, len(snap))
+	for app := range snap {
+		out = append(out, app)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -49,8 +49,8 @@ func TestSweepTraceIdenticalSerialVsParallel(t *testing.T) {
 	if ta != tb {
 		t.Errorf("trace exports diverged between serial and parallel sweep:\n%s\nvs\n%s", ta, tb)
 	}
-	if oa.Trace().Len() != len(freqs) {
-		t.Errorf("trace has %d spans, want one per frequency (%d)", oa.Trace().Len(), len(freqs))
+	if len(oa.Trace().Spans()) != len(freqs) {
+		t.Errorf("trace has %d spans, want one per frequency (%d)", len(oa.Trace().Spans()), len(freqs))
 	}
 	if !strings.Contains(ma, "synergy_measurements_total{device=NVIDIA V100}") {
 		t.Errorf("measurement counter missing from export:\n%s", ma)
@@ -119,7 +119,7 @@ func TestFailedSweepLeavesTraceUntouched(t *testing.T) {
 	if _, err := ParallelSweep(qa, sweepWorkload{testProfile()}, freqs, 3, 8); err == nil {
 		t.Fatal("sweep should fail on the scheduled device loss")
 	}
-	if n := oa.Trace().Len(); n != 0 {
+	if n := len(oa.Trace().Spans()); n != 0 {
 		t.Errorf("failed sweep left %d spans on the parent trace", n)
 	}
 }

@@ -30,14 +30,14 @@ type Platform struct {
 // NewPlatform builds a platform exposing one queue per spec, with device
 // noise generators derived from seed so that independent platforms constructed
 // with the same seed observe identical measurements. Device names must be
-// unique: QueueByName is the addressing scheme of everything above this
-// layer, and a duplicate would make it silently ambiguous.
+// unique: they label every metric and report row above this layer, and a
+// duplicate would make those silently ambiguous.
 func NewPlatform(seed uint64, specs ...gpusim.Spec) (*Platform, error) {
 	p := &Platform{}
 	seen := make(map[string]bool, len(specs))
 	for i, s := range specs {
 		if seen[s.Name] {
-			return nil, fmt.Errorf("synergy: duplicate device name %q (device %d); QueueByName would be ambiguous", s.Name, i)
+			return nil, fmt.Errorf("synergy: duplicate device name %q (device %d); device names must be unique", s.Name, i)
 		}
 		seen[s.Name] = true
 		d, err := gpusim.New(s, seed+uint64(i)*0x51_7c_c1b7_2722_0a95)
@@ -64,18 +64,6 @@ func (p *Platform) Queues() []*Queue {
 	out := make([]*Queue, len(p.devices))
 	copy(out, p.devices)
 	return out
-}
-
-// QueueByName returns the queue of the device with the given name.
-func (p *Platform) QueueByName(name string) (*Queue, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, q := range p.devices {
-		if q.dev.Spec().Name == name {
-			return q, nil
-		}
-	}
-	return nil, fmt.Errorf("synergy: no device named %q", name)
 }
 
 // Event records one profiled kernel submission, in the style of SYnergy's
@@ -167,9 +155,6 @@ type FaultStats struct {
 	WastedEnergyJ float64
 }
 
-// Device exposes the underlying simulated device (read-only use intended).
-func (q *Queue) Device() *gpusim.Device { return q.dev }
-
 // Spec returns the device description.
 func (q *Queue) Spec() gpusim.Spec { return q.dev.Spec() }
 
@@ -218,13 +203,6 @@ func (q *Queue) SetFaultInjector(inj *faults.DeviceInjector) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.inj = inj
-}
-
-// FaultStats returns the injected-fault counters of this queue.
-func (q *Queue) FaultStats() FaultStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.stats
 }
 
 // ResetFrequency restores the vendor baseline (NVIDIA default clock or AMD
@@ -326,15 +304,6 @@ func (q *Queue) submitInjected(p kernels.Profile, mhz int) (gpusim.Result, error
 	return r, nil
 }
 
-// Events returns a copy of the recorded per-kernel energy events.
-func (q *Queue) Events() []Event {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Event, len(q.events))
-	copy(out, q.events)
-	return out
-}
-
 // EventCount returns the number of events recorded so far. Together with
 // AppendEventsFrom it lets a caller attribute the cost of a span of
 // submissions (e.g. one failed workload attempt) without draining the log.
@@ -374,32 +343,11 @@ func (q *Queue) TruncateEvents(n int) {
 	}
 }
 
-// DrainEvents returns the recorded events and clears the log.
-func (q *Queue) DrainEvents() []Event {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := q.events
-	q.events = nil
-	return out
-}
-
 // EnergyCounterJ exposes the device's cumulative energy counter.
 func (q *Queue) EnergyCounterJ() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.dev.EnergyCounterJ()
-}
-
-// AnalyzeCurve evaluates the noiseless analytical model for profile p at
-// every frequency in freqs in one batch — one compiled-profile lookup
-// amortized over the whole list, each Breakdown bit-identical to a
-// single-frequency AnalyzeAt. Unlike Submit it consumes no noise draws and
-// records no events: it is the bulk read path for planners and tuners that
-// want a whole frequency curve.
-func (q *Queue) AnalyzeCurve(p kernels.Profile, freqs []int) []gpusim.Breakdown {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dev.AnalyzeCurve(p, freqs)
 }
 
 // KernelProfiler is implemented by workloads that can enumerate their kernel
@@ -439,10 +387,6 @@ type Measurement struct {
 	TimeS      float64
 	EnergyJ    float64
 }
-
-// Throttled reports whether any submission of the measurement ran below the
-// requested clock.
-func (m Measurement) Throttled() bool { return m.EffFreqMHz != m.FreqMHz }
 
 // Workload is anything that can run on a queue and report aggregate time and
 // energy — both applications implement it. The paper's training harness

@@ -21,8 +21,6 @@ import (
 
 // Policy selects one frequency configuration from a predicted curve.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Select returns the chosen point. The curve is non-empty and covers
 	// the sweep in ascending frequency order.
 	Select(curve []core.CurvePoint) core.CurvePoint
@@ -30,9 +28,6 @@ type Policy interface {
 
 // MaxPerformance picks the highest predicted speedup (ties: lower energy).
 type MaxPerformance struct{}
-
-// Name implements Policy.
-func (MaxPerformance) Name() string { return "max-performance" }
 
 // Select implements Policy.
 func (MaxPerformance) Select(curve []core.CurvePoint) core.CurvePoint {
@@ -50,9 +45,6 @@ func (MaxPerformance) Select(curve []core.CurvePoint) core.CurvePoint {
 // MinEnergy picks the lowest predicted normalized energy (ties: higher
 // speedup).
 type MinEnergy struct{}
-
-// Name implements Policy.
-func (MinEnergy) Name() string { return "min-energy" }
 
 // Select implements Policy.
 func (MinEnergy) Select(curve []core.CurvePoint) core.CurvePoint {
@@ -74,9 +66,6 @@ func (MinEnergy) Select(curve []core.CurvePoint) core.CurvePoint {
 type EnergyTarget struct {
 	Target float64
 }
-
-// Name implements Policy.
-func (p EnergyTarget) Name() string { return fmt.Sprintf("energy-target-%.2f", p.Target) }
 
 // Select implements Policy.
 func (p EnergyTarget) Select(curve []core.CurvePoint) core.CurvePoint {
@@ -101,7 +90,7 @@ type PerfConstraint struct {
 	MinSpeedup float64
 }
 
-// Name implements Policy.
+// Name identifies the policy in reports.
 func (p PerfConstraint) Name() string { return fmt.Sprintf("perf>=%.2f", p.MinSpeedup) }
 
 // Select implements Policy.
@@ -123,9 +112,6 @@ func (p PerfConstraint) Select(curve []core.CurvePoint) core.CurvePoint {
 // MinEDP minimizes the energy-delay product E·t ∝ NormEnergy / Speedup.
 type MinEDP struct{}
 
-// Name implements Policy.
-func (MinEDP) Name() string { return "min-edp" }
-
 // Select implements Policy.
 func (MinEDP) Select(curve []core.CurvePoint) core.CurvePoint {
 	return minBy(curve, func(c core.CurvePoint) float64 {
@@ -135,9 +121,6 @@ func (MinEDP) Select(curve []core.CurvePoint) core.CurvePoint {
 
 // MinED2P minimizes the energy-delay² product, weighting performance harder.
 type MinED2P struct{}
-
-// Name implements Policy.
-func (MinED2P) Name() string { return "min-ed2p" }
 
 // Select implements Policy.
 func (MinED2P) Select(curve []core.CurvePoint) core.CurvePoint {

@@ -43,7 +43,7 @@ func TestPolicySelections(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := c.policy.Select(curve); got.FreqMHz != c.want {
-			t.Errorf("%s selected %d MHz, want %d", c.policy.Name(), got.FreqMHz, c.want)
+			t.Errorf("%#v selected %d MHz, want %d", c.policy, got.FreqMHz, c.want)
 		}
 	}
 }
@@ -60,17 +60,6 @@ func TestEDPPoliciesOrdering(t *testing.T) {
 	for _, c := range curve {
 		if c.NormEnergy/c.Speedup < edp.NormEnergy/edp.Speedup-1e-12 {
 			t.Errorf("EDP choice %d not optimal", edp.FreqMHz)
-		}
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{
-		MaxPerformance{}, MinEnergy{}, EnergyTarget{Target: 0.9},
-		PerfConstraint{MinSpeedup: 0.95}, MinEDP{}, MinED2P{},
-	} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
 		}
 	}
 }

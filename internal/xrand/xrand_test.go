@@ -122,21 +122,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePermutes(t *testing.T) {
-	r := New(21)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("shuffle lost element %d", v)
-		}
-	}
-}
-
 func TestSplitNMatchesRepeatedSplit(t *testing.T) {
 	a, b := New(7), New(7)
 	got := a.SplitN(5)
