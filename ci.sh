@@ -127,7 +127,7 @@ go test -race -run 'TestTileWidthInvariance|TestGolden|TestWorkerCountDoesNotCha
 # Analytic-cache transparency smoke: the compiled-profile cache is a pure
 # evaluation shortcut, so sweeping with it attached and detached must agree
 # on every observable byte (measurements, event logs, energy counters),
-# serially and under ParallelSweep; the golden suite pins the compiled
+# on one worker and on a pool; the golden suite pins the compiled
 # evaluator bit-for-bit against the pre-rewrite engine's recorded outputs.
 echo "==> gpusim cache-on vs cache-off byte-identity smoke"
 go test -race -run 'TestSweepCacheOnOffByteIdentical' -count=2 ./internal/synergy

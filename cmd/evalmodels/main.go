@@ -26,7 +26,7 @@ func main() {
 	perkernel := flag.Bool("perkernel", false, "also run the per-kernel scaling experiment (§7)")
 	tuners := flag.Bool("tuners", false, "also run the model-vs-online tuner comparison")
 	quick := flag.Bool("quick", false, "reduced-fidelity sweep (faster)")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; forest training always runs on GOMAXPROCS); output is identical for every value")
 	obsFlags := cliutil.RegisterObs()
 	flag.Parse()
 	if err := cliutil.CheckJobs("evalmodels", *jobs); err != nil {

@@ -25,7 +25,7 @@ import (
 func main() {
 	out := flag.String("out", "results", "output directory")
 	quick := flag.Bool("quick", false, "reduced-fidelity configuration")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; forest training always runs on GOMAXPROCS); output is identical for every value")
 	obsFlags := cliutil.RegisterObs()
 	flag.Parse()
 	if err := cliutil.CheckJobs("reproduce", *jobs); err != nil {

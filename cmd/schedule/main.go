@@ -24,7 +24,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity configuration")
 	streamJobs := flag.Int("jobs", 0, "stream length (0 = campaign default 96; the fault-storm CHECK lines are calibrated to the default and may fail on much shorter streams)")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; forest training always runs on GOMAXPROCS); output is identical for every value")
 	obsFlags := cliutil.RegisterObs()
 	flag.Parse()
 	if err := cliutil.CheckJobs("schedule", *jobs); err != nil {

@@ -24,7 +24,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity configuration")
 	requests := flag.Int("requests", 0, "per-shard request budget (0 = campaign default 500000; four shards make the default a 2M-request load)")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; forest training always runs on GOMAXPROCS); output is identical for every value")
 	obsFlags := cliutil.RegisterObs()
 	flag.Parse()
 	if err := cliutil.CheckJobs("serve", *jobs); err != nil {

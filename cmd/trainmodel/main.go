@@ -22,7 +22,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity sweep (faster)")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
+	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS; forest training always runs on GOMAXPROCS); output is identical for every value")
 	compare := flag.Bool("compare", true, "run the §5.2.1 regressor comparison")
 	gridsearch := flag.Bool("gridsearch", false, "run the random-forest grid search (slow)")
 	loocv := flag.Bool("loocv", true, "run the leave-one-input-out accuracy report")

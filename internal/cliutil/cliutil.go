@@ -83,7 +83,7 @@ func (f *ObsFlags) Write(o *obs.Observer) error {
 // values are both valid (0 = GOMAXPROCS).
 func CheckJobs(prog string, jobs int) error {
 	if jobs < 0 {
-		return fmt.Errorf("%s: invalid -j %d: worker count must be >= 0 (0 = GOMAXPROCS, 1 = serial)", prog, jobs)
+		return fmt.Errorf("%s: invalid -j %d: worker count must be >= 0 (0 = GOMAXPROCS)", prog, jobs)
 	}
 	return nil
 }

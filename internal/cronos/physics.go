@@ -196,7 +196,7 @@ func consArray(c cons) [NVars]float64 {
 	return [NVars]float64{c.rho, c.mx, c.my, c.mz, c.en, c.bx, c.by, c.bz}
 }
 
-// minmod is the default slope limiter of the MUSCL reconstruction: the most
+// minmod is the slope limiter of the MUSCL reconstruction: the most
 // dissipative TVD choice, maximally robust at shocks.
 func minmod(a, b float64) float64 {
 	if a*b <= 0 {
@@ -206,32 +206,4 @@ func minmod(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// vanLeer is the harmonic-mean limiter: less dissipative than minmod on
-// smooth flow while remaining TVD — the trade-off Cronos exposes through its
-// reconstruction options.
-func vanLeer(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	return 2 * a * b / (a + b)
-}
-
-// Limiter selects the MUSCL slope limiter.
-type Limiter int
-
-const (
-	// LimiterMinmod is the robust default.
-	LimiterMinmod Limiter = iota
-	// LimiterVanLeer is sharper on smooth solutions.
-	LimiterVanLeer
-)
-
-// limiterFunc returns the slope function for the selection.
-func (l Limiter) limiterFunc() func(a, b float64) float64 {
-	if l == LimiterVanLeer {
-		return vanLeer
-	}
-	return minmod
 }

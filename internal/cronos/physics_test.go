@@ -18,20 +18,20 @@ func almostEqual(a, b, tol float64) bool {
 }
 
 // reconstruct extrapolates the primitive state of the middle cell to its
-// face (side=+1 right face, side=-1 left face) with limited slopes. It is
-// the reference form of the slope-shared faceStates pair that the tests
-// below pin the reconstruction behaviour against.
-func reconstruct(lo, mid, hi prim, side float64, lim func(a, b float64) float64) prim {
+// face (side=+1 right face, side=-1 left face) with minmod-limited slopes.
+// It is the reference form of the slope-shared faceStatesMinmod pair that
+// the tests below pin the reconstruction behaviour against.
+func reconstruct(lo, mid, hi prim, side float64) prim {
 	h := 0.5 * side
 	w := prim{
-		rho: mid.rho + h*lim(mid.rho-lo.rho, hi.rho-mid.rho),
-		vx:  mid.vx + h*lim(mid.vx-lo.vx, hi.vx-mid.vx),
-		vy:  mid.vy + h*lim(mid.vy-lo.vy, hi.vy-mid.vy),
-		vz:  mid.vz + h*lim(mid.vz-lo.vz, hi.vz-mid.vz),
-		p:   mid.p + h*lim(mid.p-lo.p, hi.p-mid.p),
-		bx:  mid.bx + h*lim(mid.bx-lo.bx, hi.bx-mid.bx),
-		by:  mid.by + h*lim(mid.by-lo.by, hi.by-mid.by),
-		bz:  mid.bz + h*lim(mid.bz-lo.bz, hi.bz-mid.bz),
+		rho: mid.rho + h*minmod(mid.rho-lo.rho, hi.rho-mid.rho),
+		vx:  mid.vx + h*minmod(mid.vx-lo.vx, hi.vx-mid.vx),
+		vy:  mid.vy + h*minmod(mid.vy-lo.vy, hi.vy-mid.vy),
+		vz:  mid.vz + h*minmod(mid.vz-lo.vz, hi.vz-mid.vz),
+		p:   mid.p + h*minmod(mid.p-lo.p, hi.p-mid.p),
+		bx:  mid.bx + h*minmod(mid.bx-lo.bx, hi.bx-mid.bx),
+		by:  mid.by + h*minmod(mid.by-lo.by, hi.by-mid.by),
+		bz:  mid.bz + h*minmod(mid.bz-lo.bz, hi.bz-mid.bz),
 	}
 	if w.rho < floorRho {
 		w.rho = floorRho
@@ -170,7 +170,7 @@ func TestMinmodProperties(t *testing.T) {
 func TestReconstructPreservesConstantState(t *testing.T) {
 	w := prim{rho: 1.5, vx: 0.3, vy: -0.2, vz: 0.1, p: 0.8, bx: 0.4, by: -0.3, bz: 0.2}
 	for _, side := range []float64{+1, -1} {
-		got := reconstruct(w, w, w, side, minmod)
+		got := reconstruct(w, w, w, side)
 		if got != w {
 			t.Errorf("constant-state reconstruction changed the state: %+v -> %+v", w, got)
 		}
@@ -212,29 +212,19 @@ func TestFastSpeed3MatchesFastSpeed(t *testing.T) {
 
 func TestFaceStatesMatchReconstruct(t *testing.T) {
 	// The slope-shared face-state pair must reproduce the reference per-face
-	// reconstruction bit-for-bit, for both limiters.
+	// reconstruction bit-for-bit.
 	rng := xrand.New(6)
-	for _, lim := range []func(a, b float64) float64{minmod, vanLeer} {
-		for n := 0; n < 500; n++ {
-			lo := randomPhysicalPrim(rng)
-			mid := randomPhysicalPrim(rng)
-			hi := randomPhysicalPrim(rng)
-			var plus, minus prim
-			faceStates(&lo, &mid, &hi, &plus, &minus, lim)
-			if want := reconstruct(lo, mid, hi, +1, lim); plus != want {
-				t.Fatalf("plus state differs from reconstruct(+1): %+v vs %+v", plus, want)
-			}
-			if want := reconstruct(lo, mid, hi, -1, lim); minus != want {
-				t.Fatalf("minus state differs from reconstruct(-1): %+v vs %+v", minus, want)
-			}
-			var mp, mm prim
-			faceStatesMinmod(&lo, &mid, &hi, &mp, &mm)
-			if want := reconstruct(lo, mid, hi, +1, minmod); mp != want {
-				t.Fatalf("minmod plus state differs from reconstruct(+1)")
-			}
-			if want := reconstruct(lo, mid, hi, -1, minmod); mm != want {
-				t.Fatalf("minmod minus state differs from reconstruct(-1)")
-			}
+	for n := 0; n < 1000; n++ {
+		lo := randomPhysicalPrim(rng)
+		mid := randomPhysicalPrim(rng)
+		hi := randomPhysicalPrim(rng)
+		var plus, minus prim
+		faceStatesMinmod(&lo, &mid, &hi, &plus, &minus)
+		if want := reconstruct(lo, mid, hi, +1); plus != want {
+			t.Fatalf("plus state differs from reconstruct(+1): %+v vs %+v", plus, want)
+		}
+		if want := reconstruct(lo, mid, hi, -1); minus != want {
+			t.Fatalf("minus state differs from reconstruct(-1): %+v vs %+v", minus, want)
 		}
 	}
 }

@@ -15,18 +15,18 @@ import (
 // produces byte-identical results (locked by TestTileWidthInvariance).
 const defaultTileWidth = 16
 
+// CFLNumber is the Courant number of the timestep control.
+const CFLNumber float64 = 0.4
+
+// InitialDT bounds the first timestep before a CFL value exists.
+const InitialDT float64 = 1e-4
+
 // Config configures a solver run.
 type Config struct {
 	NX, NY, NZ int
 	Boundary   Boundary
-	// CFLNumber is the Courant number (0 selects the default 0.4).
-	CFLNumber float64
 	// Workers is the goroutine-pool width (0 selects GOMAXPROCS).
 	Workers int
-	// InitialDT bounds the first timestep before a CFL value exists.
-	InitialDT float64
-	// Limiter selects the MUSCL slope limiter (default minmod).
-	Limiter Limiter
 	// TileWidth is the pencil-tile width of the Y/Z sweeps (0 selects the
 	// default). Any positive value produces byte-identical results; the
 	// width only tunes cache behaviour.
@@ -50,7 +50,6 @@ type Solver struct {
 	prims   []prim // per-substep primitive mirror of the ghosted grid
 	ws      []*sweepWorkspace
 	parts   []slabPartial
-	lim     func(a, b float64) float64
 	gang    *parallel.Gang // the slab workers of every sweep, until Close
 }
 
@@ -62,13 +61,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CFLNumber == 0 {
-		cfg.CFLNumber = 0.4
-	}
 	cfg.Workers = parallel.Workers(cfg.Workers)
-	if cfg.InitialDT == 0 {
-		cfg.InitialDT = 1e-4
-	}
 	if cfg.TileWidth <= 0 {
 		cfg.TileWidth = defaultTileWidth
 	}
@@ -80,7 +73,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	return &Solver{
 		Grid: g,
 		cfg:  cfg,
-		DT:   cfg.InitialDT,
+		DT:   InitialDT,
 		// changes is allocated zeroed and its ghost entries are never
 		// written again: the X sweep overwrites every interior cell each
 		// substep, so no per-substep clear is needed.
@@ -89,7 +82,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 		prims:   make([]prim, len(g.U[0])),
 		ws:      ws,
 		parts:   make([]slabPartial, cfg.Workers),
-		lim:     cfg.Limiter.limiterFunc(),
 		gang:    parallel.NewGang(cfg.Workers),
 	}, nil
 }
@@ -171,7 +163,7 @@ func (s *Solver) Step() {
 	s.CFLMax = cfl
 	s.Time += s.DT
 	s.StepsRun++
-	s.DT = adjustTimestepDelta(s.DT, s.cfg.CFLNumber, cfl, s.StepsRun)
+	s.DT = adjustTimestepDelta(s.DT, CFLNumber, cfl, s.StepsRun)
 }
 
 // adjustTimestepDelta returns the next dt for a Courant number and the step's

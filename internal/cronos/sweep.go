@@ -190,21 +190,11 @@ func (s *Solver) sweepZ(g *Grid, ws *sweepWorkspace, jLo, jHi int) (fluxes int64
 // Reconstruction is slope-shared: the limited slopes of cell c serve both its
 // left-face state (minus) and right-face state (plus), so each slope is
 // computed once instead of twice as in the per-face reference — with the
-// same operands in the same order, the states are bit-identical. The default
-// minmod limiter additionally gets a direct-call specialization so the
-// limiter inlines into the slope loop instead of going through the
-// func-value indirection eight times per cell.
+// same operands in the same order, the states are bit-identical.
 func (s *Solver) pencilFlux(ws *sweepWorkspace, w []prim, fl [][NVars]float64, n, dir int) int64 {
 	plus, minus := ws.plus, ws.minus
-	if s.cfg.Limiter == LimiterMinmod {
-		for c := 1; c <= n+2; c++ {
-			faceStatesMinmod(&w[c-1], &w[c], &w[c+1], &plus[c], &minus[c])
-		}
-	} else {
-		lim := s.lim
-		for c := 1; c <= n+2; c++ {
-			faceStates(&w[c-1], &w[c], &w[c+1], &plus[c], &minus[c], lim)
-		}
+	for c := 1; c <= n+2; c++ {
+		faceStatesMinmod(&w[c-1], &w[c], &w[c+1], &plus[c], &minus[c])
 	}
 	// The left state of face f is the right-face extrapolation of cell f+1;
 	// the right state is the left-face extrapolation of cell f+2 (cells are
@@ -215,23 +205,9 @@ func (s *Solver) pencilFlux(ws *sweepWorkspace, w []prim, fl [][NVars]float64, n
 	return int64(n + 1)
 }
 
-// faceStates extrapolates cell mid to its right face (*plus, side=+1 in the
-// reference reconstruct) and left face (*minus, side=-1) with limited slopes
-// computed once and shared by both faces.
-func faceStates(lo, mid, hi, plus, minus *prim, lim func(a, b float64) float64) {
-	srho := lim(mid.rho-lo.rho, hi.rho-mid.rho)
-	svx := lim(mid.vx-lo.vx, hi.vx-mid.vx)
-	svy := lim(mid.vy-lo.vy, hi.vy-mid.vy)
-	svz := lim(mid.vz-lo.vz, hi.vz-mid.vz)
-	sp := lim(mid.p-lo.p, hi.p-mid.p)
-	sbx := lim(mid.bx-lo.bx, hi.bx-mid.bx)
-	sby := lim(mid.by-lo.by, hi.by-mid.by)
-	sbz := lim(mid.bz-lo.bz, hi.bz-mid.bz)
-	setFaceStates(mid, plus, minus, srho, svx, svy, svz, sp, sbx, sby, sbz)
-}
-
-// faceStatesMinmod is faceStates with the minmod limiter called directly;
-// minmod is pure, so the values are identical to the generic path.
+// faceStatesMinmod extrapolates cell mid to its right face (*plus, side=+1
+// in the reference reconstruct) and left face (*minus, side=-1) with minmod
+// slopes computed once and shared by both faces.
 func faceStatesMinmod(lo, mid, hi, plus, minus *prim) {
 	srho := minmod(mid.rho-lo.rho, hi.rho-mid.rho)
 	svx := minmod(mid.vx-lo.vx, hi.vx-mid.vx)

@@ -80,15 +80,8 @@ type AblationFeaturesResult struct {
 // large configurations are capped at 24 inputs (a deterministic subset) —
 // the with/without contrast is what matters, and both arms see the same cap.
 func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
-	if len(c.LiGenInputs) > 24 {
-		thinned := make([]ligen.Input, 0, 24)
-		step := len(c.LiGenInputs) / 24
-		for i := 0; i < len(c.LiGenInputs) && len(thinned) < 24; i += step {
-			thinned = append(thinned, c.LiGenInputs[i])
-		}
-		c.LiGenInputs = thinned
-	}
-	p, err := c.platform()
+	c.LiGenInputs = thinInputs(c.LiGenInputs)
+	p, err := c.Platform()
 	if err != nil {
 		return AblationFeaturesResult{}, err
 	}
@@ -97,7 +90,7 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 	if err != nil {
 		return AblationFeaturesResult{}, err
 	}
-	withAccs, err := core.LeaveOneInputOut(ds, c.forestSpec(), c.Seed+11, c.Jobs)
+	withAccs, err := core.LeaveOneInputOut(ds, c.ForestSpec(), c.Seed+11, c.Jobs)
 	if err != nil {
 		return AblationFeaturesResult{}, err
 	}
@@ -119,7 +112,7 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 	staticMAPEs, err := parallel.Map(context.Background(), len(inputs), c.Jobs, func(_ context.Context, i int) (float64, error) {
 		held := inputs[i]
 		blind := blindDataset(ds, held)
-		m, err := core.TrainNormalized(blind, c.forestSpec(), c.Seed+12)
+		m, err := core.TrainNormalized(blind, c.ForestSpec(), c.Seed+12)
 		if err != nil {
 			return 0, err
 		}
@@ -187,7 +180,7 @@ func (c Config) AblationNoise() (AblationNoiseResult, error) {
 		cfg := c
 		cfg.Reps = reps
 		cfg.Obs = o
-		p, err := cfg.platform()
+		p, err := cfg.Platform()
 		if err != nil {
 			return 0, err
 		}
@@ -195,7 +188,7 @@ func (c Config) AblationNoise() (AblationNoiseResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		accs, err := core.LeaveOneInputOut(ds, cfg.forestSpec(), cfg.Seed+13, 1)
+		accs, err := core.LeaveOneInputOut(ds, cfg.ForestSpec(), cfg.Seed+13, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -275,7 +268,7 @@ type AblationBaselinesResult struct {
 
 // AblationBaselines runs the three-way comparison.
 func (c Config) AblationBaselines() (AblationBaselinesResult, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return AblationBaselinesResult{}, err
 	}
@@ -286,7 +279,7 @@ func (c Config) AblationBaselines() (AblationBaselinesResult, error) {
 	}
 	var r AblationBaselinesResult
 
-	dsAccs, err := core.LeaveOneInputOut(ds, c.forestSpec(), c.Seed+21, c.Jobs)
+	dsAccs, err := core.LeaveOneInputOut(ds, c.ForestSpec(), c.Seed+21, c.Jobs)
 	if err != nil {
 		return AblationBaselinesResult{}, err
 	}
@@ -354,7 +347,7 @@ type PerKernelResult struct {
 // FutureWorkPerKernel trains per-kernel models on the Cronos ladder and
 // executes the per-kernel plan for the 160x64x64 input.
 func (c Config) FutureWorkPerKernel() (PerKernelResult, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return PerKernelResult{}, err
 	}
@@ -372,7 +365,7 @@ func (c Config) FutureWorkPerKernel() (PerKernelResult, error) {
 	}
 	pk, err := tuner.TrainPerKernel(q, core.CronosSchema(), wls,
 		core.BuildConfig{Freqs: c.sweepFreqs(q.Spec()), Reps: c.Reps},
-		c.forestSpec(), tuner.PerfConstraint{MinSpeedup: 0.99}, c.Seed+31)
+		c.ForestSpec(), tuner.PerfConstraint{MinSpeedup: 0.99}, c.Seed+31)
 	if err != nil {
 		return PerKernelResult{}, err
 	}

@@ -50,7 +50,7 @@ type seriesJob struct {
 // sweepSeriesSet measures a figure's series on the config's worker pool.
 // Every series runs on its own identically seeded platform, so each depends
 // only on (config, job) — never on the other series or on scheduling — and
-// within a series the frequency sweep itself fans out through ParallelSweep.
+// within a series the frequency sweep itself fans out through SweepSet.
 // Series are normalized to their own baseline measurement, so the private
 // platforms change nothing physical; they are what makes the fan-out
 // deterministic. Observer forks follow the same discipline: one child per
@@ -60,7 +60,7 @@ func (c Config) sweepSeriesSet(jobs []seriesJob) ([]Series, error) {
 	out, err := parallel.Map(context.Background(), len(jobs), c.Jobs, func(_ context.Context, i int) (Series, error) {
 		sc := c
 		sc.Obs = forks[i]
-		p, err := sc.platform()
+		p, err := sc.Platform()
 		if err != nil {
 			return Series{}, err
 		}
@@ -77,10 +77,11 @@ func (c Config) sweepSeriesSet(jobs []seriesJob) ([]Series, error) {
 // normalized series with its Pareto front.
 func (c Config) sweepSeries(q *synergy.Queue, w synergy.Workload, label string) (Series, error) {
 	freqs := c.sweepFreqs(q.Spec())
-	ms, err := synergy.ParallelSweep(q, w, freqs, c.Reps, c.Jobs)
+	sets, err := synergy.SweepSet(q, []synergy.Workload{w}, freqs, c.Reps, c.Jobs)
 	if err != nil {
 		return Series{}, err
 	}
+	ms := sets[0]
 	base := q.BaselineFreqMHz()
 	var ref *synergy.Measurement
 	for i := range ms {
@@ -231,7 +232,7 @@ func (c Config) Fig9() (Figure, error) { return c.ligenScaling("fig9", 1, false)
 // selects Figure 6/7 (fixed atoms, series per fragment count); otherwise
 // Figure 8/9 (fixed fragments, series per atom count).
 func (c Config) ligenScaling(id string, devIdx int, byFragment bool) (Figure, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return Figure{}, err
 	}

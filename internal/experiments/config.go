@@ -43,8 +43,10 @@ type Config struct {
 	// (0 selects 500000; four shards make the default a two-million-request
 	// load).
 	ServeRequests int
-	// Jobs bounds the worker goroutines of every generator (0 = GOMAXPROCS,
-	// 1 = fully serial). Results are byte-identical for every value: all
+	// Jobs bounds the worker goroutines of the generators' sweeps, dataset
+	// builds, folds and campaigns (0 = GOMAXPROCS). Forest training does not
+	// see it: each forest grows its trees on GOMAXPROCS goroutines, so 1 is
+	// not a serial run. Results are byte-identical for every value: all
 	// parallelism goes through the deterministic engine in internal/parallel,
 	// with per-task randomness pre-split before any worker starts.
 	Jobs int
@@ -116,6 +118,21 @@ func QuickLiGenInputs() []ligen.Input {
 	return out
 }
 
+// thinInputs caps a LiGen input grid at 24 inputs, every (len/24)-th one:
+// the deterministic subset of the leave-one-input-out studies, whose cost
+// grows with the input count because each held-out input retrains a model.
+func thinInputs(in []ligen.Input) []ligen.Input {
+	if len(in) <= 24 {
+		return in
+	}
+	out := make([]ligen.Input, 0, 24)
+	step := len(in) / 24
+	for i := 0; i < len(in) && len(out) < 24; i += step {
+		out = append(out, in[i])
+	}
+	return out
+}
+
 // Fig13LiGenDisplay is the 12-configuration subset Figure 13c/d displays
 // (atoms x fragments x ligands).
 func Fig13LiGenDisplay() []ligen.Input {
@@ -140,9 +157,6 @@ func (c Config) Platform() (*synergy.Platform, error) {
 	p.SetObserver(c.Obs)
 	return p, nil
 }
-
-// platform is the internal alias used by the generators.
-func (c Config) platform() (*synergy.Platform, error) { return c.Platform() }
 
 // sweepFreqs returns the frequency sweep for a device under this config,
 // always including the baseline frequency.

@@ -354,7 +354,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 
 func TestSweepFreqsIncludesBaselineAndTop(t *testing.T) {
 	cfg := testConfig()
-	p, err := cfg.platform()
+	p, err := cfg.Platform()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ func (c Config) ForestSpec() ml.Spec {
 	}
 }
 
-// forestSpec is the internal alias used by the generators.
-func (c Config) forestSpec() ml.Spec { return c.ForestSpec() }
-
 // BuildCronosDataset measures the Cronos grid ladder on q (training phase of
 // Figure 11) and returns the dataset plus the measured workloads.
 func (c Config) BuildCronosDataset(q *synergy.Queue) (*core.Dataset, []core.FeaturedWorkload, error) {
@@ -74,7 +71,7 @@ func (c Config) TrainGP(q *synergy.Queue) (*gpmodel.Model, error) {
 	return gpmodel.Train(q, gpmodel.TrainConfig{
 		Freqs: c.sweepFreqs(q.Spec()),
 		Reps:  c.Reps,
-		Spec:  c.forestSpec(),
+		Spec:  c.ForestSpec(),
 		Seed:  c.Seed + 77,
 	})
 }
@@ -130,7 +127,7 @@ func (r Fig13Result) MeanRatios() (speedupRatio, energyRatio float64) {
 // domain-specific models against the general-purpose model, for both
 // applications on the V100.
 func (c Config) Fig13() (Fig13Result, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return Fig13Result{}, err
 	}
@@ -148,7 +145,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	cAccs, err := core.LeaveOneInputOut(cds, c.forestSpec(), c.Seed+1, c.Jobs)
+	cAccs, err := core.LeaveOneInputOut(cds, c.ForestSpec(), c.Seed+1, c.Jobs)
 	if err != nil {
 		return Fig13Result{}, err
 	}
@@ -177,7 +174,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 	out.LiGen, err = parallel.Map(context.Background(), len(display), c.Jobs, func(_ context.Context, i int) (AccuracyBar, error) {
 		in := display[i]
 		features := []float64{float64(in.Ligands), float64(in.Fragments), float64(in.Atoms)}
-		a, err := core.EvalHeldOut(lds, c.forestSpec(), c.Seed+2, features)
+		a, err := core.EvalHeldOut(lds, c.ForestSpec(), c.Seed+2, features)
 		if err != nil {
 			return AccuracyBar{}, err
 		}
@@ -255,7 +252,7 @@ type PredictedSet struct {
 // and Cronos (160x64x64) on the V100, with the domain-specific model trained
 // leave-one-input-out so the evaluated input is unseen.
 func (c Config) Fig14() ([]Fig14Panel, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +320,7 @@ func (c Config) paretoPanel(ds *core.Dataset, gp *gpmodel.Model, app, label stri
 	}
 
 	// Domain-specific model trained without the evaluated input.
-	dsModel, err := core.TrainHeldOut(ds, c.forestSpec(), c.Seed+3, features)
+	dsModel, err := core.TrainHeldOut(ds, c.ForestSpec(), c.Seed+3, features)
 	if err != nil {
 		return Fig14Panel{}, err
 	}
@@ -368,15 +365,8 @@ func (c Config) CompareRegressors() ([]AlgorithmComparison, error) {
 	if c.FreqStride < 4 {
 		c.FreqStride = 4
 	}
-	if len(c.LiGenInputs) > 24 {
-		thinned := make([]ligen.Input, 0, 24)
-		step := len(c.LiGenInputs) / 24
-		for i := 0; i < len(c.LiGenInputs) && len(thinned) < 24; i += step {
-			thinned = append(thinned, c.LiGenInputs[i])
-		}
-		c.LiGenInputs = thinned
-	}
-	p, err := c.platform()
+	c.LiGenInputs = thinInputs(c.LiGenInputs)
+	p, err := c.Platform()
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +375,7 @@ func (c Config) CompareRegressors() ([]AlgorithmComparison, error) {
 		{Algorithm: "linear"},
 		{Algorithm: "lasso", Params: map[string]float64{"alpha": 0.001}},
 		{Algorithm: "svr", Params: map[string]float64{"C": 10, "epsilon": 0.005}},
-		c.forestSpec(),
+		c.ForestSpec(),
 	}
 
 	var out []AlgorithmComparison
@@ -434,7 +424,7 @@ type GridSearchResult struct {
 // GridSearchRF runs the paper's grid search (max_depth, n_estimators,
 // max_features) on the Cronos dataset for both prediction targets.
 func (c Config) GridSearchRF() ([]GridSearchResult, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return nil, err
 	}

@@ -25,35 +25,20 @@ type ScheduleRun struct {
 // consumes, sweeping exactly the stream's size ladders at the campaign's
 // candidate clocks on a fresh single-V100 platform.
 func (c Config) scheduleModels(freqs []int) (*sched.ModelSet, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return nil, err
 	}
 	q := p.Queues()[0] // the V100; the cluster below runs the same silicon
 
-	var ligenWLs []core.FeaturedWorkload
-	for _, in := range sched.LiGenSizeLadder() {
-		w, err := sched.Job{App: sched.AppLiGen, LiGen: in}.Workload()
-		if err != nil {
-			return nil, err
-		}
-		ligenWLs = append(ligenWLs, core.FeaturedWorkload{
-			Workload: w,
-			Features: []float64{float64(in.Ligands), float64(in.Atoms), float64(in.Fragments)},
-		})
+	ligenWLs, err := ladderWorkloads(sched.AppLiGen)
+	if err != nil {
+		return nil, err
 	}
-	var cronosWLs []core.FeaturedWorkload
-	for _, sz := range sched.CronosSizeLadder() {
-		w, err := sched.Job{App: sched.AppCronos, Grid: sz.Grid, Steps: sz.Steps}.Workload()
-		if err != nil {
-			return nil, err
-		}
-		cronosWLs = append(cronosWLs, core.FeaturedWorkload{
-			Workload: w,
-			Features: []float64{float64(sz.Grid[0]), float64(sz.Grid[1]), float64(sz.Grid[2])},
-		})
+	cronosWLs, err := ladderWorkloads(sched.AppCronos)
+	if err != nil {
+		return nil, err
 	}
-
 	bc := core.BuildConfig{Freqs: freqs, Reps: c.Reps, Workers: c.Jobs}
 	lds, err := core.BuildDataset(q, core.LiGenSchema(), ligenWLs, bc)
 	if err != nil {
@@ -63,15 +48,40 @@ func (c Config) scheduleModels(freqs []int) (*sched.ModelSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	lm, err := core.Train(lds, c.forestSpec(), c.Seed+42)
+	lm, err := core.Train(lds, c.ForestSpec(), c.Seed+42)
 	if err != nil {
 		return nil, err
 	}
-	cm, err := core.Train(cds, c.forestSpec(), c.Seed+43)
+	cm, err := core.Train(cds, c.ForestSpec(), c.Seed+43)
 	if err != nil {
 		return nil, err
 	}
 	return &sched.ModelSet{LiGen: lm, Cronos: cm}, nil
+}
+
+// ladderWorkloads returns one featured workload per rung of the scheduler
+// stream's size ladder for app: the inputs the scheduling and serving models
+// train on.
+func ladderWorkloads(app sched.App) ([]core.FeaturedWorkload, error) {
+	var jobs []sched.Job
+	if app == sched.AppLiGen {
+		for _, in := range sched.LiGenSizeLadder() {
+			jobs = append(jobs, sched.Job{App: app, LiGen: in})
+		}
+	} else {
+		for _, sz := range sched.CronosSizeLadder() {
+			jobs = append(jobs, sched.Job{App: app, Grid: sz.Grid, Steps: sz.Steps})
+		}
+	}
+	wls := make([]core.FeaturedWorkload, len(jobs))
+	for i, j := range jobs {
+		w, err := j.Workload()
+		if err != nil {
+			return nil, err
+		}
+		wls[i] = core.FeaturedWorkload{Workload: w, Features: j.Features()}
+	}
+	return wls, nil
 }
 
 // scheduleStormPlan is the campaign's aggressive fault plan: a permanent

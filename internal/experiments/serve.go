@@ -84,31 +84,19 @@ func serveShapes(spec gpusim.Spec) ([]serve.Shape, error) {
 func (c Config) serveModel(q *synergy.Queue, app string, freqs []int, seed uint64) ([]byte, error) {
 	var (
 		schema core.Schema
-		wls    []core.FeaturedWorkload
+		sapp   sched.App
 	)
 	switch app {
 	case "ligen":
-		schema = core.LiGenSchema()
-		for _, in := range sched.LiGenSizeLadder() {
-			j := sched.Job{App: sched.AppLiGen, LiGen: in}
-			w, err := j.Workload()
-			if err != nil {
-				return nil, err
-			}
-			wls = append(wls, core.FeaturedWorkload{Workload: w, Features: j.Features()})
-		}
+		schema, sapp = core.LiGenSchema(), sched.AppLiGen
 	case "cronos":
-		schema = core.CronosSchema()
-		for _, sz := range sched.CronosSizeLadder() {
-			j := sched.Job{App: sched.AppCronos, Grid: sz.Grid, Steps: sz.Steps}
-			w, err := j.Workload()
-			if err != nil {
-				return nil, err
-			}
-			wls = append(wls, core.FeaturedWorkload{Workload: w, Features: j.Features()})
-		}
+		schema, sapp = core.CronosSchema(), sched.AppCronos
 	default:
 		return nil, fmt.Errorf("experiments: unknown serving app %q", app)
+	}
+	wls, err := ladderWorkloads(sapp)
+	if err != nil {
+		return nil, err
 	}
 	ds, err := core.BuildDataset(q, schema, wls, core.BuildConfig{
 		Freqs: freqs, Reps: c.Reps, Workers: c.Jobs,
@@ -116,7 +104,7 @@ func (c Config) serveModel(q *synergy.Queue, app string, freqs []int, seed uint6
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.Train(ds, c.forestSpec(), seed)
+	m, err := core.Train(ds, c.ForestSpec(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +123,7 @@ func (c Config) serveModel(q *synergy.Queue, app string, freqs []int, seed uint6
 // generators, plus malformed requests and an unmodeled app on one shard to
 // exercise the admission rejections.
 func (c Config) ServeCampaign() (serve.Config, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return serve.Config{}, err
 	}

@@ -33,7 +33,7 @@ type TuningComparison struct {
 // performance-constraint policy, evaluating the largest grid held out from
 // model training.
 func (c Config) CompareTuners() (TuningComparison, error) {
-	p, err := c.platform()
+	p, err := c.Platform()
 	if err != nil {
 		return TuningComparison{}, err
 	}
@@ -55,7 +55,7 @@ func (c Config) CompareTuners() (TuningComparison, error) {
 
 	// Model-driven: trained without the evaluated input, zero deploy-time
 	// measurements. The chosen clock is scored against the truth.
-	model, err := core.TrainHeldOut(ds, c.forestSpec(), c.Seed+41, held)
+	model, err := core.TrainHeldOut(ds, c.ForestSpec(), c.Seed+41, held)
 	if err != nil {
 		return TuningComparison{}, err
 	}

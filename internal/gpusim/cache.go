@@ -107,12 +107,11 @@ type analyticCache struct {
 	mu    sync.Mutex // serializes publishers; readers never take it
 	n     int        // published entries, guarded by mu
 
-	hits   atomic.Uint64 // profile lookups served from the table
-	misses atomic.Uint64 // profile lookups that compiled and published
-	// Mirror counters in the observer's unstable tier: whether two parallel
-	// forks both miss on the same profile depends on scheduling, so these
-	// totals are reproducible only on serial runs and stay out of the
-	// deterministic export. Set once (before concurrent use) via
+	// Profile lookups served from the table and lookups that compiled and
+	// published, counted in the observer's unstable tier: whether two
+	// parallel forks both miss on the same profile depends on scheduling,
+	// so these totals are reproducible only on serial runs and stay out of
+	// the deterministic export. Set once (before concurrent use) via
 	// Device.SetObserver.
 	obsHits   *obs.Counter
 	obsMisses *obs.Counter
@@ -139,11 +138,9 @@ func (c *analyticCache) setObserver(m *obs.Registry, device string) {
 func (c *analyticCache) entry(d *Device, p *kernels.Profile, k *profileKey) *profileEntry {
 	h := k.hash()
 	if e := c.table.Load().find(k, h); e != nil {
-		c.hits.Add(1)
 		c.obsHits.Inc()
 		return e
 	}
-	c.misses.Add(1)
 	c.obsMisses.Inc()
 	return c.compileAndPublish(d, p, k, h)
 }
@@ -195,7 +192,6 @@ func (d *Device) entryFor(p *kernels.Profile) *profileEntry {
 	}
 	k := keyOf(p)
 	if d.lastEntry != nil && d.lastEntry.key == k {
-		d.cache.hits.Add(1)
 		d.cache.obsHits.Inc()
 		return d.lastEntry
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsenergy/internal/kernels"
+	"dsenergy/internal/obs"
 	"dsenergy/internal/parallel"
 )
 
@@ -76,6 +77,8 @@ func TestAnalyzeAtOffMenuMatchesDirectEvaluation(t *testing.T) {
 func TestDisableAnalyticCacheFallbackMatchesCached(t *testing.T) {
 	cached := mustNew(t, V100Spec(), 1)
 	direct := mustNew(t, V100Spec(), 1)
+	o := obs.NewObserver()
+	direct.SetObserver(o)
 	direct.DisableAnalyticCache()
 	p := memoryBound()
 	for _, f := range cached.Spec().CoreFreqsMHz {
@@ -83,7 +86,7 @@ func TestDisableAnalyticCacheFallbackMatchesCached(t *testing.T) {
 			t.Fatalf("at %d MHz: direct %+v != cached %+v", f, got, want)
 		}
 	}
-	if h, m := direct.AnalyticCacheStats(); h != 0 || m != 0 {
+	if h, m := cacheStats(o, direct); h != 0 || m != 0 {
 		t.Fatalf("detached cache must report zero stats, got %d/%d", h, m)
 	}
 }
@@ -115,11 +118,13 @@ func TestAnalyzeCurveMatchesAnalyzeAt(t *testing.T) {
 
 func TestForkSharesCompiledCurves(t *testing.T) {
 	d := mustNew(t, V100Spec(), 1)
+	o := obs.NewObserver()
+	d.SetObserver(o)
 	p := computeBound()
 	d.AnalyzeAt(p, 1297) // compile + publish on the parent
 	child := d.Fork()
 	child.AnalyzeAt(p, d.Spec().FMaxMHz())
-	hits, misses := d.AnalyticCacheStats()
+	hits, misses := cacheStats(o, d)
 	if misses != 1 {
 		t.Fatalf("misses = %d, want 1 (one compile shared by parent and fork)", misses)
 	}
@@ -482,12 +487,12 @@ func BenchmarkAnalyzeCurve(b *testing.B) {
 	})
 }
 
-// AnalyticCacheStats reports the device's analytic-cache profile-lookup
-// hit/miss counters (zero for devices without a cache). Forks share their
-// parent's counters.
-func (d *Device) AnalyticCacheStats() (hits, misses uint64) {
-	if d.cache == nil {
-		return 0, 0
-	}
-	return d.cache.hits.Load(), d.cache.misses.Load()
+// cacheStats reads d's analytic-cache profile-lookup hit and miss counters
+// from the unstable tier of o, the observer attached to d. Forks share
+// their parent's counters.
+func cacheStats(o *obs.Observer, d *Device) (hits, misses uint64) {
+	m := o.Metrics()
+	dev := obs.L("device", d.Spec().Name)
+	return m.UnstableCounter("gpusim_analytic_cache_hits_total", dev).Value(),
+		m.UnstableCounter("gpusim_analytic_cache_misses_total", dev).Value()
 }

@@ -12,9 +12,7 @@ import (
 // evalFold fits spec on every sample outside test and returns the MAPE on
 // the held-out fold. scratch is an n-length membership marker owned by the
 // caller: evalFold marks the test indices on entry and unmarks them before
-// returning, so a serial caller reuses one allocation across all folds
-// (replacing the per-fold map[int]bool this package used to build) while a
-// parallel caller hands each chunk of folds its own slice.
+// returning, so the caller reuses one allocation across all folds.
 func evalFold(spec Spec, X [][]float64, y []float64, test []int, scratch []bool, seed uint64) (float64, error) {
 	stop := spec.Obs.Profile().Phase("ml.cv.fold").Start()
 	defer stop()
@@ -50,16 +48,15 @@ func evalFold(spec Spec, X [][]float64, y []float64, test []int, scratch []bool,
 	return MAPE(yt, yp), nil
 }
 
-// kfoldMAPE computes the shuffled k-fold MAPE on up to workers goroutines.
-// Fold seeds (seed + fold) and the shuffle are fixed before any fold runs,
-// and the per-fold MAPEs are summed in fold order, so the result is
-// bit-identical for every worker count.
+// kfoldMAPE computes the shuffled k-fold MAPE. Fold seeds (seed + fold) and
+// the shuffle are fixed before any fold runs, and the per-fold MAPEs are
+// summed in fold order.
 //
 // perm optionally supplies the length-n shuffle; nil derives it from the
-// seed as always. gridSearch computes Perm(n) once and shares it (read-only)
-// across every grid point, since every point would derive the identical
-// permutation from the same (n, seed) anyway.
-func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, workers int, perm []int) (float64, error) {
+// seed as always. GridSearchParallel computes Perm(n) once and shares it
+// (read-only) across every grid point, since every point would derive the
+// identical permutation from the same (n, seed) anyway.
+func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, perm []int) (float64, error) {
 	n, _, err := checkXY(X, y)
 	if err != nil {
 		return 0, err
@@ -70,27 +67,14 @@ func kfoldMAPE(spec Spec, X [][]float64, y []float64, k int, seed uint64, worker
 	if perm == nil {
 		perm = xrand.New(seed).Perm(n)
 	}
-	// Each chunk owns folds[lo:hi) and reuses one membership scratch across
-	// its folds. Fold seeds depend on the fold index alone, so the chunk
-	// decomposition cannot change the bytes.
-	folds := make([]float64, k)
-	err = parallel.ForEachChunked(context.Background(), k, workers, 0, func(_ context.Context, lo, hi int) error {
-		scratch := make([]bool, n)
-		for fold := lo; fold < hi; fold++ {
-			flo, fhi := fold*n/k, (fold+1)*n/k
-			m, ferr := evalFold(spec, X, y, perm[flo:fhi], scratch, seed+uint64(fold))
-			if ferr != nil {
-				return ferr
-			}
-			folds[fold] = m
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
+	scratch := make([]bool, n)
 	var total float64
-	for _, m := range folds {
+	for fold := 0; fold < k; fold++ {
+		lo, hi := fold*n/k, (fold+1)*n/k
+		m, err := evalFold(spec, X, y, perm[lo:hi], scratch, seed+uint64(fold))
+		if err != nil {
+			return 0, err
+		}
 		total += m
 	}
 	return total / float64(k), nil
@@ -133,11 +117,15 @@ func enumerateGrid(grid map[string][]float64) []map[string]float64 {
 	return combos
 }
 
-// gridSearch evaluates every grid point with k-fold CV on up to workers
-// goroutines. Each point's CV run depends only on (spec, seed), both fixed
-// at enumeration time, and the final ranking is a stable sort over the fixed
-// enumeration order, so the result is identical for every worker count.
-func gridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64, k int, seed uint64, workers int) ([]GridPoint, error) {
+// GridSearchParallel exhaustively evaluates the Cartesian product of the
+// parameter grid with k-fold CV and returns every point (best first). This
+// reproduces the paper's random-forest tuning over max_depth, n_estimators
+// and max_features. The grid points are evaluated on a worker pool
+// (workers <= 0 selects GOMAXPROCS). Each point's CV run depends only on
+// (spec, seed), both fixed at enumeration time, and the final ranking is a
+// stable sort over the fixed enumeration order, so the result is identical
+// for every worker count.
+func GridSearchParallel(base Spec, grid map[string][]float64, X [][]float64, y []float64, k int, seed uint64, workers int) ([]GridPoint, error) {
 	combos := enumerateGrid(grid)
 	n, _, err := checkXY(X, y)
 	if err != nil {
@@ -159,7 +147,7 @@ func gridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64
 			for k, v := range combos[i] {
 				spec.Params[k] = v
 			}
-			m, err := kfoldMAPE(spec, X, y, k, seed, 1, perm)
+			m, err := kfoldMAPE(spec, X, y, k, seed, perm)
 			stop()
 			if err != nil {
 				return err
@@ -176,14 +164,4 @@ func gridSearch(base Spec, grid map[string][]float64, X [][]float64, y []float64
 	//dsalint:ignore sortslice
 	sort.SliceStable(points, func(a, b int) bool { return points[a].MAPE < points[b].MAPE })
 	return points, nil
-}
-
-// GridSearchParallel exhaustively evaluates the Cartesian product of the
-// parameter grid with k-fold CV and returns every point (best first). This
-// reproduces the paper's random-forest tuning over max_depth, n_estimators
-// and max_features. The grid points are evaluated on a worker pool
-// (workers <= 0 selects GOMAXPROCS); the ranking is identical for every
-// worker count.
-func GridSearchParallel(base Spec, grid map[string][]float64, X [][]float64, y []float64, k int, seed uint64, workers int) ([]GridPoint, error) {
-	return gridSearch(base, grid, X, y, k, seed, workers)
 }

@@ -432,14 +432,14 @@ func TestMAPENearZeroGuard(t *testing.T) {
 
 func TestKFoldMAPE(t *testing.T) {
 	X, y := synthLinear(xrand.New(11), 200, 0.05)
-	m, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 5, 1, 1, nil)
+	m, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m < 0 || m > 0.2 {
 		t.Errorf("k-fold MAPE %g out of plausible range for a near-linear target", m)
 	}
-	if _, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 1, 1, 1, nil); err == nil {
+	if _, err := kfoldMAPE(Spec{Algorithm: "linear"}, X, y, 1, 1, nil); err == nil {
 		t.Error("expected error for k=1")
 	}
 }
@@ -453,7 +453,7 @@ func TestGridSearchFindsBetterDepth(t *testing.T) {
 		X[i] = []float64{x}
 		y[i] = math.Floor(x) // step function: deeper trees win
 	}
-	pts, err := gridSearch(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}},
+	pts, err := GridSearchParallel(Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}},
 		map[string][]float64{"max_depth": {1, 8}}, X, y, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -565,24 +565,6 @@ type fakeRegressor struct{}
 func (fakeRegressor) Fit([][]float64, []float64) error { return nil }
 func (fakeRegressor) Predict([]float64) float64        { return 0 }
 
-func TestKFoldMAPEParallelMatchesSerial(t *testing.T) {
-	X, y := synthLinear(xrand.New(21), 120, 0.05)
-	spec := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}}
-	serial, err := kfoldMAPE(spec, X, y, 5, 9, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		par, err := kfoldMAPE(spec, X, y, 5, 9, workers, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("workers=%d: parallel k-fold %v != serial %v", workers, par, serial)
-		}
-	}
-}
-
 func TestGridSearchParallelMatchesSerial(t *testing.T) {
 	X, y := synthLinear(xrand.New(22), 80, 0.05)
 	base := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 8}}
@@ -590,7 +572,7 @@ func TestGridSearchParallelMatchesSerial(t *testing.T) {
 		"max_depth":    {2, 6},
 		"max_features": {0, 2},
 	}
-	serial, err := gridSearch(base, grid, X, y, 4, 5, 1)
+	serial, err := GridSearchParallel(base, grid, X, y, 4, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,8 +587,11 @@ func TestGridSearchParallelMatchesSerial(t *testing.T) {
 
 func TestKFoldParallelPropagatesFoldError(t *testing.T) {
 	X, y := synthLinear(xrand.New(23), 40, 0.05)
-	if _, err := kfoldMAPE(Spec{Algorithm: "no-such-algo"}, X, y, 4, 1, 4, nil); err == nil {
-		t.Fatal("expected constructor error to propagate from parallel folds")
+	if _, err := kfoldMAPE(Spec{Algorithm: "no-such-algo"}, X, y, 4, 1, nil); err == nil {
+		t.Fatal("expected constructor error to propagate from the folds")
+	}
+	if _, err := GridSearchParallel(Spec{Algorithm: "no-such-algo"}, map[string][]float64{"max_depth": {2, 4}}, X, y, 4, 1, 4); err == nil {
+		t.Fatal("expected constructor error to propagate from parallel grid points")
 	}
 }
 
@@ -649,15 +634,15 @@ func TestTreePredictRowWidths(t *testing.T) {
 	}
 }
 
-// TestGridSearchSharedPermMatchesKFold pins the shuffle hoist: gridSearch
-// computes one Perm(n) and shares it across grid points, which must leave
+// TestGridSearchSharedPermMatchesKFold pins the shuffle hoist:
+// GridSearchParallel computes one Perm(n) and shares it across grid points, which must leave
 // every point's MAPE exactly equal to an independent kfoldMAPE run of the
 // same spec (which derives the identical permutation from (n, seed)).
 func TestGridSearchSharedPermMatchesKFold(t *testing.T) {
 	X, y := synthLinear(xrand.New(33), 90, 0.05)
 	base := Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 6}}
 	grid := map[string][]float64{"max_depth": {2, 5}, "min_samples_leaf": {1, 3}}
-	pts, err := gridSearch(base, grid, X, y, 3, 17, 1)
+	pts, err := GridSearchParallel(base, grid, X, y, 3, 17, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +654,7 @@ func TestGridSearchSharedPermMatchesKFold(t *testing.T) {
 		for k, v := range p.Params {
 			spec.Params[k] = v
 		}
-		direct, err := kfoldMAPE(spec, X, y, 3, 17, 1, nil)
+		direct, err := kfoldMAPE(spec, X, y, 3, 17, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

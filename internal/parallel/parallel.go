@@ -16,7 +16,7 @@
 // recorded for the lowest task index is returned — on an unlucky schedule a
 // lower-index task may have been cancelled before running, so callers that
 // need deterministic *state* on failure must discard partial results (as
-// synergy.ParallelSweep does) rather than interpret which index failed.
+// synergy.SweepSet does) rather than interpret which index failed.
 package parallel
 
 import (

@@ -80,10 +80,10 @@ func BenchmarkDecide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{}.withDefaults(gpusim.V100Spec().BaselineFreqMHz())
+	static := gpusim.V100Spec().BaselineFreqMHz()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, _ := decide(cfg, curve, jobs[0].DeadlineS, 0, 0, 0.25)
+		p, _ := decide(PolicyModel, static, curve, jobs[0].DeadlineS, 0, 0, 0.25)
 		benchFreq = p.FreqMHz
 	}
 }

@@ -21,7 +21,8 @@ const (
 	PolicyModel Policy = iota
 	// PolicyMaxFreq always runs at the device's fastest candidate clock.
 	PolicyMaxFreq
-	// PolicyStatic pins every job to one fixed clock (Config.StaticFreqMHz).
+	// PolicyStatic pins every job to one fixed clock: the first device's
+	// baseline clock (Spec.BaselineFreqMHz, 1297 MHz on the V100).
 	PolicyStatic
 )
 
@@ -90,12 +91,13 @@ type prediction struct {
 // guardFrac is the fraction of the remaining slack PolicyModel keeps in
 // reserve: its candidates must be predicted to finish by
 // startS + (1-guardFrac)·(deadlineS-startS), so noise, backoff and induced
-// queueing eat the guard band before they eat the deadline; cfg.MaxStretch
+// queueing eat the guard band before they eat the deadline; MaxStretch
 // additionally excludes candidates predicted slower than that multiple of
-// the fastest effective candidate (blocking control). The returned
-// escalated flag reports that no candidate met the (guarded) deadline and
-// the fastest effective clock was chosen instead.
-func decide(cfg Config, curve []prediction, deadlineS, startS float64, capMHz int, guardFrac float64) (prediction, bool) {
+// the fastest effective candidate (blocking control). staticMHz is
+// PolicyStatic's pinned clock. The returned escalated flag reports that no
+// candidate met the (guarded) deadline and the fastest effective clock was
+// chosen instead.
+func decide(policy Policy, staticMHz int, curve []prediction, deadlineS, startS float64, capMHz int, guardFrac float64) (prediction, bool) {
 	eff := func(p prediction) prediction {
 		if capMHz > 0 && p.FreqMHz > capMHz {
 			// The governor will deliver at most capMHz: predict the capped
@@ -112,12 +114,12 @@ func decide(cfg Config, curve []prediction, deadlineS, startS float64, capMHz in
 		return p
 	}
 
-	switch cfg.Policy {
+	switch policy {
 	case PolicyMaxFreq:
 		return eff(curve[len(curve)-1]), false
 	case PolicyStatic:
 		for _, p := range curve {
-			if p.FreqMHz == cfg.StaticFreqMHz {
+			if p.FreqMHz == staticMHz {
 				return eff(p), false
 			}
 		}
@@ -141,7 +143,7 @@ func decide(cfg Config, curve []prediction, deadlineS, startS float64, capMHz in
 		if e.TimeS > budgetS {
 			continue
 		}
-		if cfg.MaxStretch > 0 && e.TimeS > cfg.MaxStretch*fastestS {
+		if e.TimeS > MaxStretch*fastestS {
 			continue
 		}
 		if !found || e.EnergyJ < best.EnergyJ {

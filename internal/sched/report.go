@@ -81,10 +81,10 @@ type Report struct {
 	backoffEnergyJ float64
 }
 
-func newReport(cfg Config, devices int) *Report {
+func newReport(policy Policy, staticMHz, devices int) *Report {
 	return &Report{
-		Policy:        cfg.Policy.String(),
-		StaticFreqMHz: cfg.StaticFreqMHz,
+		Policy:        policy.String(),
+		StaticFreqMHz: staticMHz,
 		Devices:       devices,
 		tenants:       make(map[string]*TenantSLO),
 	}

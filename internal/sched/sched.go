@@ -49,14 +49,10 @@ import (
 	"dsenergy/internal/synergy"
 )
 
-// Config parameterizes a scheduler run. Zero fields select the documented
-// defaults.
+// Config parameterizes a scheduler run.
 type Config struct {
 	// Policy selects the frequency-choice strategy (default PolicyModel).
 	Policy Policy
-	// StaticFreqMHz is PolicyStatic's pinned clock (default the first
-	// device's baseline frequency).
-	StaticFreqMHz int
 	// Freqs are the candidate clocks, ascending (required, non-empty; every
 	// entry must be supported by the devices). The models are consulted at
 	// exactly these clocks.
@@ -64,101 +60,58 @@ type Config struct {
 	// Models are the trained per-application predictors (required — every
 	// policy shares the model-driven admission control).
 	Models *ModelSet
-	// MaxQueuedPerTenant bounds each tenant's waiting queue; arrivals over
-	// the bound are rejected (default 16).
-	MaxQueuedPerTenant int
-	// MaxRetries is the per-job transient-fault retry budget (default 3).
-	MaxRetries int
-	// BackoffBaseS/BackoffFactor/BackoffCapS shape the capped exponential
-	// retry backoff (defaults 0.01 s, 2, 0.1 s). Backoff occupies the device
-	// at idle power.
-	BackoffBaseS  float64
-	BackoffFactor float64
-	BackoffCapS   float64
-	// TimeoutFactor caps a job's cumulative busy time (attempts + backoff)
-	// at TimeoutFactor x its nominal f_max time; exceeding it abandons the
-	// job (default 16).
-	TimeoutFactor float64
-	// SlackGuardFrac is the fraction of a job's remaining slack PolicyModel
-	// reserves as a guard band when choosing a clock: the predicted
-	// completion must land that far before the deadline, absorbing
-	// prediction error and retry backoff (default 0.25; negative disables
-	// the guard). Baseline policies ignore it — their clock is fixed.
-	SlackGuardFrac float64
-	// QueueGuardFrac widens PolicyModel's guard band by this much per job
-	// waiting in the ready queue at decision time (default 0.05; negative
-	// disables). A slow clock under backlog delays every queued job behind
-	// it, so the policy races toward the fastest clock exactly when work is
-	// waiting and spends its slack on down-clocking only into spare
-	// capacity. The combined guard saturates below 1.
-	QueueGuardFrac float64
-	// MaxStretch bounds how far PolicyModel may stretch a job past its
-	// fastest effective clock: candidates predicted slower than MaxStretch
-	// x the fastest candidate's time are excluded (default 1.6; negative
-	// disables; values in (0,1) are rejected). Dispatch is non-preemptive,
-	// so an unbounded down-clock turns one cheap job into a long blockade
-	// for whatever arrives behind it.
-	MaxStretch float64
-	// CapProbeEvery makes every Nth run commanded at or below a device's
-	// observed thermal cap probe at the fastest candidate clock instead
-	// (default 8; negative disables). A policy that keeps commanding under
-	// the cap would otherwise never observe the throttle window ending and
-	// would re-tune conservatively forever; policies that command above the
-	// cap probe implicitly and never trigger this.
-	CapProbeEvery int
 	// Obs is an optional observability sink: scheduler counters and one
 	// span per job outcome, all on simulated time.
 	Obs *obs.Observer
 }
 
-func (c Config) withDefaults(baselineMHz int) Config {
-	if c.StaticFreqMHz == 0 {
-		c.StaticFreqMHz = baselineMHz
-	}
-	if c.MaxQueuedPerTenant == 0 {
-		c.MaxQueuedPerTenant = 16
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBaseS == 0 {
-		c.BackoffBaseS = 0.01
-	}
-	if c.BackoffFactor == 0 {
-		c.BackoffFactor = 2
-	}
-	if c.BackoffCapS == 0 {
-		c.BackoffCapS = 0.1
-	}
-	if c.TimeoutFactor == 0 {
-		c.TimeoutFactor = 16
-	}
-	if c.SlackGuardFrac == 0 {
-		c.SlackGuardFrac = 0.25
-	}
-	if c.SlackGuardFrac < 0 {
-		c.SlackGuardFrac = 0
-	}
-	if c.QueueGuardFrac == 0 {
-		c.QueueGuardFrac = 0.05
-	}
-	if c.QueueGuardFrac < 0 {
-		c.QueueGuardFrac = 0
-	}
-	if c.MaxStretch == 0 {
-		c.MaxStretch = 1.6
-	}
-	if c.MaxStretch < 0 {
-		c.MaxStretch = 0
-	}
-	if c.CapProbeEvery == 0 {
-		c.CapProbeEvery = 8
-	}
-	if c.CapProbeEvery < 0 {
-		c.CapProbeEvery = 0
-	}
-	return c
-}
+// MaxQueuedPerTenant bounds each tenant's waiting queue; arrivals over the
+// bound are rejected (backpressure instead of unbounded growth).
+const MaxQueuedPerTenant = 16
+
+// MaxRetries is the per-job transient-fault retry budget.
+const MaxRetries = 3
+
+// BackoffBaseS, BackoffFactor and BackoffCapS shape the capped exponential
+// retry backoff: the nth retry waits BackoffBaseS·BackoffFactor^n, at most
+// BackoffCapS. Backoff occupies the device at idle power.
+const (
+	BackoffBaseS  float64 = 0.01
+	BackoffFactor float64 = 2
+	BackoffCapS   float64 = 0.1
+)
+
+// TimeoutFactor caps a job's cumulative busy time (attempts + backoff) at
+// TimeoutFactor x its nominal f_max time; exceeding it abandons the job.
+const TimeoutFactor float64 = 16
+
+// SlackGuardFrac is the fraction of a job's remaining slack PolicyModel
+// reserves as a guard band when choosing a clock: the predicted completion
+// must land that far before the deadline, absorbing prediction error and
+// retry backoff. Baseline policies ignore it — their clock is fixed.
+const SlackGuardFrac float64 = 0.25
+
+// QueueGuardFrac widens PolicyModel's guard band by this much per job
+// waiting in the ready queue at decision time. A slow clock under backlog
+// delays every queued job behind it, so the policy races toward the fastest
+// clock exactly when work is waiting and spends its slack on down-clocking
+// only into spare capacity. The combined guard saturates below 1.
+const QueueGuardFrac float64 = 0.05
+
+// MaxStretch bounds how far PolicyModel may stretch a job past its fastest
+// effective clock: candidates predicted slower than MaxStretch x the fastest
+// candidate's time are excluded. Dispatch is non-preemptive, so an unbounded
+// down-clock turns one cheap job into a long blockade for whatever arrives
+// behind it.
+const MaxStretch float64 = 1.6
+
+// CapProbeEvery makes every Nth run commanded at or below a device's
+// observed thermal cap probe at the fastest candidate clock instead. A
+// policy that keeps commanding under the cap would otherwise never observe
+// the throttle window ending and would re-tune conservatively forever;
+// policies that command above the cap probe implicitly and never trigger
+// this.
+const CapProbeEvery = 8
 
 // event kinds of the simulated-time event queue. Arrivals never enter it:
 // Run merges them in from the sorted job order.
@@ -250,10 +203,11 @@ type schedObsHandles struct {
 // campaign with New; Run consumes it (the underlying queues accumulate
 // state, so a fresh campaign needs a fresh cluster).
 type Scheduler struct {
-	cfg    Config
-	cl     *cluster.Cluster
-	queues []*synergy.Queue
-	idleW  float64
+	cfg       Config
+	staticMHz int // PolicyStatic's pinned clock: the first device's baseline
+	cl        *cluster.Cluster
+	queues    []*synergy.Queue
+	idleW     float64
 
 	events eventq.Queue[event]
 	ready  []*jobState // EDF order: (deadline, job ID)
@@ -304,18 +258,13 @@ func New(cl *cluster.Cluster, cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: device %s does not support %d MHz", spec.Name, f)
 		}
 	}
-	cfg = cfg.withDefaults(queues[0].BaselineFreqMHz())
-	if cfg.Policy == PolicyStatic && !slices.Contains(cfg.Freqs, cfg.StaticFreqMHz) {
-		return nil, fmt.Errorf("sched: static clock %d MHz is not a candidate frequency", cfg.StaticFreqMHz)
-	}
-	if cfg.SlackGuardFrac >= 1 {
-		return nil, fmt.Errorf("sched: SlackGuardFrac %g must be below 1", cfg.SlackGuardFrac)
-	}
-	if cfg.MaxStretch > 0 && cfg.MaxStretch < 1 {
-		return nil, fmt.Errorf("sched: MaxStretch %g must be at least 1 (or negative to disable)", cfg.MaxStretch)
+	staticMHz := queues[0].BaselineFreqMHz()
+	if cfg.Policy == PolicyStatic && !slices.Contains(cfg.Freqs, staticMHz) {
+		return nil, fmt.Errorf("sched: static clock %d MHz is not a candidate frequency", staticMHz)
 	}
 	s := &Scheduler{
 		cfg:            cfg,
+		staticMHz:      staticMHz,
 		cl:             cl,
 		queues:         queues,
 		idleW:          spec.IdleW,
@@ -353,7 +302,7 @@ func New(cl *cluster.Cluster, cfg Config) (*Scheduler, error) {
 // guard is PolicyModel's effective slack-guard fraction when `waiting`
 // other jobs sit in the ready queue.
 func (s *Scheduler) guard(waiting int) float64 {
-	g := s.cfg.SlackGuardFrac + s.cfg.QueueGuardFrac*float64(waiting)
+	g := SlackGuardFrac + QueueGuardFrac*float64(waiting)
 	if g > 0.9 {
 		g = 0.9
 	}
@@ -385,7 +334,7 @@ func (s *Scheduler) Run(jobs []Job) (*Report, error) {
 			return nil, err
 		}
 	}
-	s.rep = newReport(s.cfg, len(s.queues))
+	s.rep = newReport(s.cfg.Policy, s.staticMHz, len(s.queues))
 	states := make([]jobState, len(jobs))
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -452,7 +401,7 @@ func (s *Scheduler) admit(js *jobState, now float64) error {
 		s.reject(js, "no-devices")
 		return nil
 	}
-	if s.queuedByTenant[t] >= s.cfg.MaxQueuedPerTenant {
+	if s.queuedByTenant[t] >= MaxQueuedPerTenant {
 		s.reject(js, "queue-full")
 		return nil
 	}
@@ -630,7 +579,7 @@ func (s *Scheduler) dispatchIdle(now float64) error {
 // pickJob selects the ready-queue index to run on idle device d, or -1.
 func (s *Scheduler) pickJob(d int, now float64) int {
 	for i, js := range s.ready {
-		p, _ := decide(s.cfg, js.shape.curve, js.job.DeadlineS, now, s.capMHz[d], s.guard(len(s.ready)-1))
+		p, _ := decide(s.cfg.Policy, s.staticMHz, js.shape.curve, js.job.DeadlineS, now, s.capMHz[d], s.guard(len(s.ready)-1))
 		lateHere := now + p.TimeS - js.job.DeadlineS
 		if lateHere <= 0 {
 			return i
@@ -646,7 +595,7 @@ func (s *Scheduler) pickJob(d int, now float64) int {
 			if s.freeAtS[o] > start {
 				start = s.freeAtS[o]
 			}
-			po, _ := decide(s.cfg, js.shape.curve, js.job.DeadlineS, start, s.capMHz[o], s.guard(len(s.ready)-1))
+			po, _ := decide(s.cfg.Policy, s.staticMHz, js.shape.curve, js.job.DeadlineS, start, s.capMHz[o], s.guard(len(s.ready)-1))
 			if start+po.TimeS-js.job.DeadlineS < lateHere {
 				better = true
 				break
@@ -669,7 +618,7 @@ func (s *Scheduler) pickJob(d int, now float64) int {
 // schedules the device's next free event (or the job's requeue on a device
 // loss).
 func (s *Scheduler) execute(js *jobState, d int, start float64) error {
-	p, escalated := decide(s.cfg, js.shape.curve, js.job.DeadlineS, start, s.capMHz[d], s.guard(len(s.ready)))
+	p, escalated := decide(s.cfg.Policy, s.staticMHz, js.shape.curve, js.job.DeadlineS, start, s.capMHz[d], s.guard(len(s.ready)))
 	if escalated {
 		s.rep.Escalations++
 		s.om.escalated.Inc()
@@ -690,9 +639,9 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 		return err
 	}
 	commanded := p.FreqMHz
-	if s.cfg.CapProbeEvery > 0 && s.capMHz[d] > 0 && commanded <= s.capMHz[d] {
+	if s.capMHz[d] > 0 && commanded <= s.capMHz[d] {
 		s.cappedRuns[d]++
-		if s.cappedRuns[d] >= s.cfg.CapProbeEvery {
+		if s.cappedRuns[d] >= CapProbeEvery {
 			// Probe above the cap: a clean run clears it, a throttled run
 			// re-confirms it — either way the cap tracks the window again.
 			s.cappedRuns[d] = 0
@@ -702,7 +651,7 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 	}
 	// The BackoffCapS term keeps the budget meaningful for jobs whose
 	// nominal time is smaller than a single retry backoff.
-	budgetS := s.cfg.TimeoutFactor * (js.job.NominalS + s.cfg.BackoffCapS)
+	budgetS := TimeoutFactor * (js.job.NominalS + BackoffCapS)
 
 	var busy, energy float64 // this dispatch's device occupancy and energy
 	for attempt := 0; ; attempt++ {
@@ -752,16 +701,16 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 			s.failover(js, d, start+busy)
 			return nil
 		case faults.IsTransient(err):
-			if js.retries >= s.cfg.MaxRetries {
+			if js.retries >= MaxRetries {
 				s.fail(js, d, start, busy, "retry budget exhausted")
 				return nil
 			}
 			js.retries++
 			s.rep.Retries++
 			s.om.retries.Inc()
-			delay := s.cfg.BackoffBaseS * pow(s.cfg.BackoffFactor, attempt)
-			if delay > s.cfg.BackoffCapS {
-				delay = s.cfg.BackoffCapS
+			delay := BackoffBaseS * math.Pow(BackoffFactor, float64(attempt))
+			if delay > BackoffCapS {
+				delay = BackoffCapS
 			}
 			busy += delay
 			js.busyS += delay
@@ -776,16 +725,6 @@ func (s *Scheduler) execute(js *jobState, d int, start float64) error {
 			return err
 		}
 	}
-}
-
-// pow is a small integer-exponent power (math.Pow's semantics are overkill
-// for backoff growth).
-func pow(base float64, n int) float64 {
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= base
-	}
-	return out
 }
 
 // observeClock compares the clocks the latest attempt's submissions actually

@@ -201,9 +201,7 @@ func TestGenerateStreamRejectsBadConfig(t *testing.T) {
 	spec := gpusim.V100Spec()
 	bad := []StreamConfig{
 		{Seed: 1, Jobs: -1},
-		{Seed: 1, SlackMin: 5, SlackMax: 2},
-		{Seed: 1, SlackMin: -1},
-		{Seed: 1, LiGenFrac: 1.5},
+		{Seed: 1, Jobs: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateStream(cfg, spec); err == nil {
@@ -216,6 +214,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cl := testCluster(t, 1, 2, faults.Plan{})
 	models := testModels(t)
 	freqs := testFreqs(t)
+	noBaseline := slices.DeleteFunc(slices.Clone(freqs), func(f int) bool { return f == gpusim.V100Spec().BaselineFreqMHz() })
 	bad := []struct {
 		name string
 		cfg  Config
@@ -224,9 +223,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"unsorted freqs", Config{Models: models, Freqs: []int{1597, 1297}}},
 		{"nil models", Config{Freqs: freqs}},
 		{"unsupported freq", Config{Models: models, Freqs: []int{123}}},
-		{"static not a candidate", Config{Models: models, Freqs: freqs, Policy: PolicyStatic, StaticFreqMHz: freqs[0] + 1}},
-		{"guard too large", Config{Models: models, Freqs: freqs, SlackGuardFrac: 1.5}},
-		{"stretch below 1", Config{Models: models, Freqs: freqs, MaxStretch: 0.5}},
+		{"static not a candidate", Config{Models: models, Freqs: noBaseline, Policy: PolicyStatic}},
 	}
 	for _, tc := range bad {
 		if _, err := New(cl, tc.cfg); err == nil {
@@ -334,31 +331,32 @@ func TestFaultFreeRunAccounting(t *testing.T) {
 	}
 }
 
-// TestPerTenantQueueBound floods one tenant past its queue bound and expects
-// backpressure rejections, not unbounded growth.
+// TestPerTenantQueueBound floods one tenant past its queue bound of 16 and
+// expects backpressure rejections, not unbounded growth.
 func TestPerTenantQueueBound(t *testing.T) {
+	const devices, queued, bounced = 2, 16, 4
 	var jobs []Job
-	for i := 0; i < 6; i++ {
+	for i := 0; i < devices+queued+bounced; i++ {
 		jobs = append(jobs, Job{
 			ID: i, Tenant: "flood", App: AppLiGen,
 			LiGen:    ligenSizes[len(ligenSizes)-1],
 			NominalS: 0.6, DeadlineS: 100,
 		})
 	}
-	s := testScheduler(t, testCluster(t, 3, 2, faults.Plan{}), Config{MaxQueuedPerTenant: 1})
+	s := testScheduler(t, testCluster(t, 3, devices, faults.Plan{}), Config{})
 	r, err := s.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two jobs dispatch immediately, one queues, the rest bounce.
-	if r.RejectedQueueFull != 3 {
-		t.Fatalf("queue-full rejections = %d, want 3 (report: %+v)", r.RejectedQueueFull, r)
+	// Two jobs dispatch immediately, 16 queue, the rest bounce.
+	if r.RejectedQueueFull != bounced {
+		t.Fatalf("queue-full rejections = %d, want %d (report: %+v)", r.RejectedQueueFull, bounced, r)
 	}
-	if r.Completed != 3 {
-		t.Fatalf("completed = %d, want 3", r.Completed)
+	if want := devices + queued; r.Completed != want {
+		t.Fatalf("completed = %d, want %d", r.Completed, want)
 	}
-	if got := r.Tenants[0].RejectedQueueFull; got != 3 {
-		t.Fatalf("tenant queue-full rejections = %d, want 3", got)
+	if got := r.Tenants[0].RejectedQueueFull; got != bounced {
+		t.Fatalf("tenant queue-full rejections = %d, want %d", got, bounced)
 	}
 }
 
@@ -559,30 +557,29 @@ func TestPolicyOrdering(t *testing.T) {
 
 // ---- decide() unit tests on a synthetic curve ----
 
-// testCurve is ascending in frequency; energy dips at the middle clock.
+// testCurve is ascending in frequency; energy dips at the middle clock, and
+// every clock is within MaxStretch of the fastest.
 var testCurve = []prediction{
-	{FreqMHz: 800, TimeS: 2.0, EnergyJ: 90},
+	{FreqMHz: 800, TimeS: 1.5, EnergyJ: 90},
 	{FreqMHz: 1200, TimeS: 1.2, EnergyJ: 80},
 	{FreqMHz: 1600, TimeS: 1.0, EnergyJ: 120},
 }
 
-func decideCfg() Config {
-	return Config{Policy: PolicyModel, StaticFreqMHz: 1200, MaxStretch: -1}.withDefaults(1200)
+// decideModel is PolicyModel's decision over curve, with 1200 MHz as the
+// static clock the policy ignores.
+func decideModel(curve []prediction, deadlineS, startS float64, capMHz int, guardFrac float64) (prediction, bool) {
+	return decide(PolicyModel, 1200, curve, deadlineS, startS, capMHz, guardFrac)
 }
 
 func TestDecideMaxFreqPicksFastest(t *testing.T) {
-	cfg := decideCfg()
-	cfg.Policy = PolicyMaxFreq
-	p, esc := decide(cfg, testCurve, 10, 0, 0, 0)
+	p, esc := decide(PolicyMaxFreq, 1200, testCurve, 10, 0, 0, 0)
 	if p.FreqMHz != 1600 || esc {
 		t.Fatalf("got %+v escalated=%v", p, esc)
 	}
 }
 
 func TestDecideStaticPinsClock(t *testing.T) {
-	cfg := decideCfg()
-	cfg.Policy = PolicyStatic
-	p, esc := decide(cfg, testCurve, 10, 0, 0, 0)
+	p, esc := decide(PolicyStatic, 1200, testCurve, 10, 0, 0, 0)
 	if p.FreqMHz != 1200 || esc {
 		t.Fatalf("got %+v escalated=%v", p, esc)
 	}
@@ -590,13 +587,13 @@ func TestDecideStaticPinsClock(t *testing.T) {
 
 func TestDecideModelMinimizesEnergyUnderDeadline(t *testing.T) {
 	// Plenty of slack, no guard: the cheapest clock that fits wins.
-	p, esc := decide(decideCfg(), testCurve, 10, 0, 0, 0)
+	p, esc := decideModel(testCurve, 10, 0, 0, 0)
 	if p.FreqMHz != 1200 || esc {
 		t.Fatalf("got %+v escalated=%v, want 1200 MHz (cheapest feasible)", p, esc)
 	}
-	// Slack 2.0s with guard 0: the 800 MHz clock fits exactly and is NOT
+	// Slack 1.5s with guard 0: the 800 MHz clock fits exactly and is NOT
 	// cheapest; 1200 MHz still wins on energy.
-	p, _ = decide(decideCfg(), testCurve, 2.0, 0, 0, 0)
+	p, _ = decideModel(testCurve, 1.5, 0, 0, 0)
 	if p.FreqMHz != 1200 {
 		t.Fatalf("got %d MHz, want 1200", p.FreqMHz)
 	}
@@ -606,19 +603,19 @@ func TestDecideGuardReservesSlack(t *testing.T) {
 	// Deadline 1.3s: ungated, 1200 MHz (1.2s) fits. A 0.25 guard shrinks
 	// the budget to 0.975s, so only 1600 MHz... which also misses — the
 	// decision escalates to the fastest clock.
-	p, esc := decide(decideCfg(), testCurve, 1.3, 0, 0, 0.25)
+	p, esc := decideModel(testCurve, 1.3, 0, 0, 0.25)
 	if p.FreqMHz != 1600 || !esc {
 		t.Fatalf("got %+v escalated=%v, want escalation to 1600", p, esc)
 	}
 	// Deadline 1.5s with the same guard: budget 1.125s admits 1600 only.
-	p, esc = decide(decideCfg(), testCurve, 1.5, 0, 0, 0.25)
+	p, esc = decideModel(testCurve, 1.5, 0, 0, 0.25)
 	if p.FreqMHz != 1600 || esc {
 		t.Fatalf("got %+v escalated=%v, want 1600 without escalation", p, esc)
 	}
 }
 
 func TestDecideEscalatesWhenDeadlineUnmeetable(t *testing.T) {
-	p, esc := decide(decideCfg(), testCurve, 0.5, 0, 0, 0)
+	p, esc := decideModel(testCurve, 0.5, 0, 0, 0)
 	if !esc || p.FreqMHz != 1600 {
 		t.Fatalf("got %+v escalated=%v, want escalation to fastest", p, esc)
 	}
@@ -627,13 +624,13 @@ func TestDecideEscalatesWhenDeadlineUnmeetable(t *testing.T) {
 func TestDecideCapSubstitutesEffectiveSpeed(t *testing.T) {
 	// Cap at 1200: the 1600 candidate is predicted at the capped clock's
 	// time and energy, so it can never look better than 1200 itself.
-	p, _ := decide(decideCfg(), testCurve, 10, 0, 1200, 0)
+	p, _ := decideModel(testCurve, 10, 0, 1200, 0)
 	if p.FreqMHz != 1200 {
 		t.Fatalf("got %d MHz, want 1200 under cap", p.FreqMHz)
 	}
 	// Deadline only the uncapped 1600 could meet: under the cap nothing
 	// fits, the decision escalates at capped speed.
-	p, esc := decide(decideCfg(), testCurve, 1.1, 0, 1200, 0)
+	p, esc := decideModel(testCurve, 1.1, 0, 1200, 0)
 	if !esc {
 		t.Fatalf("got %+v, want escalation under cap", p)
 	}
@@ -643,21 +640,17 @@ func TestDecideCapSubstitutesEffectiveSpeed(t *testing.T) {
 }
 
 func TestDecideStretchCapBoundsBlocking(t *testing.T) {
-	cfg := decideCfg()
-	cfg.MaxStretch = 1.5
-	// 800 MHz (2.0s) is 2x the fastest candidate (1.0s) — excluded even
-	// with infinite slack; 1200 MHz (1.2x) stays eligible.
-	p, esc := decide(cfg, testCurve, 1000, 0, 0, 0)
-	if p.FreqMHz != 1200 || esc {
-		t.Fatalf("got %+v escalated=%v, want 1200 within stretch", p, esc)
-	}
-	cheap := []prediction{
-		{FreqMHz: 800, TimeS: 2.0, EnergyJ: 10},
+	// 800 MHz (1.7s) is 1.7x the fastest candidate (1.0s): excluded even
+	// with infinite slack and the lowest energy. 1200 MHz sits exactly on
+	// the 1.6x bound and stays eligible.
+	curve := []prediction{
+		{FreqMHz: 800, TimeS: 1.7, EnergyJ: 10},
+		{FreqMHz: 1200, TimeS: 1.6, EnergyJ: 20},
 		{FreqMHz: 1600, TimeS: 1.0, EnergyJ: 120},
 	}
-	p, _ = decide(cfg, cheap, 1000, 0, 0, 0)
-	if p.FreqMHz != 1600 {
-		t.Fatalf("got %d MHz; the 800 MHz bargain must be excluded by MaxStretch", p.FreqMHz)
+	p, esc := decideModel(curve, 1000, 0, 0, 0)
+	if p.FreqMHz != 1200 || esc {
+		t.Fatalf("got %+v escalated=%v, want 1200 MHz on the 1.6x stretch bound", p, esc)
 	}
 }
 

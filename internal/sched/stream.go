@@ -73,68 +73,42 @@ func (j Job) Workload() (synergy.Workload, error) {
 	return cronos.NewWorkload(j.Grid[0], j.Grid[1], j.Grid[2], j.Steps)
 }
 
-// StreamConfig controls the seeded multi-tenant job stream. The zero value of
-// every field selects the documented default.
+// StreamConfig controls the seeded multi-tenant job stream.
 type StreamConfig struct {
 	// Seed drives every draw of the stream (sizes, arrivals, slacks).
 	Seed uint64
-	// Jobs is the total job count (default 96).
+	// Jobs is the total job count (at least 1).
 	Jobs int
-	// Tenants are the tenant names jobs are attributed to round-robin-ishly
-	// by weighted draw (default the three campaign owners below).
-	Tenants []string
-	// LiGenFrac is the probability a job is a LiGen screen (default 0.55,
-	// the mixed-stream balance; the rest are Cronos runs).
-	LiGenFrac float64
-	// MeanInterarrivalS scales the exponential interarrival gaps, in
-	// simulated seconds (default 0.08 — roughly 65% utilization of a
-	// 4-device cluster at the ladders' mean nominal time, so queues form
-	// without saturating).
-	MeanInterarrivalS float64
-	// SlackMin/SlackMax bound the uniform deadline slack multiplier applied
-	// to the job's nominal f_max time (defaults 3 and 8): deadline =
-	// arrival + max(slack · nominal, SlackFloorS). Values below ~1.5 make
-	// deadlines unmeetable behind any queue; the defaults leave room for
-	// down-clocking without making every deadline trivial.
-	SlackMin, SlackMax float64
-	// SlackFloorS is the minimum absolute deadline slack in simulated
-	// seconds (default 1.0; negative disables). Without a floor, the
-	// smallest jobs carry millisecond-scale deadlines no non-preemptive
-	// scheduler can honor behind a single in-flight job — an SLO no
-	// operator would sign.
-	SlackFloorS float64
 }
 
-// DefaultTenants are the stream's campaign owners.
+// DefaultTenants are the stream's campaign owners; each job's tenant is a
+// uniform draw from them.
 func DefaultTenants() []string { return []string{"chem-eu", "exscalate", "mhd-lab"} }
 
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.Jobs == 0 {
-		c.Jobs = 96
-	}
-	if len(c.Tenants) == 0 {
-		c.Tenants = DefaultTenants()
-	}
-	if c.LiGenFrac == 0 {
-		c.LiGenFrac = 0.55
-	}
-	if c.MeanInterarrivalS == 0 {
-		c.MeanInterarrivalS = 0.08
-	}
-	if c.SlackMin == 0 {
-		c.SlackMin = 3
-	}
-	if c.SlackMax == 0 {
-		c.SlackMax = 8
-	}
-	if c.SlackFloorS == 0 {
-		c.SlackFloorS = 1.0
-	}
-	if c.SlackFloorS < 0 {
-		c.SlackFloorS = 0
-	}
-	return c
-}
+// LiGenFrac is the probability a job is a LiGen screen, the mixed-stream
+// balance; the rest are Cronos runs.
+const LiGenFrac float64 = 0.55
+
+// MeanInterarrivalS scales the exponential interarrival gaps, in simulated
+// seconds: roughly 65% utilization of a 4-device cluster at the ladders'
+// mean nominal time, so queues form without saturating.
+const MeanInterarrivalS float64 = 0.08
+
+// SlackMin and SlackMax bound the uniform deadline slack multiplier applied
+// to the job's nominal f_max time: deadline = arrival + max(slack · nominal,
+// SlackFloorS). Values below ~1.5 make deadlines unmeetable behind any
+// queue; these leave room for down-clocking without making every deadline
+// trivial.
+const (
+	SlackMin float64 = 3
+	SlackMax float64 = 8
+)
+
+// SlackFloorS is the minimum absolute deadline slack in simulated seconds.
+// Without a floor, the smallest jobs carry millisecond-scale deadlines no
+// non-preemptive scheduler can honor behind a single in-flight job — an SLO
+// no operator would sign.
+const SlackFloorS float64 = 1.0
 
 // ligenSizes is the LiGen job-size ladder (library shapes drawn uniformly),
 // spanning ~0.04-0.64 s of nominal f_max time per screen.
@@ -176,15 +150,8 @@ func CronosSizeLadder() []CronosSize { return slices.Clone(cronosSizes) }
 // plus a uniform slack multiple of its noiseless f_max execution time on the
 // reference device. Identical configs produce identical streams.
 func GenerateStream(cfg StreamConfig, ref gpusim.Spec) ([]Job, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Jobs < 1 {
 		return nil, fmt.Errorf("sched: stream needs at least 1 job, got %d", cfg.Jobs)
-	}
-	if cfg.SlackMin <= 0 || cfg.SlackMax < cfg.SlackMin {
-		return nil, fmt.Errorf("sched: bad slack range [%g,%g]", cfg.SlackMin, cfg.SlackMax)
-	}
-	if cfg.LiGenFrac < 0 || cfg.LiGenFrac > 1 {
-		return nil, fmt.Errorf("sched: LiGenFrac %g out of [0,1]", cfg.LiGenFrac)
 	}
 	// The reference device evaluates noiseless nominal times; its seed is
 	// irrelevant (Analytic never touches the noise stream) but must be fixed.
@@ -194,18 +161,19 @@ func GenerateStream(cfg StreamConfig, ref gpusim.Spec) ([]Job, error) {
 	}
 	fmax := ref.FMaxMHz()
 
+	tenants := DefaultTenants()
 	rng := xrand.New(cfg.Seed)
 	jobs := make([]Job, 0, cfg.Jobs)
 	var clock float64
 	for i := 0; i < cfg.Jobs; i++ {
 		// Exponential interarrival gap: -mean · ln(1-U).
-		clock += -cfg.MeanInterarrivalS * math.Log(1-rng.Float64())
+		clock += -MeanInterarrivalS * math.Log(1-rng.Float64())
 		j := Job{
 			ID:       i,
-			Tenant:   cfg.Tenants[rng.Intn(len(cfg.Tenants))],
+			Tenant:   tenants[rng.Intn(len(tenants))],
 			ArrivalS: clock,
 		}
-		if rng.Float64() < cfg.LiGenFrac {
+		if rng.Float64() < LiGenFrac {
 			j.App = AppLiGen
 			j.LiGen = ligenSizes[rng.Intn(len(ligenSizes))]
 			w, err := ligen.NewWorkload(j.LiGen)
@@ -223,10 +191,10 @@ func GenerateStream(cfg StreamConfig, ref gpusim.Spec) ([]Job, error) {
 			}
 			j.NominalS, _ = w.AnalyticOn(dev, fmax)
 		}
-		slack := cfg.SlackMin + (cfg.SlackMax-cfg.SlackMin)*rng.Float64()
+		slack := SlackMin + (SlackMax-SlackMin)*rng.Float64()
 		slackS := slack * j.NominalS
-		if slackS < cfg.SlackFloorS {
-			slackS = cfg.SlackFloorS
+		if slackS < SlackFloorS {
+			slackS = SlackFloorS
 		}
 		j.DeadlineS = j.ArrivalS + slackS
 		jobs = append(jobs, j)

@@ -139,7 +139,7 @@ func TestCacheHitArrivalAllocs(t *testing.T) {
 		{Mode: "closed", Clients: 1, RequestsPerClient: 2000},
 	} {
 		t.Run(load.Mode, func(t *testing.T) {
-			s, err := newShard(Config{}.withDefaults(), ShardConfig{
+			s, err := newShard(ShardConfig{
 				Device: "v100",
 				Freqs:  testFreqs,
 				Models: map[string][]byte{"ligen": payload},

@@ -156,22 +156,6 @@ type ShardConfig struct {
 // Config drives one service campaign.
 type Config struct {
 	Shards []ShardConfig
-	// BatchWindowS bounds how long a batch stays open collecting misses
-	// (default 0.002 simulated seconds).
-	BatchWindowS float64
-	// MaxBatch closes a batch early at this many coalesced flights
-	// (default 64).
-	MaxBatch int
-	// CacheCap bounds the per-shard LRU response cache (default 256
-	// entries).
-	CacheCap int
-	// CacheHitS is the response time of a cache hit — and of a rejected
-	// request, which takes the same short path (default 0.0002).
-	CacheHitS float64
-	// BatchBaseS + BatchPerReqS x flights is the batch compute time
-	// (defaults 0.001 and 0.0001).
-	BatchBaseS   float64
-	BatchPerReqS float64
 	// Seed drives every stochastic draw of the load.
 	Seed uint64
 	// Workers bounds the shard goroutines (0 = GOMAXPROCS, 1 = serial);
@@ -182,24 +166,22 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-func (c Config) withDefaults() Config {
-	if c.BatchWindowS == 0 {
-		c.BatchWindowS = 0.002
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-	if c.CacheCap == 0 {
-		c.CacheCap = 256
-	}
-	if c.CacheHitS == 0 {
-		c.CacheHitS = 0.0002
-	}
-	if c.BatchBaseS == 0 {
-		c.BatchBaseS = 0.001
-	}
-	if c.BatchPerReqS == 0 {
-		c.BatchPerReqS = 0.0001
-	}
-	return c
-}
+// BatchWindowS bounds how long a batch stays open collecting misses, in
+// simulated seconds.
+const BatchWindowS float64 = 0.002
+
+// MaxBatch closes a batch early at this many coalesced flights.
+const MaxBatch = 64
+
+// CacheCap bounds each shard's LRU response cache, in entries.
+const CacheCap = 256
+
+// CacheHitS is the response time of a cache hit — and of a rejected
+// request, which takes the same short path.
+const CacheHitS float64 = 0.0002
+
+// BatchBaseS + BatchPerReqS x flights is the batch compute time.
+const (
+	BatchBaseS   float64 = 0.001
+	BatchPerReqS float64 = 0.0001
+)

@@ -240,13 +240,29 @@ func TestBatchedAdviceBitIdenticalToSingle(t *testing.T) {
 	}
 }
 
+// TestMaxBatchClosesEarly floods one shard with distinct inputs, so one
+// 2 ms batch window collects more misses than a batch may hold: the batch
+// must close at exactly 64 flights.
 func TestMaxBatchClosesEarly(t *testing.T) {
-	cfg := testConfig(t, 1, nil)
-	cfg.MaxBatch = 2
-	cfg.BatchWindowS = 10 // the window never expires first
+	shapes := make([]Shape, 400)
+	for i := range shapes {
+		shapes[i] = Shape{App: "ligen", Features: []float64{float64(1024 + i), 8, 63}, NominalS: 0.01}
+	}
+	cfg := Config{
+		Shards: []ShardConfig{{
+			Device: "v100",
+			Freqs:  testFreqs,
+			Models: map[string][]byte{"ligen": testPayload(t, 1)},
+			Shapes: shapes,
+			// 2000 arrivals about 1 µs apart all land in the first window.
+			Load: Load{Mode: "open", Requests: 2000, MeanInterarrivalS: 1e-6},
+		}},
+		Seed:    1,
+		Workers: 1,
+	}
 	_, rep := renderReport(t, cfg)
-	if rep.MaxBatchLen > 2 {
-		t.Errorf("batch grew past MaxBatch: %d", rep.MaxBatchLen)
+	if rep.MaxBatchLen != 64 {
+		t.Errorf("largest batch held %d flights, want exactly 64", rep.MaxBatchLen)
 	}
 	if rep.Completed+rep.Rejected != rep.Submitted {
 		t.Errorf("lost requests under size-closed batching")
@@ -266,17 +282,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			c.Shards[0].Models = map[string][]byte{"ligen": []byte(`{"schema":{}}`)}
 		},
 
-		"negative MaxBatch":          func(c *Config) { c.MaxBatch = -1 },
-		"negative CacheCap":          func(c *Config) { c.CacheCap = -1 },
-		"CacheCap past int32":        func(c *Config) { c.CacheCap = math.MaxInt32 + 1 },
-		"NaN CacheHitS":              func(c *Config) { c.CacheHitS = nan },
-		"negative CacheHitS":         func(c *Config) { c.CacheHitS = -0.001 },
-		"infinite BatchWindowS":      func(c *Config) { c.BatchWindowS = inf },
-		"NaN BatchWindowS":           func(c *Config) { c.BatchWindowS = nan },
-		"negative BatchBaseS":        func(c *Config) { c.BatchBaseS = -1 },
-		"infinite BatchBaseS":        func(c *Config) { c.BatchBaseS = inf },
-		"NaN BatchPerReqS":           func(c *Config) { c.BatchPerReqS = nan },
-		"negative BatchPerReqS":      func(c *Config) { c.BatchPerReqS = -1e-4 },
 		"negative Requests":          func(c *Config) { c.Shards[0].Load.Requests = -1 },
 		"negative Clients":           func(c *Config) { c.Shards[1].Load.Clients = -1 },
 		"negative RequestsPerClient": func(c *Config) { c.Shards[1].Load.RequestsPerClient = -5 },
@@ -311,13 +316,10 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestRunZeroSelectsDefaults pins the other side of the config checks: a
-// zero in each defaulted Config field and empty tiers are accepted and run
-// as the documented defaults.
+// TestRunZeroSelectsDefaults pins the other side of the load checks: empty
+// tiers are accepted and run as the documented default tiers.
 func TestRunZeroSelectsDefaults(t *testing.T) {
 	explicit := testConfig(t, 1, nil)
-	explicit.BatchWindowS, explicit.MaxBatch, explicit.CacheCap = 0.002, 64, 256
-	explicit.CacheHitS, explicit.BatchBaseS, explicit.BatchPerReqS = 0.0002, 0.001, 0.0001
 	explicit.Shards = append([]ShardConfig(nil), explicit.Shards...)
 	explicit.Shards[0].Load.Tiers = []float64{2, 4, 8}
 	want, _ := renderReport(t, explicit)

@@ -22,10 +22,6 @@ import (
 // on their own pre-split randomness, so the pool fan-out is byte-identical
 // to the serial loop for any worker count.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("serve: no shards configured")
 	}
@@ -33,7 +29,7 @@ func Run(cfg Config) (*Report, error) {
 	children := cfg.Obs.ForkN(len(cfg.Shards))
 	results, err := parallel.Map(context.Background(), len(cfg.Shards), cfg.Workers,
 		func(_ context.Context, i int) (*shardResult, error) {
-			return runShard(cfg, cfg.Shards[i], rngs[i], children[i])
+			return runShard(cfg.Shards[i], rngs[i], children[i])
 		})
 	if err != nil {
 		return nil, err
@@ -55,26 +51,6 @@ func checkCount(name string, n int) error {
 func checkTime(name string, s float64) error {
 	if !(s >= 0) || math.IsInf(s, 1) {
 		return fmt.Errorf("%s = %v, want a finite non-negative time", name, s)
-	}
-	return nil
-}
-
-// validate rejects the values withDefaults cannot repair. The LRU's index
-// links are int32, which bounds CacheCap.
-func (c Config) validate() error {
-	errs := []error{
-		checkCount("MaxBatch", c.MaxBatch),
-		checkCount("CacheCap", c.CacheCap),
-		checkTime("CacheHitS", c.CacheHitS),
-		checkTime("BatchWindowS", c.BatchWindowS),
-		checkTime("BatchBaseS", c.BatchBaseS),
-		checkTime("BatchPerReqS", c.BatchPerReqS),
-	}
-	if c.CacheCap > math.MaxInt32 {
-		errs = append(errs, fmt.Errorf("CacheCap = %d exceeds %d", c.CacheCap, math.MaxInt32))
-	}
-	if err := errors.Join(errs...); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
@@ -190,7 +166,6 @@ type shardResult struct {
 
 // shard is the running state of one device's event loop.
 type shard struct {
-	cfg       Config
 	sc        ShardConfig
 	load      Load
 	freqs     []int
@@ -230,11 +205,11 @@ type shard struct {
 	trace         *obs.Trace
 }
 
-func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
+func runShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
 	if o != nil {
 		defer o.Profile().Phase("serve.shard").Start()()
 	}
-	s, err := newShard(cfg, sc, rng, o)
+	s, err := newShard(sc, rng, o)
 	if err != nil {
 		return nil, err
 	}
@@ -267,8 +242,8 @@ func runShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 }
 
 // newShard validates one shard's configuration, publishes its initial
-// models and sizes its buffers; cfg has its defaults applied.
-func newShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) {
+// models and sizes its buffers.
+func newShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) {
 	if sc.Device == "" {
 		return nil, fmt.Errorf("serve: shard with empty device name")
 	}
@@ -317,14 +292,13 @@ func newShard(cfg Config, sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*sh
 	m := o.Metrics()
 	dev := obs.L("device", sc.Device)
 	s := &shard{
-		cfg:       cfg,
 		sc:        sc,
 		load:      load,
 		freqs:     freqs,
 		reg:       reg,
 		entries:   make([]*Entry, len(sc.Shapes)),
 		versionOf: map[*Entry]int32{},
-		cache:     newLRU(cfg.CacheCap),
+		cache:     newLRU(CacheCap),
 		pending:   map[string]int32{},
 		open:      -1,
 		rng:       rng,
@@ -477,7 +451,7 @@ func (s *shard) handleArrive(nowS float64, ri int32) {
 	if ent := s.cache.get(s.key); ent != nil {
 		s.res.cacheHits++
 		s.ctrHits.Inc()
-		s.deliver(nowS+s.cfg.CacheHitS, ri, &ent.resp, ent.version)
+		s.deliver(nowS+CacheHitS, ri, &ent.resp, ent.version)
 		return
 	}
 	if fi, ok := s.pending[string(s.key)]; ok {
@@ -498,11 +472,11 @@ func (s *shard) handleArrive(nowS float64, ri int32) {
 		s.open = s.batches.alloc()
 		b := &s.batches.items[s.open]
 		*b = batch{flights: b.flights[:0], queued: 1}
-		s.events.Push(nowS+s.cfg.BatchWindowS, event{kind: evBatchClose, idx: s.open})
+		s.events.Push(nowS+BatchWindowS, event{kind: evBatchClose, idx: s.open})
 	}
 	b := &s.batches.items[s.open]
 	b.flights = append(b.flights, fi)
-	if len(b.flights) >= s.cfg.MaxBatch {
+	if len(b.flights) >= MaxBatch {
 		s.closeBatch(nowS, s.open)
 	}
 }
@@ -519,7 +493,7 @@ func (s *shard) reject(nowS float64, ri int32, noModel bool) {
 		s.res.rejectedBadShape++
 		s.ctrRejShape.Inc()
 	}
-	doneS := nowS + s.cfg.CacheHitS
+	doneS := nowS + CacheHitS
 	if doneS > s.res.lastDoneS {
 		s.res.lastDoneS = doneS
 	}
@@ -574,7 +548,7 @@ func (s *shard) closeBatch(nowS float64, bi int32) {
 	if n > s.res.maxBatchLen {
 		s.res.maxBatchLen = n
 	}
-	computeS := s.cfg.BatchBaseS + s.cfg.BatchPerReqS*float64(n)
+	computeS := BatchBaseS + BatchPerReqS*float64(n)
 	s.events.Push(nowS+computeS, event{kind: evBatchDone, idx: bi})
 }
 

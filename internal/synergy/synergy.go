@@ -93,8 +93,7 @@ type Queue struct {
 	pinned int
 	// inj, when non-nil, is consulted before every submission and clock set
 	// (fault injection); nil queues follow the exact fault-free code path.
-	inj   *faults.DeviceInjector
-	stats FaultStats
+	inj *faults.DeviceInjector
 	// obsv carries the queue's trace stream (forked per sweep clone, absorbed
 	// in task order); om holds the metric handles, resolved once in
 	// SetObserver and shared by every clone. Both are no-ops when unset.
@@ -145,16 +144,6 @@ func (q *Queue) SetObserver(o *obs.Observer) {
 	q.dev.SetObserver(o)
 }
 
-// FaultStats aggregates the injected faults a queue has observed.
-type FaultStats struct {
-	Transient     int // retryable kernel faults
-	Permanent     int // submissions failed on a dead device (first one included)
-	Throttled     int // submissions run below the requested clock
-	ClockRejects  int // rejected SetCoreFreq calls
-	WastedTimeS   float64
-	WastedEnergyJ float64
-}
-
 // Spec returns the device description.
 func (q *Queue) Spec() gpusim.Spec { return q.dev.Spec() }
 
@@ -177,7 +166,6 @@ func (q *Queue) SetCoreFreqMHz(mhz int) error {
 	}
 	if q.inj != nil {
 		if err := q.inj.OnClockSet(); err != nil {
-			q.stats.ClockRejects++
 			q.om.clockRejects.Inc()
 			return fmt.Errorf("synergy: %s: setting %d MHz: %w", q.dev.Spec().Name, mhz, err)
 		}
@@ -264,15 +252,12 @@ func (q *Queue) submitInjected(p kernels.Profile, mhz int) (gpusim.Result, error
 	eff := mhz
 	if dec.CapMHz > 0 && dec.CapMHz < eff {
 		eff = q.dev.Spec().FloorFreqMHz(dec.CapMHz)
-		q.stats.Throttled++
 		q.om.throttled.Inc()
 	}
 	if dec.Err != nil {
 		if faults.IsTransient(dec.Err) {
-			q.stats.Transient++
 			q.om.transient.Inc()
 		} else {
-			q.stats.Permanent++
 			q.om.permanent.Inc()
 		}
 		// The aborted attempt still burned time and energy up to the fault
@@ -287,8 +272,6 @@ func (q *Queue) submitInjected(p kernels.Profile, mhz int) (gpusim.Result, error
 		wastedTimeS := b.TimeS * dec.Frac
 		wastedEnergyJ := b.EnergyJ * dec.Frac
 		q.dev.AddEnergyJ(wastedEnergyJ)
-		q.stats.WastedTimeS += wastedTimeS
-		q.stats.WastedEnergyJ += wastedEnergyJ
 		q.om.wasted.Observe(wastedTimeS)
 		q.events = append(q.events, Event{
 			Kernel: p.Name, FreqMHz: eff,
@@ -529,8 +512,8 @@ func (q *Queue) forkSweepTasks(freqs []int) []sweepTask {
 }
 
 // absorbSweep folds the clones' observable state back into q in task order:
-// event logs concatenate, energy counters and fault statistics accumulate,
-// and injector state merges. Because absorption is ordered by task index, the
+// event logs concatenate, energy counters accumulate, and injector state
+// merges. Because absorption is ordered by task index, the
 // parent's state after a sweep is independent of how the pool scheduled it.
 func (q *Queue) absorbSweep(tasks []sweepTask) {
 	q.mu.Lock()
@@ -539,7 +522,6 @@ func (q *Queue) absorbSweep(tasks []sweepTask) {
 		c := t.clone
 		q.events = append(q.events, c.events...)
 		q.dev.AddEnergyJ(c.dev.EnergyCounterJ())
-		q.stats.absorb(c.stats)
 		if q.inj != nil && c.inj != nil {
 			q.inj.Absorb(c.inj)
 		}
@@ -549,59 +531,17 @@ func (q *Queue) absorbSweep(tasks []sweepTask) {
 	}
 }
 
-// absorb accumulates another queue's fault counters into s.
-func (s *FaultStats) absorb(o FaultStats) {
-	s.Transient += o.Transient
-	s.Permanent += o.Permanent
-	s.Throttled += o.Throttled
-	s.ClockRejects += o.ClockRejects
-	s.WastedTimeS += o.WastedTimeS
-	s.WastedEnergyJ += o.WastedEnergyJ
-}
-
-// sweep is the shared engine behind Sweep and ParallelSweep: fork one clone
-// per frequency, measure every frequency on its own clone (serially or on a
-// worker pool — the bytes are identical either way), then absorb the clones
-// back in frequency order. On any error nothing is absorbed: the parent
-// queue is left exactly as it was, so even failed sweeps are deterministic
-// regardless of which tasks happened to run before cancellation.
-func sweep(q *Queue, w Workload, freqs []int, reps, workers int) ([]Measurement, error) {
-	q.warmAnalytic(w, freqs)
-	tasks := q.forkSweepTasks(freqs)
-	out := make([]Measurement, len(freqs))
-	err := parallel.ForEachChunked(context.Background(), len(tasks), workers, 0, func(_ context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			m, err := MeasureAt(tasks[i].clone, w, tasks[i].freq, reps)
-			if err != nil {
-				return err
-			}
-			out[i] = m
-		}
-		return nil
-	})
+// Sweep measures w at every frequency in freqs (reps repetitions each) and
+// returns the observations in the same order: SweepSet with one workload on
+// one worker. Each frequency runs on a private clone of q forked in
+// frequency order, so Sweep's output is defined purely by (queue state,
+// workload, freqs, reps).
+func Sweep(q *Queue, w Workload, freqs []int, reps int) ([]Measurement, error) {
+	ms, err := SweepSet(q, []Workload{w}, freqs, reps, 1)
 	if err != nil {
 		return nil, err
 	}
-	q.absorbSweep(tasks)
-	return out, nil
-}
-
-// Sweep measures w at every frequency in freqs (reps repetitions each) and
-// returns the observations in the same order. Each frequency runs on a
-// private clone of q forked in frequency order, so Sweep's output is defined
-// purely by (queue state, workload, freqs, reps) — ParallelSweep produces the
-// same bytes from the same inputs.
-func Sweep(q *Queue, w Workload, freqs []int, reps int) ([]Measurement, error) {
-	return sweep(q, w, freqs, reps, 1)
-}
-
-// ParallelSweep is Sweep on a bounded worker pool: workers <= 0 selects
-// GOMAXPROCS, workers == 1 is exactly Sweep. The per-frequency clones are
-// forked before the pool starts, so the measurements, the parent queue's
-// event log, its energy counter and its fault statistics are byte-identical
-// to the serial sweep for every worker count and schedule.
-func ParallelSweep(q *Queue, w Workload, freqs []int, reps, workers int) ([]Measurement, error) {
-	return sweep(q, w, freqs, reps, workers)
+	return ms[0], nil
 }
 
 // forkWorkloadTasks pre-splits clones for a multi-workload sweep set: for
@@ -618,12 +558,16 @@ func forkWorkloadTasks(q *Queue, workloads int, freqs []int) [][]sweepTask {
 }
 
 // SweepSet sweeps several workloads over the same frequency grid through one
-// shared worker pool and returns per-workload measurement slices in input
-// order. It is byte-identical to calling Sweep(q, w, freqs, reps) for each
-// workload in order — the clones are forked workload-by-workload up front,
-// and absorbed workload-by-workload afterwards — but exposes all
+// shared worker pool (workers <= 0 selects GOMAXPROCS) and returns
+// per-workload measurement slices in input order. It is byte-identical to
+// calling Sweep(q, w, freqs, reps) for each workload in order, for every
+// worker count — the clones are forked workload-by-workload up front, and
+// absorbed workload-by-workload afterwards — but exposes all
 // len(workloads)×len(freqs) tasks to the pool at once, which is what makes
-// dataset generation scale past the per-sweep task count.
+// dataset generation scale past the per-sweep task count. On any error
+// nothing is absorbed: the parent queue is left exactly as it was, so even
+// failed sweeps are deterministic regardless of which tasks happened to run
+// before cancellation.
 func SweepSet(q *Queue, workloads []Workload, freqs []int, reps, workers int) ([][]Measurement, error) {
 	for _, w := range workloads {
 		q.warmAnalytic(w, freqs)

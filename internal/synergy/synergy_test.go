@@ -10,6 +10,7 @@ import (
 	"dsenergy/internal/faults"
 	"dsenergy/internal/gpusim"
 	"dsenergy/internal/kernels"
+	"dsenergy/internal/obs"
 )
 
 func testProfile() kernels.Profile {
@@ -225,6 +226,8 @@ func TestNewPlatformRejectsDuplicateNames(t *testing.T) {
 func TestSubmitUnderThrottleRunsAtEffectiveClock(t *testing.T) {
 	p := newTestPlatform(t)
 	q := p.Queues()[0]
+	o := obs.NewObserver()
+	q.SetObserver(o)
 	const capMHz = 900
 	plan := faults.Plan{
 		Seed:      3,
@@ -256,8 +259,8 @@ func TestSubmitUnderThrottleRunsAtEffectiveClock(t *testing.T) {
 	if evs[1].TimeS <= evs[0].TimeS {
 		t.Errorf("throttled run (%.6fs) should be slower than full-clock run (%.6fs)", evs[1].TimeS, evs[0].TimeS)
 	}
-	if st := q.FaultStats(); st.Throttled != 1 {
-		t.Errorf("FaultStats.Throttled = %d, want 1", st.Throttled)
+	if got := faultCounter(o, "synergy_throttled_submissions_total"); got != 1 {
+		t.Errorf("throttled submissions counted %d, want 1", got)
 	}
 }
 
@@ -290,6 +293,8 @@ func TestMeasureAtReportsEffectiveClock(t *testing.T) {
 func TestFaultedSubmitChargesPartialWork(t *testing.T) {
 	p := newTestPlatform(t)
 	q := p.Queues()[0]
+	o := obs.NewObserver()
+	q.SetObserver(o)
 	plan := faults.Plan{
 		Seed:     3,
 		Failures: []faults.DeviceFailure{{Device: 0, AfterSubmits: 1}},
@@ -316,9 +321,8 @@ func TestFaultedSubmitChargesPartialWork(t *testing.T) {
 	if got := q.EnergyCounterJ() - before; math.Abs(got-evs[1].EnergyJ) > 1e-9 {
 		t.Errorf("energy counter advanced %.6f J, event says %.6f J", got, evs[1].EnergyJ)
 	}
-	st := q.FaultStats()
-	if st.Permanent != 1 || st.WastedEnergyJ <= 0 {
-		t.Errorf("FaultStats = %+v, want Permanent=1 and wasted energy", st)
+	if got := faultCounter(o, "synergy_faults_permanent_total"); got != 1 {
+		t.Errorf("permanent faults counted %d, want 1", got)
 	}
 }
 
@@ -346,7 +350,9 @@ func sweepPair(t *testing.T, plan *faults.Plan) (qa, qb *Queue) {
 }
 
 // requireQueuesIdentical asserts every observable byte of the two queues
-// agrees: event logs, energy counters and fault statistics.
+// agrees: event logs and energy counters. The event log records every
+// injected fault: a throttled submission at the clock it ran at, an aborted
+// one as a Faulted event with the time and energy it burned.
 func requireQueuesIdentical(t *testing.T, qa, qb *Queue, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(qa.Events(), qb.Events()) {
@@ -355,9 +361,20 @@ func requireQueuesIdentical(t *testing.T, qa, qb *Queue, label string) {
 	if !reflect.DeepEqual(qa.EnergyCounterJ(), qb.EnergyCounterJ()) {
 		t.Errorf("%s: energy counters diverged: %v vs %v", label, qa.EnergyCounterJ(), qb.EnergyCounterJ())
 	}
-	if !reflect.DeepEqual(qa.FaultStats(), qb.FaultStats()) {
-		t.Errorf("%s: fault stats diverged: %+v vs %+v", label, qa.FaultStats(), qb.FaultStats())
+}
+
+// faultCounter reads one of the V100 queue's stable-tier fault counters.
+func faultCounter(o *obs.Observer, name string) uint64 {
+	return o.Metrics().Counter(name, obs.L("device", "NVIDIA V100")).Value()
+}
+
+// sweepOn is Sweep on a pool of workers: SweepSet with the one workload.
+func sweepOn(q *Queue, w Workload, freqs []int, reps, workers int) ([]Measurement, error) {
+	ms, err := SweepSet(q, []Workload{w}, freqs, reps, workers)
+	if err != nil {
+		return nil, err
 	}
+	return ms[0], nil
 }
 
 func TestParallelSweepMatchesSweep(t *testing.T) {
@@ -368,7 +385,7 @@ func TestParallelSweepMatchesSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := ParallelSweep(qb, sweepWorkload{testProfile()}, freqs, 3, workers)
+		par, err := sweepOn(qb, sweepWorkload{testProfile()}, freqs, 3, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -382,25 +399,25 @@ func TestParallelSweepMatchesSweep(t *testing.T) {
 func TestParallelSweepMatchesSweepUnderActiveFaults(t *testing.T) {
 	// A plan with live throttle windows: every partition of the sweep sees its
 	// first two submissions capped, so fault handling, effective-clock
-	// reporting and stats accumulation are all on the measured path.
+	// reporting and fault counting are all on the measured path.
 	plan := faults.Plan{
 		Seed:      7,
 		Throttles: []faults.Throttle{{Device: 0, FromSubmit: 1, ToSubmit: 3, CapMHz: 900}},
 	}
-	qa, qb := sweepPair(t, &plan)
+	qa, qb, _, ob := observedSweepPair(t, &plan)
 	freqs := qa.SupportedFreqsMHz()
 	serial, err := Sweep(qa, sweepWorkload{testProfile()}, freqs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParallelSweep(qb, sweepWorkload{testProfile()}, freqs, 3, 8)
+	par, err := sweepOn(qb, sweepWorkload{testProfile()}, freqs, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Error("measurements diverged under an active fault plan")
 	}
-	if st := qb.FaultStats(); st.Throttled == 0 {
+	if faultCounter(ob, "synergy_throttled_submissions_total") == 0 {
 		t.Error("fault plan was not actually exercised (no throttled submissions)")
 	}
 	requireQueuesIdentical(t, qa, qb, "faulted sweep")
@@ -410,8 +427,8 @@ func TestSweepFailureLeavesQueueUntouched(t *testing.T) {
 	// The device dies partway through every sweep partition (failure windows
 	// are partition-relative, so AfterSubmits 1 kills the second repetition of
 	// each frequency): serial and parallel must both fail, and neither may
-	// leave partial events, energy or fault counters on the parent queue —
-	// the error path is part of the determinism contract.
+	// leave partial events or energy on the parent queue — the error path is
+	// part of the determinism contract.
 	plan := faults.Plan{
 		Seed:     7,
 		Failures: []faults.DeviceFailure{{Device: 0, AfterSubmits: 1}},
@@ -421,7 +438,7 @@ func TestSweepFailureLeavesQueueUntouched(t *testing.T) {
 	if _, err := Sweep(qa, sweepWorkload{testProfile()}, freqs, 3); err == nil {
 		t.Fatal("serial sweep should fail on the scheduled device loss")
 	}
-	if _, err := ParallelSweep(qb, sweepWorkload{testProfile()}, freqs, 3, 8); err == nil {
+	if _, err := sweepOn(qb, sweepWorkload{testProfile()}, freqs, 3, 8); err == nil {
 		t.Fatal("parallel sweep should fail on the scheduled device loss")
 	}
 	for label, q := range map[string]*Queue{"serial": qa, "parallel": qb} {
@@ -430,9 +447,6 @@ func TestSweepFailureLeavesQueueUntouched(t *testing.T) {
 		}
 		if !reflect.DeepEqual(q.EnergyCounterJ(), 0.0) {
 			t.Errorf("%s: failed sweep charged %v J to the parent queue", label, q.EnergyCounterJ())
-		}
-		if !reflect.DeepEqual(q.FaultStats(), FaultStats{}) {
-			t.Errorf("%s: failed sweep left fault stats %+v", label, q.FaultStats())
 		}
 	}
 }
@@ -466,7 +480,7 @@ func TestSweepSetMatchesSequentialSweeps(t *testing.T) {
 func TestSweepCacheOnOffByteIdentical(t *testing.T) {
 	// The compiled-profile cache is a pure evaluation shortcut: disabling it
 	// must not perturb a single observable byte of a sweep — measurements,
-	// event logs or energy counters — serially or under ParallelSweep.
+	// event logs or energy counters — serially or on a worker pool.
 	w := sweepWorkload{testProfile()}
 	qa, qb := sweepPair(t, nil)
 	qb.Device().DisableAnalyticCache()
@@ -486,11 +500,11 @@ func TestSweepCacheOnOffByteIdentical(t *testing.T) {
 
 	qc, qd := sweepPair(t, nil)
 	qd.Device().DisableAnalyticCache()
-	pOn, err := ParallelSweep(qc, w, freqs, 3, 4)
+	pOn, err := sweepOn(qc, w, freqs, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pOff, err := ParallelSweep(qd, w, freqs, 3, 4)
+	pOff, err := sweepOn(qd, w, freqs, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,13 +519,6 @@ func TestSweepCacheOnOffByteIdentical(t *testing.T) {
 
 // Device exposes the underlying simulated device (read-only use intended).
 func (q *Queue) Device() *gpusim.Device { return q.dev }
-
-// FaultStats returns the injected-fault counters of this queue.
-func (q *Queue) FaultStats() FaultStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.stats
-}
 
 // Events returns a copy of the recorded per-kernel energy events.
 func (q *Queue) Events() []Event {
