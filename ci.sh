@@ -9,7 +9,8 @@
 #                   the tree presort (FuzzPresort), the serve request key
 #                   (FuzzCacheKey) and the gpusim analytic-cache key
 #                   (FuzzAnalyticCache), the model upload decode
-#                   (FuzzLoadModel), the benchmark module's own vet
+#                   (FuzzLoadModel), the fault-plan validation
+#                   (FuzzPlanValidate), the benchmark module's own vet
 #                   and tests (perfbench/), the solver's allocation guard
 #                   at GOMAXPROCS 1, 2, 4 and 8, and the worker gang's
 #                   tests ten times under the race detector
@@ -100,6 +101,14 @@ go test -run '^$' -fuzz '^FuzzAnalyticCache$' -fuzztime 10s ./internal/gpusim
 # checked-in corpus runs with every go test; this adds a bounded search.
 echo "==> fuzz FuzzLoadModel (10s)"
 go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 10s ./internal/core
+
+# Fault-plan fuzz: faults.Plan.Validate is the trust boundary of every
+# fault campaign. No plan may panic it, and every plan it accepts must hold
+# its probabilities in [0, 1] (NaN included) and drive an injector through
+# each device's submissions and clock sets. The checked-in corpus runs with
+# every go test; this adds a bounded search.
+echo "==> fuzz FuzzPlanValidate (10s)"
+go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/faults
 
 # The benchmark is a Go module of its own, so the root go vet and go test
 # never enter it: vet it and run its arithmetic tests here.

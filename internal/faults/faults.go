@@ -137,10 +137,12 @@ func (p Plan) Empty() bool {
 
 // Validate checks the plan against a device count.
 func (p Plan) Validate(devices int) error {
-	if p.TransientProb < 0 || p.TransientProb > 1 {
+	// Written as !(0 <= p <= 1) so that NaN, which fails every comparison,
+	// is rejected too.
+	if !(p.TransientProb >= 0 && p.TransientProb <= 1) {
 		return fmt.Errorf("faults: TransientProb %g out of [0,1]", p.TransientProb)
 	}
-	if p.ClockRejectProb < 0 || p.ClockRejectProb > 1 {
+	if !(p.ClockRejectProb >= 0 && p.ClockRejectProb <= 1) {
 		return fmt.Errorf("faults: ClockRejectProb %g out of [0,1]", p.ClockRejectProb)
 	}
 	for i, f := range p.Failures {

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -38,6 +39,12 @@ func TestPlanValidate(t *testing.T) {
 		{"negative transient prob", Plan{TransientProb: -0.1}},
 		{"transient prob above 1", Plan{TransientProb: 1.1}},
 		{"clock-reject prob above 1", Plan{ClockRejectProb: 2}},
+		{"NaN transient prob", Plan{TransientProb: math.NaN()}},
+		{"+Inf transient prob", Plan{TransientProb: math.Inf(1)}},
+		{"-Inf transient prob", Plan{TransientProb: math.Inf(-1)}},
+		{"NaN clock-reject prob", Plan{ClockRejectProb: math.NaN()}},
+		{"+Inf clock-reject prob", Plan{ClockRejectProb: math.Inf(1)}},
+		{"-Inf clock-reject prob", Plan{ClockRejectProb: math.Inf(-1)}},
 		{"failure device out of range", Plan{Failures: []DeviceFailure{{Device: 5}}}},
 		{"failure before t=0", Plan{Failures: []DeviceFailure{{Device: 0, AfterSubmits: -1}}}},
 		{"duplicate failure for one device", Plan{Failures: []DeviceFailure{
@@ -69,6 +76,7 @@ func TestPlanValidate(t *testing.T) {
 		plan Plan
 	}{
 		{"empty plan", Plan{}},
+		{"certain faults", Plan{TransientProb: 1, ClockRejectProb: 1}},
 		{"adjacent throttle windows", Plan{Throttles: []Throttle{
 			{Device: 0, FromSubmit: 2, ToSubmit: 4, CapMHz: 900},
 			{Device: 0, FromSubmit: 4, ToSubmit: 6, CapMHz: 700}}}},

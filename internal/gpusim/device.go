@@ -127,11 +127,13 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("gpusim: %s: frequency table too small", s.Name)
 	case !sort.IntsAreSorted(s.CoreFreqsMHz):
 		return fmt.Errorf("gpusim: %s: frequency table not ascending", s.Name)
-	case s.ComputeEff <= 0 || s.ComputeEff > 1:
+	// The range checks are negated conjunctions so that NaN, which fails
+	// every comparison, is rejected too.
+	case !(s.ComputeEff > 0 && s.ComputeEff <= 1):
 		return fmt.Errorf("gpusim: %s: ComputeEff out of (0,1]", s.Name)
-	case s.MemEff <= 0 || s.MemEff > 1:
+	case !(s.MemEff > 0 && s.MemEff <= 1):
 		return fmt.Errorf("gpusim: %s: MemEff out of (0,1]", s.Name)
-	case s.VMin <= 0 || s.VMax < s.VMin:
+	case !(s.VMin > 0 && s.VMax >= s.VMin):
 		return fmt.Errorf("gpusim: %s: bad voltage range", s.Name)
 	case s.Vendor == NVIDIA && s.DefaultFreqMHz == 0:
 		return fmt.Errorf("gpusim: %s: NVIDIA device needs DefaultFreqMHz", s.Name)

@@ -79,6 +79,10 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"unsorted table", func(s *Spec) { s.CoreFreqsMHz = []int{200, 100, 300} }},
 		{"bad eff", func(s *Spec) { s.ComputeEff = 1.5 }},
 		{"bad voltage", func(s *Spec) { s.VMax = 0.1 }},
+		{"NaN ComputeEff", func(s *Spec) { s.ComputeEff = math.NaN() }},
+		{"NaN MemEff", func(s *Spec) { s.MemEff = math.NaN() }},
+		{"NaN VMin", func(s *Spec) { s.VMin = math.NaN() }},
+		{"NaN VMax", func(s *Spec) { s.VMax = math.NaN() }},
 		{"nvidia no default", func(s *Spec) { s.DefaultFreqMHz = 0 }},
 	}
 	for _, c := range cases {

@@ -1,23 +1,25 @@
 package serve
 
-// lru is the per-shard admission cache: binary request key (appendCacheKey)
-// → response. It is plain single-goroutine LRU (each shard owns one), so hit,
-// miss and eviction order are fully determined by the request sequence.
-// Keys embed the model version, so a hot-reload naturally invalidates: the
-// first post-reload request for any input misses and recomputes, and stale
-// versions age out through the LRU tail. The recency list is linked by
-// index through one array of at most cap entries, and get indexes the map
-// with items[string(key)], which the compiler does not allocate for, so a
-// hit costs no allocation; only put stores a key string.
+// lru is the per-shard admission cache: request key id → response. A key
+// id is the shard's dense interned id of appendCacheKey's bytes, so two
+// requests share an entry exactly when they ask the same question of the
+// same model version. It is plain single-goroutine LRU (each shard owns
+// one), so hit, miss and eviction order are fully determined by the
+// request sequence. Keys embed the model version, so a hot-reload
+// naturally invalidates: the reloaded version's requests get fresh ids,
+// miss and recompute, and stale entries age out through the LRU tail. The
+// recency list is linked by index through one array of at most cap
+// entries, and items maps an id to its entry by index, so a hit neither
+// hashes nor allocates.
 type lru struct {
 	cap        int
-	items      map[string]int32 // key → index into ents
+	items      []int32 // key id → index into ents; -1 when not cached
 	ents       []lruEntry
 	head, tail int32 // most and least recently used; -1 when empty
 }
 
 type lruEntry struct {
-	key        string
+	id         int32 // key id
 	resp       Response
 	version    int32 // resp's slot in shardResult.versions
 	prev, next int32 // recency neighbours; -1 at the ends
@@ -27,29 +29,32 @@ type lruEntry struct {
 // positive and fit an int32.
 func newLRU(capacity int) *lru {
 	return &lru{
-		cap:   capacity,
-		items: make(map[string]int32, capacity),
-		ents:  make([]lruEntry, 0, capacity),
-		head:  -1,
-		tail:  -1,
+		cap:  capacity,
+		ents: make([]lruEntry, 0, capacity),
+		head: -1,
+		tail: -1,
 	}
 }
 
-// get returns the entry cached under key, marked most recently used, or
-// nil. The entry stays valid until the next put.
-func (c *lru) get(key []byte) *lruEntry {
-	i, ok := c.items[string(key)]
-	if !ok {
+// get returns the entry cached under key id, marked most recently used,
+// or nil. The entry stays valid until the next put.
+func (c *lru) get(id int32) *lruEntry {
+	if int(id) >= len(c.items) {
+		return nil
+	}
+	i := c.items[id]
+	if i < 0 {
 		return nil
 	}
 	c.moveToFront(i)
 	return &c.ents[i]
 }
 
-// put caches resp under key as the most recently used entry, evicting the
-// least recently used one when the cache is full.
-func (c *lru) put(key string, resp Response, version int32) {
-	if i, ok := c.items[key]; ok {
+// put caches resp under key id as the most recently used entry, evicting
+// the least recently used one when the cache is full.
+func (c *lru) put(id int32, resp Response, version int32) {
+	c.items = growIDs(c.items, int(id)+1)
+	if i := c.items[id]; i >= 0 {
 		c.ents[i].resp, c.ents[i].version = resp, version
 		c.moveToFront(i)
 		return
@@ -61,11 +66,20 @@ func (c *lru) put(key string, resp Response, version int32) {
 	} else {
 		i = c.tail
 		c.unlink(i)
-		delete(c.items, c.ents[i].key)
+		c.items[c.ents[i].id] = -1
 	}
-	c.ents[i] = lruEntry{key: key, resp: resp, version: version}
+	c.ents[i] = lruEntry{id: id, resp: resp, version: version}
 	c.pushFront(i)
-	c.items[key] = i
+	c.items[id] = i
+}
+
+// growIDs extends a table indexed by key id to at least n ids, marking the
+// new ones -1 (absent).
+func growIDs(t []int32, n int) []int32 {
+	for len(t) < n {
+		t = append(t, -1)
+	}
+	return t
 }
 
 func (c *lru) moveToFront(i int32) {

@@ -126,12 +126,28 @@ func FuzzCacheKey(f *testing.F) {
 	})
 }
 
+// testShard builds one shard of sc the way Run does, decoding its payloads
+// first.
+func testShard(t *testing.T, sc ShardConfig) *shard {
+	t.Helper()
+	models, err := decodeModels([]ShardConfig{sc}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newShard(sc, models[0], xrand.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestCacheHitArrivalAllocs guards the steady-state arrival path of a
-// shard whose every request hits the LRU: pop the arrival, key it, answer
-// it from the cache and issue the next request, which is the open loop's
-// next arrival or, in the closed loop, the answered client's next request.
-// Request slots are recycled and the latency buffer is sized from the
-// request budget, so no arrival allocates.
+// shard whose every request hits the LRU: pop the arrival, read its key id
+// from its cell, answer it from the cache and issue the next request,
+// which is the open loop's next arrival or, in the closed loop, the
+// answered client's next request. Request slots are recycled and the
+// latency buffer is sized from the request budget, so no arrival
+// allocates.
 func TestCacheHitArrivalAllocs(t *testing.T) {
 	payload := testPayload(t, 1)
 	for _, load := range []Load{
@@ -139,22 +155,17 @@ func TestCacheHitArrivalAllocs(t *testing.T) {
 		{Mode: "closed", Clients: 1, RequestsPerClient: 2000},
 	} {
 		t.Run(load.Mode, func(t *testing.T) {
-			s, err := newShard(ShardConfig{
+			s := testShard(t, ShardConfig{
 				Device: "v100",
 				Freqs:  testFreqs,
 				Models: map[string][]byte{"ligen": payload},
 				Shapes: testShapes(),
 				Load:   load,
-			}, xrand.New(1), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := s.entries[0]
-			version := s.versionSlot(e)
-			for _, sh := range s.sc.Shapes {
-				for _, tier := range s.load.Tiers {
-					key := appendCacheKey(nil, e, sh.Features, tier*sh.NominalS)
-					s.cache.put(string(key), Response{App: e.App, Device: e.Device, Version: e.Version}, version)
+			})
+			for _, c := range s.cells {
+				if c.id >= 0 {
+					e := c.entry
+					s.cache.put(c.id, Response{App: e.App, Device: e.Device, Version: e.Version}, s.versionSlot(e))
 				}
 			}
 			s.start()
@@ -176,5 +187,102 @@ func TestCacheHitArrivalAllocs(t *testing.T) {
 				t.Errorf("a cache-hit arrival allocates %v times, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestCellKeyIDs checks the key interning of resolveEntries: two cells
+// share a key id exactly when their appendCacheKey bytes are equal, at the
+// first publish and after a reload (a key keeps its id across the reload,
+// and the reloaded version's keys get fresh ones), and a cell the shard
+// refuses has no id. The shapes hold a duplicated shape, a shape whose
+// tier-2 deadline equals another's tier-4 one, a -0/+0 feature pair, a
+// too-wide shape whose malformed cells carry an accepted shape's
+// features, a second modeled app that the reload leaves alone, and an app
+// with no model.
+func TestCellKeyIDs(t *testing.T) {
+	f := testShapeFeatures[0]
+	shapes := []Shape{
+		{App: "ligen", Features: f, NominalS: 1},
+		{App: "ligen", Features: f, NominalS: 1},
+		{App: "ligen", Features: f, NominalS: 2},
+		{App: "ligen", Features: []float64{0, 8, 63}, NominalS: 1},
+		{App: "ligen", Features: []float64{math.Copysign(0, -1), 8, 63}, NominalS: 1},
+		{App: "ligen", Features: append(append([]float64(nil), f...), 5), NominalS: 1},
+		{App: "cronos", Features: f, NominalS: 1},
+		{App: "dock6", Features: f, NominalS: 1},
+	}
+	s := testShard(t, ShardConfig{
+		Device:  "v100",
+		Freqs:   testFreqs,
+		Models:  map[string][]byte{"ligen": testPayload(t, 1), "cronos": testPayload(t, 3)},
+		Reloads: []Reload{{AtS: 1, App: "ligen", Payload: testPayload(t, 2)}},
+		Shapes:  shapes,
+		Load:    Load{MalformedEvery: 3},
+	})
+	keyOf := map[int32]string{} // over both publishes
+	idOf := map[string]int32{}
+	check := func(stage string) (shared int) {
+		perID := map[int32]int{}
+		for i, c := range s.cells {
+			refused := c.entry == nil || len(c.features) != c.entry.Model.FeatureDim()
+			if refused != (c.id < 0) {
+				t.Fatalf("%s: cell %d refused=%v but has id %d", stage, i, refused, c.id)
+			}
+			if refused {
+				continue
+			}
+			key := string(appendCacheKey(nil, c.entry, c.features, c.deadlineS))
+			if k, ok := keyOf[c.id]; ok && k != key {
+				t.Fatalf("%s: cell %d shares id %d with a cell of different key bytes", stage, i, c.id)
+			}
+			if id, ok := idOf[key]; ok && id != c.id {
+				t.Fatalf("%s: cell %d has id %d, an equal key has id %d", stage, i, c.id, id)
+			}
+			keyOf[c.id], idOf[key] = key, c.id
+			if perID[c.id]++; perID[c.id] == 2 {
+				shared++
+			}
+		}
+		if len(s.pending) != len(s.ids) || len(s.ids) != len(keyOf) {
+			t.Fatalf("%s: %d ids interned, %d pending slots, %d keys seen", stage, len(s.ids), len(s.pending), len(keyOf))
+		}
+		return shared
+	}
+	// Cell 2*(shape*3+tier)+malformed, default tiers 2, 4, 8.
+	cellID := func(shape, tier, malformed int) int32 { return s.cells[2*(shape*3+tier)+malformed].id }
+
+	if shared := check("v1"); shared == 0 {
+		t.Fatal("no two cells share an id; the shapes do not exercise interning")
+	}
+	for _, c := range []struct {
+		name string
+		a, b int32
+		same bool
+	}{
+		{"duplicated shape", cellID(0, 1, 0), cellID(1, 1, 0), true},
+		{"tier 2 of nominal 2 against tier 4 of nominal 1", cellID(2, 0, 0), cellID(0, 1, 0), true},
+		{"-0 against +0", cellID(3, 0, 0), cellID(4, 0, 0), false},
+		{"malformed too-wide shape against its accepted prefix", cellID(5, 2, 1), cellID(0, 2, 0), true},
+		{"same features on another app", cellID(6, 0, 0), cellID(0, 0, 0), false},
+	} {
+		if (c.a == c.b) != c.same {
+			t.Errorf("v1: %s: ids %d and %d, want equal=%v", c.name, c.a, c.b, c.same)
+		}
+	}
+	if cellID(7, 0, 0) >= 0 || cellID(5, 0, 0) >= 0 || cellID(0, 0, 1) >= 0 {
+		t.Error("v1: a refused cell has a key id")
+	}
+
+	v1Ligen, v1Cronos, before := cellID(0, 0, 0), cellID(6, 0, 0), len(s.ids)
+	s.handleReload(1, 0)
+	if s.res.reloads != 1 {
+		t.Fatalf("reload not published: %d published, %d rejected", s.res.reloads, s.res.reloadsRejected)
+	}
+	check("v2")
+	if got := cellID(0, 0, 0); got < int32(before) {
+		t.Errorf("v2: a reloaded cell kept id %d (v1 id %d); want a fresh one", got, v1Ligen)
+	}
+	if got := cellID(6, 0, 0); got != v1Cronos {
+		t.Errorf("v2: a cell of the unreloaded app moved from id %d to %d", v1Cronos, got)
 	}
 }

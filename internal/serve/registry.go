@@ -46,6 +46,14 @@ func NewRegistry(device string) *Registry {
 // keeps serving.
 func (r *Registry) Publish(app string, payload []byte) (int, error) {
 	m, err := core.LoadModel(bytes.NewReader(payload))
+	return r.install(app, m, err)
+}
+
+// install is Publish after the decode: m and err are core.LoadModel's
+// results for the payload. A decode error or a normalized model is
+// rejected and leaves the registry untouched. m is shared read-only, so
+// one decoded model may serve several registries.
+func (r *Registry) install(app string, m *core.Model, err error) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serve: rejecting model %s/%s: %w", app, r.device, err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -18,8 +19,9 @@ type VersionCount struct {
 }
 
 // Report is the SLO accounting of one service campaign. Every field is
-// deterministic for a fixed Config: shards are merged in shard order and
-// latencies are sorted before the percentiles are taken.
+// deterministic for a fixed Config: shards are merged in shard order, and
+// the latency percentiles are order statistics of all shards' latencies,
+// read from each shard's sorted run.
 type Report struct {
 	Shards int
 
@@ -77,32 +79,43 @@ func (r *Report) PredEnergySavedFrac() float64 {
 	return 1 - r.PredEnergyJ/r.PredEnergyMaxJ
 }
 
-// percentile is the nearest-rank percentile of a sorted sample.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank is the 0-based index of the nearest-rank q-quantile in a
+// sorted sample of n > 0 values.
+func nearestRank(n int, q float64) int {
+	i := int(q*float64(n)+0.999999) - 1
+	return max(0, min(i, n-1))
+}
+
+// rankValue returns the value of 0-based rank k in the union of the sorted
+// runs, without merging them: it is the least element whose count of
+// elements at or below it, over all runs, exceeds k. A binary search in
+// each run finds that run's least such element, each probe counting by a
+// binary search per run. k must be below the runs' total length.
+func rankValue(runs [][]float64, k int) float64 {
+	atOrBelow := func(v float64) int {
+		c := 0
+		for _, run := range runs {
+			c += sort.Search(len(run), func(i int) bool { return run[i] > v })
+		}
+		return c
 	}
-	i := int(q*float64(len(sorted))+0.999999) - 1
-	if i < 0 {
-		i = 0
+	best := math.Inf(1)
+	for _, run := range runs {
+		if j := sort.Search(len(run), func(j int) bool { return atOrBelow(run[j]) > k }); j < len(run) {
+			best = min(best, run[j])
+		}
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return best
 }
 
 // mergeResults folds the per-shard accounting, in shard order, into one
-// report.
+// report. Each shard's latencies arrive sorted.
 func mergeResults(results []*shardResult) *Report {
 	r := &Report{Shards: len(results)}
+	runs := make([][]float64, len(results))
 	n := 0
-	for _, sr := range results {
-		n += len(sr.latencies)
-	}
-	lats := make([]float64, 0, n)
 	var batchedFlights int
-	for _, sr := range results {
+	for i, sr := range results {
 		r.Submitted += sr.submitted
 		r.Completed += sr.completed
 		r.Rejected += sr.rejected
@@ -125,17 +138,18 @@ func mergeResults(results []*shardResult) *Report {
 		if sr.lastDoneS > r.MakespanS {
 			r.MakespanS = sr.lastDoneS
 		}
-		lats = append(lats, sr.latencies...)
+		runs[i], n = sr.latencies, n+len(sr.latencies)
+		if k := len(sr.latencies); k > 0 {
+			r.MaxLatencyS = max(r.MaxLatencyS, sr.latencies[k-1])
+		}
 		r.PerVersion = append(r.PerVersion, sr.versions...)
 	}
 	if r.Batches > 0 {
 		r.MeanBatchFlights = float64(batchedFlights) / float64(r.Batches)
 	}
-	sort.Float64s(lats)
-	r.P50LatencyS = percentile(lats, 0.50)
-	r.P99LatencyS = percentile(lats, 0.99)
-	if n := len(lats); n > 0 {
-		r.MaxLatencyS = lats[n-1]
+	if n > 0 {
+		r.P50LatencyS = rankValue(runs, nearestRank(n, 0.50))
+		r.P99LatencyS = rankValue(runs, nearestRank(n, 0.99))
 	}
 	if r.MakespanS > 0 {
 		r.ThroughputRPS = float64(r.Completed) / r.MakespanS

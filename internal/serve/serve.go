@@ -11,18 +11,24 @@
 // bounded batch window in simulated time; each input's curve is one tree
 // walk across the clock menu) behind an LRU cache with single-flight miss
 // semantics. Both key a request by its bits (app, model version,
-// core.AppendInputKey of the features and the deadline), built in a buffer
-// each shard reuses; that key is the only thing a request hashes. Each
-// shard's loop pops pointer-free events (a kind and an int32 slot) from an
-// internal/eventq queue in (time, push order). Requests, flights and
-// batches live in per-shard slabs recycled through free lists, each model
-// version's response count lives in a slot resolved once per miss, the
-// latency buffer is sized once from the shard's request budget, and the LRU
-// is an index-linked list over a fixed array, so a cache-hit request
-// allocates nothing. A closed- and open-loop synthetic load generator drives
-// the service to millions of requests per campaign, per-device shards fan
-// out through internal/parallel, and p50/p99 latency plus throughput
-// publish through internal/obs.
+// core.AppendInputKey of the features and the deadline). A request's key
+// depends only on its cell — its (shape, deadline tier, malformed) class —
+// and the serving version of the shape's app, so each shard builds every
+// cell's key once per publish and interns it to a dense int32 id; the LRU
+// and the single-flight table index that id, so no request hashes its key.
+// Run decodes each distinct model payload once, on the pool, before the
+// shards start, and shards that publish equal bytes share the decoded
+// model read-only. Each shard's loop pops pointer-free events (a kind and
+// an int32 slot) from an internal/eventq queue in (time, push order).
+// Requests, flights and batches live in per-shard slabs recycled through
+// free lists, each model version's response count lives in a slot resolved
+// once per miss, the latency buffer is sized once from the shard's request
+// budget, and the LRU is an index-linked list over a fixed array, so a
+// cache-hit request allocates nothing. A closed- and open-loop synthetic
+// load generator drives the service to millions of requests per campaign,
+// per-device shards fan out through internal/parallel, and p50/p99 latency
+// plus throughput publish through internal/obs: each shard sorts its own
+// latencies, and the merge reads the percentiles from the sorted runs.
 //
 // Everything runs on simulated time and seeded randomness: a fixed Config
 // produces a byte-identical Report for any worker count.

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"container/list"
 	"errors"
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -466,28 +466,30 @@ func TestRegistryVersioning(t *testing.T) {
 
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
-	k := func(i int) []byte { return fmt.Appendf(nil, "k%d", i) }
-	c.put(string(k(1)), Response{Version: 1}, 0)
-	c.put(string(k(2)), Response{Version: 2}, 0)
-	if c.get(k(1)) == nil {
-		t.Fatal("k1 evicted early")
+	c.put(1, Response{Version: 1}, 0)
+	c.put(2, Response{Version: 2}, 0)
+	if c.get(1) == nil {
+		t.Fatal("id 1 evicted early")
 	}
-	c.put(string(k(3)), Response{Version: 3}, 0) // k2 is now the LRU tail
-	if c.get(k(2)) != nil {
-		t.Error("k2 survived past capacity")
+	c.put(3, Response{Version: 3}, 0) // id 2 is now the LRU tail
+	if c.get(2) != nil {
+		t.Error("id 2 survived past capacity")
 	}
-	if c.get(k(1)) == nil {
-		t.Error("recently used k1 evicted")
+	if c.get(1) == nil {
+		t.Error("recently used id 1 evicted")
 	}
-	if len(c.items) != 2 {
-		t.Errorf("len = %d, want 2", len(c.items))
+	if c.get(7) != nil {
+		t.Error("an id past every put hit")
 	}
-	c.put(string(k(1)), Response{Version: 9}, 4)
-	if e := c.get(k(1)); e == nil || e.resp.Version != 9 || e.version != 4 {
-		t.Errorf("put did not update existing key: %+v", e)
+	if len(c.ents) != 2 {
+		t.Errorf("len = %d, want 2", len(c.ents))
 	}
-	if len(c.items) != 2 {
-		t.Errorf("update changed len to %d", len(c.items))
+	c.put(1, Response{Version: 9}, 4)
+	if e := c.get(1); e == nil || e.resp.Version != 9 || e.version != 4 {
+		t.Errorf("put did not update existing id: %+v", e)
+	}
+	if len(c.ents) != 2 {
+		t.Errorf("update changed len to %d", len(c.ents))
 	}
 }
 
@@ -500,41 +502,47 @@ func TestLRUMatchesListOrder(t *testing.T) {
 		ref := list.New() // front = most recently used
 		rng := xrand.New(uint64(capacity))
 		for step := 0; step < 5000; step++ {
-			key := fmt.Appendf(nil, "k%d", rng.Intn(3*capacity))
+			id := int32(rng.Intn(3 * capacity))
 			var el *list.Element
 			for e := ref.Front(); e != nil; e = e.Next() {
-				if e.Value.(string) == string(key) {
+				if e.Value.(int32) == id {
 					el = e
 				}
 			}
 			if rng.Intn(2) == 0 {
-				got := c.get(key)
+				got := c.get(id)
 				if (got != nil) != (el != nil) {
-					t.Fatalf("cap %d step %d: get(%s) hit=%v, reference hit=%v", capacity, step, key, got != nil, el != nil)
+					t.Fatalf("cap %d step %d: get(%d) hit=%v, reference hit=%v", capacity, step, id, got != nil, el != nil)
 				}
 				if el != nil {
 					ref.MoveToFront(el)
 				}
 				continue
 			}
-			c.put(string(key), Response{}, 0)
+			c.put(id, Response{}, 0)
 			if el != nil {
 				ref.MoveToFront(el)
 			} else {
-				ref.PushFront(string(key))
+				ref.PushFront(id)
 				if ref.Len() > capacity {
 					ref.Remove(ref.Back())
 				}
 			}
 			i := c.head
 			for e := ref.Front(); e != nil; e = e.Next() {
-				if i < 0 || c.ents[i].key != e.Value.(string) {
+				if i < 0 || c.ents[i].id != e.Value.(int32) {
 					t.Fatalf("cap %d step %d: recency order differs from the reference", capacity, step)
 				}
 				i = c.ents[i].next
 			}
-			if i >= 0 || len(c.items) != ref.Len() {
-				t.Fatalf("cap %d step %d: cache holds %d entries, reference %d", capacity, step, len(c.items), ref.Len())
+			cached := 0
+			for _, j := range c.items {
+				if j >= 0 {
+					cached++
+				}
+			}
+			if i >= 0 || cached != ref.Len() || len(c.ents) != ref.Len() {
+				t.Fatalf("cap %d step %d: cache maps %d ids to %d entries, reference holds %d", capacity, step, cached, len(c.ents), ref.Len())
 			}
 		}
 	}
@@ -549,4 +557,85 @@ func (r *Registry) Apps() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestSharedDecode covers decodeModels' dedupe: two shards whose initial
+// payloads are equal bytes in distinct slices install one *core.Model, a
+// torn reload is rejected only on its own shard, and the reports agree at
+// 1 and 4 workers.
+func TestSharedDecode(t *testing.T) {
+	pa, pb := testPayload(t, 1), testPayload(t, 1)
+	if !bytes.Equal(pa, pb) || &pa[0] == &pb[0] {
+		t.Fatal("want two equal payloads in distinct slices")
+	}
+	v2 := testPayload(t, 2)
+	shards := []ShardConfig{
+		{
+			Device:  "v100-a",
+			Freqs:   testFreqs,
+			Models:  map[string][]byte{"ligen": pa},
+			Reloads: []Reload{{AtS: 1.0, App: "ligen", Payload: v2[:40]}},
+			Shapes:  testShapes(),
+			Load:    Load{Mode: "open", Requests: 4000},
+		},
+		{
+			Device:  "v100-b",
+			Freqs:   testFreqs,
+			Models:  map[string][]byte{"ligen": pb},
+			Reloads: []Reload{{AtS: 1.0, App: "ligen", Payload: v2}},
+			Shapes:  testShapes(),
+			Load:    Load{Mode: "closed", Clients: 4, RequestsPerClient: 1000},
+		},
+	}
+	models, err := decodeModels(shards, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries [2]*Entry
+	for i, sc := range shards {
+		s, err := newShard(sc, models[i], xrand.New(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[i], _ = s.reg.Lookup("ligen")
+	}
+	if entries[0].Model != entries[1].Model {
+		t.Error("equal payloads decoded into two models")
+	}
+	if models[0][1].err == nil || models[1][1].err != nil {
+		t.Fatalf("reload decodes: torn err=%v, whole err=%v", models[0][1].err, models[1][1].err)
+	}
+
+	var base string
+	for _, w := range []int{1, 4} {
+		o := obs.NewObserver()
+		text, rep := renderReport(t, Config{Shards: shards, Seed: 5, Workers: w, Obs: o})
+		if w == 1 {
+			base = text
+		} else if text != base {
+			t.Errorf("report differs at %d workers:\n--- 1 ---\n%s--- %d ---\n%s", w, base, w, text)
+		}
+		if rep.Reloads != 1 || rep.ReloadsRejected != 1 {
+			t.Errorf("workers %d: %d reloads published, %d rejected; want 1 and 1", w, rep.Reloads, rep.ReloadsRejected)
+		}
+		for dev, want := range map[string][2]uint64{"v100-a": {0, 1}, "v100-b": {1, 0}} {
+			ok := o.Metrics().Counter("serve_reloads_total", obs.L("device", dev), obs.L("outcome", "published")).Value()
+			rej := o.Metrics().Counter("serve_reloads_total", obs.L("device", dev), obs.L("outcome", "rejected")).Value()
+			if ok != want[0] || rej != want[1] {
+				t.Errorf("workers %d: %s published %d, rejected %d; want %d and %d", w, dev, ok, rej, want[0], want[1])
+			}
+		}
+		rejected := 0
+		for _, sp := range o.Trace().Spans() {
+			if sp.Name == "serve.reload.rejected" {
+				rejected++
+				if sp.DurS != 1.0 || !slices.Contains(sp.Attrs, obs.L("device", "v100-a")) {
+					t.Errorf("workers %d: rejection recorded as %+v", w, sp)
+				}
+			}
+		}
+		if rejected != 1 {
+			t.Errorf("workers %d: %d rejection trace records, want 1", w, rejected)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -25,17 +26,81 @@ func Run(cfg Config) (*Report, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("serve: no shards configured")
 	}
+	models, err := decodeModels(cfg.Shards, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	rngs := xrand.New(cfg.Seed).SplitN(len(cfg.Shards))
 	children := cfg.Obs.ForkN(len(cfg.Shards))
 	results, err := parallel.Map(context.Background(), len(cfg.Shards), cfg.Workers,
 		func(_ context.Context, i int) (*shardResult, error) {
-			return runShard(cfg.Shards[i], rngs[i], children[i])
+			return runShard(cfg.Shards[i], models[i], rngs[i], children[i])
 		})
 	if err != nil {
 		return nil, err
 	}
 	cfg.Obs.AbsorbAll(children)
 	return mergeResults(results), nil
+}
+
+// decoded is core.LoadModel's result for one payload: the model, or the
+// error that rejects the payload.
+type decoded struct {
+	model *core.Model
+	err   error
+}
+
+// decodeModels decodes each distinct model payload of the campaign once,
+// on the pool, before any shard starts: payloads are equal when
+// bytes.Equal says so, and every shard that publishes equal bytes shares
+// one read-only *core.Model. Shard i's slice holds the decode of each
+// payload it publishes: its initial models in sorted app order, then its
+// reloads in order.
+func decodeModels(shards []ShardConfig, workers int) ([][]decoded, error) {
+	var payloads [][]byte // distinct, in first-use order
+	refs := make([][]int, len(shards))
+	use := func(i int, p []byte) {
+		j := slices.IndexFunc(payloads, func(q []byte) bool { return bytes.Equal(p, q) })
+		if j < 0 {
+			j = len(payloads)
+			payloads = append(payloads, p)
+		}
+		refs[i] = append(refs[i], j)
+	}
+	for i, sc := range shards {
+		for _, app := range sortedApps(sc.Models) {
+			use(i, sc.Models[app])
+		}
+		for _, rl := range sc.Reloads {
+			use(i, rl.Payload)
+		}
+	}
+	decs, err := parallel.Map(context.Background(), len(payloads), workers,
+		func(_ context.Context, j int) (decoded, error) {
+			m, err := core.LoadModel(bytes.NewReader(payloads[j]))
+			return decoded{model: m, err: err}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]decoded, len(shards))
+	for i, js := range refs {
+		out[i] = make([]decoded, len(js))
+		for k, j := range js {
+			out[i][k] = decs[j]
+		}
+	}
+	return out, nil
+}
+
+// sortedApps returns the apps of a shard's initial models in publish order.
+func sortedApps(models map[string][]byte) []string {
+	apps := make([]string, 0, len(models))
+	for app := range models {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
+	return apps
 }
 
 // checkCount rejects a negative count; zero selects the field's default.
@@ -114,18 +179,28 @@ func (p *slab[T]) release(i int32) { p.free = append(p.free, i) }
 // request is one advisory query in flight through the shard, from its
 // arrival until it is answered or refused.
 type request struct {
-	arriveS   float64
-	deadlineS float64 // advisory compute deadline: tier x NominalS
-	client    int     // closed-loop client index; -1 for open loop
-	shape     int32   // index into ShardConfig.Shapes
-	malformed bool
+	arriveS float64
+	client  int   // closed-loop client index; -1 for open loop
+	cell    int32 // index into shard.cells
+}
+
+// cell is one request class of a shard: a (shape, deadline tier,
+// malformed) triple, at index 2*(shape*len(Tiers)+tier)+malformed. A
+// request's key depends only on its cell and the serving entry of the
+// cell's shape, so resolveEntries builds and interns each cell's key once
+// per publish and a request reads its key id here.
+type cell struct {
+	entry     *Entry    // the shape's serving entry; nil: no model
+	features  []float64 // the shape's features, less the last when malformed
+	deadlineS float64   // advisory compute deadline: tier x NominalS
+	id        int32     // interned key id; -1 when the cell is refused
 }
 
 // flight is one single-flight computation: the first miss for a key creates
 // it, later identical misses pile onto waiters, and everyone is answered
 // from the one batched prediction.
 type flight struct {
-	key       string
+	key       int32  // interned key id
 	entry     *Entry // model version pinned at flight creation
 	version   int32  // entry's slot in shardResult.versions
 	features  []float64
@@ -159,7 +234,7 @@ type shardResult struct {
 	reloads, reloadsRejected          int
 	escalations, onPareto             int
 	predEnergyJ, predEnergyMaxJ       float64
-	latencies                         []float64 // sized once from the request budget
+	latencies                         []float64 // sized once from the request budget, sorted after the loop
 	lastDoneS                         float64
 	versions                          []VersionCount // one slot per answering model version
 }
@@ -170,11 +245,12 @@ type shard struct {
 	load      Load
 	freqs     []int
 	reg       *Registry
-	entries   []*Entry // serving entry per shape (nil: no model), refreshed on publish
+	reloads   []decoded        // the decoded payload of each of sc.Reloads
+	cells     []cell           // refreshed on publish
+	ids       map[string]int32 // appendCacheKey bytes → interned key id
 	versionOf map[*Entry]int32
 	cache     *lru
-	pending   map[string]int32 // key → flight slot
-	key       []byte           // the current request's key, reused across requests
+	pending   []int32 // key id → flight slot; -1 when no flight
 	reqs      slab[request]
 	flights   slab[flight]
 	batches   slab[batch]
@@ -205,11 +281,11 @@ type shard struct {
 	trace         *obs.Trace
 }
 
-func runShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
+func runShard(sc ShardConfig, models []decoded, rng *xrand.Rand, o *obs.Observer) (*shardResult, error) {
 	if o != nil {
 		defer o.Profile().Phase("serve.shard").Start()()
 	}
-	s, err := newShard(sc, rng, o)
+	s, err := newShard(sc, models, rng, o)
 	if err != nil {
 		return nil, err
 	}
@@ -230,20 +306,23 @@ func runShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shardResult, e
 			}
 			s.unqueueBatch(e.idx)
 		case evReload:
-			s.handleReload(now, &sc.Reloads[e.idx])
+			s.handleReload(now, e.idx)
 		}
 	}
-	if len(s.pending) != 0 || s.open >= 0 {
-		return nil, fmt.Errorf("serve: shard %s drained with %d stranded flights", sc.Device, len(s.pending))
+	if live := len(s.flights.items) - len(s.flights.free); live != 0 || s.open >= 0 {
+		return nil, fmt.Errorf("serve: shard %s drained with %d stranded flights", sc.Device, live)
 	}
+	// The merge reads its percentiles from each shard's sorted run.
+	slices.Sort(s.res.latencies)
 	s.trace.Add("serve.shard", s.res.lastDoneS, obs.L("device", sc.Device),
 		obs.L("requests", strconv.Itoa(s.res.submitted)))
 	return s.res, nil
 }
 
 // newShard validates one shard's configuration, publishes its initial
-// models and sizes its buffers.
-func newShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) {
+// models and sizes its buffers. models is the shard's slice from
+// decodeModels.
+func newShard(sc ShardConfig, models []decoded, rng *xrand.Rand, o *obs.Observer) (*shard, error) {
 	if sc.Device == "" {
 		return nil, fmt.Errorf("serve: shard with empty device name")
 	}
@@ -278,14 +357,21 @@ func newShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) 
 	freqs := append([]int(nil), sc.Freqs...)
 	sort.Ints(freqs)
 	reg := NewRegistry(sc.Device)
-	apps := make([]string, 0, len(sc.Models))
-	for app := range sc.Models {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-	for _, app := range apps {
-		if _, err := reg.Publish(app, sc.Models[app]); err != nil {
+	apps := sortedApps(sc.Models)
+	for k, app := range apps {
+		if _, err := reg.install(app, models[k].model, models[k].err); err != nil {
 			return nil, fmt.Errorf("serve: shard %s initial publish: %w", sc.Device, err)
+		}
+	}
+	cells := make([]cell, 0, 2*len(load.Tiers)*len(sc.Shapes))
+	for _, sh := range sc.Shapes {
+		short := sh.Features
+		if len(short) > 0 {
+			short = short[:len(short)-1]
+		}
+		for _, tier := range load.Tiers {
+			d := tier * sh.NominalS
+			cells = append(cells, cell{features: sh.Features, deadlineS: d}, cell{features: short, deadlineS: d})
 		}
 	}
 
@@ -296,10 +382,11 @@ func newShard(sc ShardConfig, rng *xrand.Rand, o *obs.Observer) (*shard, error) 
 		load:      load,
 		freqs:     freqs,
 		reg:       reg,
-		entries:   make([]*Entry, len(sc.Shapes)),
+		reloads:   models[len(apps):],
+		cells:     cells,
+		ids:       map[string]int32{},
 		versionOf: map[*Entry]int32{},
 		cache:     newLRU(CacheCap),
-		pending:   map[string]int32{},
 		open:      -1,
 		rng:       rng,
 		res:       &shardResult{device: sc.Device, latencies: make([]float64, 0, budget)},
@@ -342,13 +429,34 @@ func (s *shard) start() {
 	}
 }
 
-// resolveEntries looks up the serving entry of every shape. Only this
-// shard publishes to its registry, so the entries hold until the next
+// resolveEntries looks up the serving entry of every shape and gives each
+// cell that entry and its key id: appendCacheKey's bytes interned to a
+// dense id, so equal bytes share one id and a new version's keys get fresh
+// ones. A cell without an entry, or whose width disagrees with the
+// entry's model, is refused before its key is read and gets -1. Only this
+// shard publishes to its registry, so the cells hold until the next
 // successful publish.
 func (s *shard) resolveEntries() {
-	for i := range s.sc.Shapes {
-		s.entries[i], _ = s.reg.Lookup(s.sc.Shapes[i].App)
+	var key []byte
+	n := len(s.cells) / len(s.sc.Shapes) // cells per shape
+	for sh := range s.sc.Shapes {
+		e, _ := s.reg.Lookup(s.sc.Shapes[sh].App)
+		for i := sh * n; i < (sh+1)*n; i++ {
+			c := &s.cells[i]
+			c.entry, c.id = e, -1
+			if e == nil || len(c.features) != e.Model.FeatureDim() {
+				continue
+			}
+			key = appendCacheKey(key[:0], e, c.features, c.deadlineS)
+			id, ok := s.ids[string(key)]
+			if !ok {
+				id = int32(len(s.ids))
+				s.ids[string(key)] = id
+			}
+			c.id = id
+		}
 	}
+	s.pending = growIDs(s.pending, len(s.ids))
 }
 
 // versionSlot returns e's response-count slot, adding one on e's first
@@ -390,23 +498,21 @@ func (s *shard) issueFromClient(nowS float64, i int) {
 
 // newRequest draws one request's content into a free slot: a
 // popularity-skewed shape (low indices dominate, which is what gives the
-// LRU a working set) and a deadline tier.
+// LRU a working set) and a deadline tier, which with the malformed cadence
+// select its cell.
 func (s *shard) newRequest(rng *xrand.Rand, arriveS float64, clientIdx int) int32 {
 	u := rng.Float64()
 	idx := int(u * u * float64(len(s.sc.Shapes)))
 	if idx >= len(s.sc.Shapes) {
 		idx = len(s.sc.Shapes) - 1
 	}
-	tier := s.load.Tiers[rng.Intn(len(s.load.Tiers))]
+	c := 2 * (idx*len(s.load.Tiers) + rng.Intn(len(s.load.Tiers)))
 	s.generated++
-	ri := s.reqs.alloc()
-	s.reqs.items[ri] = request{
-		arriveS:   arriveS,
-		deadlineS: tier * s.sc.Shapes[idx].NominalS,
-		client:    clientIdx,
-		shape:     int32(idx),
-		malformed: s.load.MalformedEvery > 0 && s.generated%s.load.MalformedEvery == 0,
+	if s.load.MalformedEvery > 0 && s.generated%s.load.MalformedEvery == 0 {
+		c++
 	}
+	ri := s.reqs.alloc()
+	s.reqs.items[ri] = request{arriveS: arriveS, client: clientIdx, cell: int32(c)}
 	return ri
 }
 
@@ -434,27 +540,23 @@ func (s *shard) handleArrive(nowS float64, ri int32) {
 	s.res.submitted++
 	s.ctrSubmitted.Inc()
 
-	feats := s.sc.Shapes[r.shape].Features
-	if r.malformed && len(feats) > 0 {
-		feats = feats[:len(feats)-1]
-	}
-	e := s.entries[r.shape]
+	c := &s.cells[r.cell]
+	e := c.entry
 	if e == nil {
 		s.reject(nowS, ri, true)
 		return
 	}
-	if len(feats) != e.Model.FeatureDim() {
+	if len(c.features) != e.Model.FeatureDim() {
 		s.reject(nowS, ri, false)
 		return
 	}
-	s.key = appendCacheKey(s.key[:0], e, feats, r.deadlineS)
-	if ent := s.cache.get(s.key); ent != nil {
+	if ent := s.cache.get(c.id); ent != nil {
 		s.res.cacheHits++
 		s.ctrHits.Inc()
 		s.deliver(nowS+CacheHitS, ri, &ent.resp, ent.version)
 		return
 	}
-	if fi, ok := s.pending[string(s.key)]; ok {
+	if fi := s.pending[c.id]; fi >= 0 {
 		s.res.coalesced++
 		s.ctrCoalesced.Inc()
 		fl := &s.flights.items[fi]
@@ -462,12 +564,11 @@ func (s *shard) handleArrive(nowS float64, ri int32) {
 		return
 	}
 	s.res.misses++
-	key := string(s.key)
 	fi := s.flights.alloc()
 	fl := &s.flights.items[fi]
-	*fl = flight{key: key, entry: e, version: s.versionSlot(e), features: feats,
-		deadlineS: r.deadlineS, waiters: append(fl.waiters[:0], ri)}
-	s.pending[key] = fi
+	*fl = flight{key: c.id, entry: e, version: s.versionSlot(e), features: c.features,
+		deadlineS: c.deadlineS, waiters: append(fl.waiters[:0], ri)}
+	s.pending[c.id] = fi
 	if s.open < 0 {
 		s.open = s.batches.alloc()
 		b := &s.batches.items[s.open]
@@ -588,7 +689,7 @@ func (s *shard) handleBatchDone(nowS float64, bi int32) error {
 		for i, fi := range s.groupFlights {
 			fl := &s.flights.items[fi]
 			resp := e.AdviseFromCurve(curves[i], fl.deadlineS)
-			delete(s.pending, fl.key)
+			s.pending[fl.key] = -1
 			s.cache.put(fl.key, resp, fl.version)
 			s.res.batchedRequests += len(fl.waiters)
 			for _, ri := range fl.waiters {
@@ -600,11 +701,12 @@ func (s *shard) handleBatchDone(nowS float64, bi int32) error {
 	return nil
 }
 
-// handleReload offers a scheduled payload to the registry; a corrupt one is
-// rejected and the serving version is untouched.
-func (s *shard) handleReload(nowS float64, rl *Reload) {
+// handleReload offers scheduled reload i's decoded payload to the
+// registry; a corrupt one is rejected and the serving version is untouched.
+func (s *shard) handleReload(nowS float64, i int32) {
+	rl := &s.sc.Reloads[i]
 	dev := obs.L("device", s.sc.Device)
-	ver, err := s.reg.Publish(rl.App, rl.Payload)
+	ver, err := s.reg.install(rl.App, s.reloads[i].model, s.reloads[i].err)
 	if err != nil {
 		s.res.reloadsRejected++
 		s.ctrReloadRej.Inc()
