@@ -10,10 +10,11 @@
 #                   (FuzzCacheKey) and the gpusim analytic-cache key
 #                   (FuzzAnalyticCache), the model upload decode
 #                   (FuzzLoadModel), the fault-plan validation
-#                   (FuzzPlanValidate), the benchmark module's own vet
-#                   and tests (perfbench/), the solver's allocation guard
-#                   at GOMAXPROCS 1, 2, 4 and 8, and the worker gang's
-#                   tests ten times under the race detector
+#                   (FuzzPlanValidate), the Pareto front against its
+#                   sort.Slice reference (FuzzFront), the benchmark
+#                   module's own vet and tests (perfbench/), the solver's
+#                   allocation guard at GOMAXPROCS 1, 2, 4 and 8, and the
+#                   worker gang's tests ten times under the race detector
 #   5. results      reproduce -quick regenerated and diffed against the
 #                   checked-in results/quick snapshot (drift guard); schedule
 #                   at its default config diffed against results/schedule.txt;
@@ -109,6 +110,15 @@ go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 10s ./internal/core
 # every go test; this adds a bounded search.
 echo "==> fuzz FuzzPlanValidate (10s)"
 go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/faults
+
+# Pareto-front differential fuzz: pareto.Front sorts without reflection and
+# the advisor computes the front in place; both must equal the sort.Slice
+# reference bit for bit, NaN payloads, ±Inf, ±0, subnormals, ties and
+# duplicate clocks included, and on NaN-free input the front must be
+# monotone and idempotent. The checked-in corpus runs with every go test;
+# this adds a bounded search.
+echo "==> fuzz FuzzFront (10s)"
+go test -run '^$' -fuzz '^FuzzFront$' -fuzztime 10s ./internal/pareto
 
 # The benchmark is a Go module of its own, so the root go vet and go test
 # never enter it: vet it and run its arithmetic tests here.

@@ -21,7 +21,7 @@ var fixtureCases = []struct {
 	{MapOrder, []string{"maporder"}},
 	{GoroLeak, []string{"goroleak/internal/synergy", "goroleak/other"}},
 	{DeadAssign, []string{"deadassign"}},
-	{SortSlice, []string{"sortslice/internal/ml", "sortslice/other"}},
+	{SortSlice, []string{"sortslice/internal/ml", "sortslice/internal/pareto", "sortslice/other"}},
 	{ForkAbsorb, []string{"forkabsorb", "forkabsorb/internal/obs", "forkabsorb/internal/parallel", "forkabsorb/internal/xrand"}},
 	{WallClock, []string{"wallclock/internal/synergy", "wallclock/internal/obs", "wallclock/internal/util"}},
 	{DetLoop, []string{"detloop"}},

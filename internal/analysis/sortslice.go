@@ -7,20 +7,20 @@ import (
 
 // SortSlice flags sort.Slice and sort.SliceStable calls in the
 // performance-critical packages (internal/ml, internal/gpusim,
-// internal/synergy). Both route every comparison and swap through
-// reflection, which dominated the CART trainer's profile before the
-// pre-sorted rewrite; hot paths should use slices.Sort/slices.SortFunc or a
-// presorted index structure instead. Cold call sites (one-off result
-// rankings and the like) document themselves with
-// //dsalint:ignore sortslice.
+// internal/synergy, internal/serve, internal/pareto, internal/core). Both
+// route every comparison and swap through reflection, which dominated the
+// CART trainer's profile before the pre-sorted rewrite; hot paths should
+// use slices.Sort/slices.SortFunc or a presorted index structure instead.
+// Cold call sites (one-off result rankings and the like) document
+// themselves with //dsalint:ignore sortslice.
 var SortSlice = &Analyzer{
 	Name: "sortslice",
-	Doc:  "flag reflection-based sort.Slice/sort.SliceStable in hot packages (ml, gpusim, synergy)",
+	Doc:  "flag reflection-based sort.Slice/sort.SliceStable in hot packages (ml, gpusim, synergy, serve, pareto, core)",
 	Run:  runSortSlice,
 }
 
 // sortSlicePackages are the package directories the pass polices.
-var sortSlicePackages = []string{"internal/ml", "internal/gpusim", "internal/synergy", "internal/serve"}
+var sortSlicePackages = []string{"internal/ml", "internal/gpusim", "internal/synergy", "internal/serve", "internal/pareto", "internal/core"}
 
 func runSortSlice(pass *Pass) {
 	policed := false

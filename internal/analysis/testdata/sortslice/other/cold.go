@@ -1,5 +1,5 @@
-// Packages outside internal/ml, internal/gpusim and internal/synergy are
-// not policed: the same reflection-based sort stays quiet here.
+// Packages outside the policed hot-package list are not policed: the same
+// reflection-based sort stays quiet here.
 package other
 
 import "sort"

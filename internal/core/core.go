@@ -11,10 +11,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -133,7 +134,7 @@ func (d *Dataset) InputSamples(features []float64) []Sample {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FreqMHz < out[j].FreqMHz })
+	slices.SortFunc(out, func(a, b Sample) int { return cmp.Compare(a.FreqMHz, b.FreqMHz) })
 	return out
 }
 
@@ -327,15 +328,15 @@ type CurvePoint struct {
 // predicted time/energy; in normalized mode the regressors output them
 // directly and the baseline normalization squares up residual offset.
 //
-// It is PredictCurvesBatch for one input, and panics with that method's
+// It is AppendCurve into a fresh slice, and panics with that method's
 // error when features does not match the schema width: a caller passing
-// features it did not build itself should call PredictCurvesBatch.
+// features it did not build itself should call AppendCurve.
 func (m *Model) PredictCurves(features []float64, freqs []int) []CurvePoint {
-	curves, err := m.PredictCurvesBatch([][]float64{features}, freqs)
+	curve, err := m.AppendCurve(nil, features, freqs)
 	if err != nil {
 		panic(err)
 	}
-	return curves[0]
+	return curve
 }
 
 // FeatureDim is the width of the feature vectors the model was trained on
@@ -344,29 +345,28 @@ func (m *Model) FeatureDim() int {
 	return len(m.Schema.Features)
 }
 
-// smallMenu is the longest sweep (baseline plus menu) whose prediction
-// buffers PredictCurvesBatch keeps on the stack.
-const smallMenu = 32
+// SmallMenu is the longest frequency menu AppendCurve predicts without
+// allocating beyond growing dst: its sweep, the baseline clock then the
+// menu, fits the stack buffers here and in ml's forest kernel. A caller
+// whose dst has room for SmallMenu points predicts such a curve without
+// allocating.
+const SmallMenu = 31
 
-// PredictCurvesBatch evaluates PredictCurves for many inputs against one
-// frequency menu, rejecting any input whose width disagrees with the schema.
-// Each regressor is evaluated per input with ml.PredictSweep over the sweep
-// (baseline clock, then freqs), so forests walk each tree once per input
-// for the whole menu; every value is bit-identical to the regressor's
-// Predict on the assembled (features, clock) row. While the sweep holds at
-// most smallMenu values, the returned curves are the only allocations.
-func (m *Model) PredictCurvesBatch(inputs [][]float64, freqs []int) ([][]CurvePoint, error) {
-	d := m.FeatureDim()
-	for i, in := range inputs {
-		if len(in) != d {
-			return nil, fmt.Errorf("core: input %d has %d features, schema %s wants %d",
-				i, len(in), m.Schema.App, d)
-		}
+// AppendCurve appends PredictCurves' curve for one input to dst and
+// returns the extended slice. Each regressor is evaluated with
+// ml.PredictSweep over the sweep (baseline clock, then freqs), so forests
+// walk each tree once for the whole menu; every value is bit-identical to
+// the regressor's Predict on the assembled (features, clock) row. An input
+// whose width disagrees with the schema is rejected with the error
+// PredictCurvesBatch gives a batch of that one input.
+func (m *Model) AppendCurve(dst []CurvePoint, features []float64, freqs []int) ([]CurvePoint, error) {
+	if err := m.checkWidth(0, features); err != nil {
+		return nil, err
 	}
 	n := len(freqs) + 1
-	var buf [3 * smallMenu]float64
+	var buf [3 * (SmallMenu + 1)]float64
 	bufs := buf[:]
-	if n > smallMenu {
+	if n > SmallMenu+1 {
 		bufs = make([]float64, 3*n)
 	}
 	sweep, times, energies := bufs[:n], bufs[n:2*n], bufs[2*n:3*n]
@@ -374,22 +374,53 @@ func (m *Model) PredictCurvesBatch(inputs [][]float64, freqs []int) ([][]CurvePo
 	for j, f := range freqs {
 		sweep[j+1] = float64(f)
 	}
+	if err := ml.PredictSweep(m.timeModel, features, sweep, times); err != nil {
+		return nil, fmt.Errorf("core: time model: %w", err)
+	}
+	if err := ml.PredictSweep(m.energyModel, features, sweep, energies); err != nil {
+		return nil, fmt.Errorf("core: energy model: %w", err)
+	}
+	return m.deriveCurve(dst, times, energies, freqs), nil
+}
+
+// checkWidth rejects input i of a batch when its width is not the schema's.
+func (m *Model) checkWidth(i int, features []float64) error {
+	if d := m.FeatureDim(); len(features) != d {
+		return fmt.Errorf("core: input %d has %d features, schema %s wants %d",
+			i, len(features), m.Schema.App, d)
+	}
+	return nil
+}
+
+// PredictCurvesBatch evaluates PredictCurves for many inputs against one
+// frequency menu, rejecting any input whose width disagrees with the schema
+// before predicting any. The curves are AppendCurve's, laid end to end in
+// one backing array, so a batch makes two allocations on a menu of at most
+// SmallMenu clocks.
+func (m *Model) PredictCurvesBatch(inputs [][]float64, freqs []int) ([][]CurvePoint, error) {
+	for i, in := range inputs {
+		if err := m.checkWidth(i, in); err != nil {
+			return nil, err
+		}
+	}
+	points := make([]CurvePoint, 0, len(inputs)*len(freqs))
 	out := make([][]CurvePoint, len(inputs))
 	for i, in := range inputs {
-		if err := ml.PredictSweep(m.timeModel, in, sweep, times); err != nil {
-			return nil, fmt.Errorf("core: time model: %w", err)
+		start := len(points)
+		var err error
+		if points, err = m.AppendCurve(points, in, freqs); err != nil {
+			return nil, err
 		}
-		if err := ml.PredictSweep(m.energyModel, in, sweep, energies); err != nil {
-			return nil, fmt.Errorf("core: energy model: %w", err)
-		}
-		out[i] = m.deriveCurve(times, energies, freqs)
+		out[i] = points[start:len(points):len(points)]
 	}
 	return out, nil
 }
 
 // deriveCurve normalizes one input's predicted (time, energy) block —
-// baseline row first, then one row per sweep frequency — into curve points.
-func (m *Model) deriveCurve(times, energies []float64, freqs []int) []CurvePoint {
+// baseline row first, then one row per sweep frequency — into curve points
+// appended to dst.
+func (m *Model) deriveCurve(dst []CurvePoint, times, energies []float64, freqs []int) []CurvePoint {
+	dst = slices.Grow(dst, len(freqs))
 	if m.Normalized {
 		baseSp, baseNe := times[0], energies[0]
 		// Normalized targets sit near 1 by construction; a near-zero or
@@ -403,15 +434,14 @@ func (m *Model) deriveCurve(times, energies []float64, freqs []int) []CurvePoint
 		if baseNe <= 0.05 {
 			baseNe = 1
 		}
-		out := make([]CurvePoint, 0, len(freqs))
 		for i, f := range freqs {
-			out = append(out, CurvePoint{
+			dst = append(dst, CurvePoint{
 				FreqMHz:    f,
 				Speedup:    times[i+1] / baseSp,
 				NormEnergy: energies[i+1] / baseNe,
 			})
 		}
-		return out
+		return dst
 	}
 	baseT, baseE := times[0], energies[0]
 	if baseT <= 0 {
@@ -420,16 +450,15 @@ func (m *Model) deriveCurve(times, energies []float64, freqs []int) []CurvePoint
 	if baseE <= 0 {
 		baseE = 1
 	}
-	out := make([]CurvePoint, 0, len(freqs))
 	for i, f := range freqs {
 		t, e := times[i+1], energies[i+1]
 		sp := 0.0
 		if t > 0 {
 			sp = baseT / t
 		}
-		out = append(out, CurvePoint{FreqMHz: f, Speedup: sp, NormEnergy: e / baseE, TimeS: t, EnergyJ: e})
+		dst = append(dst, CurvePoint{FreqMHz: f, Speedup: sp, NormEnergy: e / baseE, TimeS: t, EnergyJ: e})
 	}
-	return out
+	return dst
 }
 
 // PredictPareto returns the predicted Pareto-optimal frequency

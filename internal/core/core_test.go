@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -494,18 +495,27 @@ func TestPredictCurvesMatchPerRowReference(t *testing.T) {
 				for j, row := range rows {
 					times[j], energies[j] = m.timeModel.Predict(row), m.energyModel.Predict(row)
 				}
-				want := m.deriveCurve(times, energies, freqs)
-				for label, got := range map[string][]CurvePoint{"batch": batch[i], "single": m.PredictCurves(in, freqs)} {
+				want := m.deriveCurve(nil, times, energies, freqs)
+				// AppendCurve extends a non-empty dst: its prefix must
+				// survive, and the curve follows it.
+				prefix := []CurvePoint{{FreqMHz: -1, Speedup: math.NaN()}, {FreqMHz: -2, EnergyJ: math.Inf(1)}}
+				appended, err := m.AppendCurve(slices.Clone(prefix), in, freqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(appended) < len(prefix) || !slices.EqualFunc(appended[:len(prefix)], prefix, sameCurvePoint) {
+					t.Fatalf("normalized=%v %s input %v: AppendCurve lost its dst prefix: %+v", m.Normalized, name, in, appended)
+				}
+				for label, got := range map[string][]CurvePoint{
+					"batch":       batch[i],
+					"single":      m.PredictCurves(in, freqs),
+					"AppendCurve": appended[len(prefix):],
+				} {
 					if len(got) != len(want) {
 						t.Fatalf("normalized=%v %s %s input %v: %d points, want %d", m.Normalized, name, label, in, len(got), len(want))
 					}
 					for j := range want {
-						g, w := got[j], want[j]
-						if g.FreqMHz != w.FreqMHz ||
-							math.Float64bits(g.Speedup) != math.Float64bits(w.Speedup) ||
-							math.Float64bits(g.NormEnergy) != math.Float64bits(w.NormEnergy) ||
-							math.Float64bits(g.TimeS) != math.Float64bits(w.TimeS) ||
-							math.Float64bits(g.EnergyJ) != math.Float64bits(w.EnergyJ) {
+						if g, w := got[j], want[j]; !sameCurvePoint(g, w) {
 							t.Fatalf("normalized=%v %s %s input %v point %d: %+v, per-row reference %+v",
 								m.Normalized, name, label, in, j, g, w)
 						}
@@ -516,10 +526,19 @@ func TestPredictCurvesMatchPerRowReference(t *testing.T) {
 	}
 }
 
+// sameCurvePoint compares two curve points bit for bit.
+func sameCurvePoint(a, b CurvePoint) bool {
+	return a.FreqMHz == b.FreqMHz &&
+		math.Float64bits(a.Speedup) == math.Float64bits(b.Speedup) &&
+		math.Float64bits(a.NormEnergy) == math.Float64bits(b.NormEnergy) &&
+		math.Float64bits(a.TimeS) == math.Float64bits(b.TimeS) &&
+		math.Float64bits(a.EnergyJ) == math.Float64bits(b.EnergyJ)
+}
+
 // TestPredictCurvesBatchAllocs guards the curve path's allocations for one
-// input on a 16-clock menu: the returned slice and its curve. The sweep and
-// prediction buffers live on the stack, and the forest kernel allocates
-// nothing.
+// input on a 16-clock menu: the returned slice and its curves' backing
+// array. The sweep and prediction buffers live on the stack, and the forest
+// kernel allocates nothing.
 func TestPredictCurvesBatchAllocs(t *testing.T) {
 	q := testQueue(t)
 	ds := cronosDataset(t, q, paperGrids[:3])
@@ -528,8 +547,8 @@ func TestPredictCurvesBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	freqs := everyNth(q.Spec().FreqsAbove(0.4), 6)
-	if len(freqs) < 16 || len(freqs) >= smallMenu {
-		t.Fatalf("menu has %d clocks, want 16 to %d", len(freqs), smallMenu-1)
+	if len(freqs) < 16 || len(freqs) > SmallMenu {
+		t.Fatalf("menu has %d clocks, want 16 to %d", len(freqs), SmallMenu)
 	}
 	freqs = freqs[:16]
 	in := []float64{20, 8, 8}

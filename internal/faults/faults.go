@@ -135,8 +135,12 @@ func (p Plan) Empty() bool {
 		len(p.Failures) == 0 && len(p.Throttles) == 0 && len(p.ClockRejects) == 0
 }
 
-// Validate checks the plan against a device count.
+// Validate checks the plan against a device count, which must be at least
+// 1: a plan that validates can drive NewInjector.
 func (p Plan) Validate(devices int) error {
+	if devices < 1 {
+		return fmt.Errorf("faults: need at least 1 device, got %d", devices)
+	}
 	// Written as !(0 <= p <= 1) so that NaN, which fails every comparison,
 	// is rejected too.
 	if !(p.TransientProb >= 0 && p.TransientProb <= 1) {
@@ -211,9 +215,6 @@ type Injector struct {
 // NewInjector builds an injector for the given device count. The plan must
 // validate against it.
 func NewInjector(plan Plan, devices int) (*Injector, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("faults: need at least 1 device, got %d", devices)
-	}
 	if err := plan.Validate(devices); err != nil {
 		return nil, err
 	}

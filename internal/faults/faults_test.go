@@ -91,6 +91,15 @@ func TestPlanValidate(t *testing.T) {
 			t.Errorf("%s: plan rejected: %v", tc.name, err)
 		}
 	}
+	// No device can run a plan, however empty: Validate agrees with
+	// NewInjector's precondition.
+	for _, devices := range []int{0, -1} {
+		for _, p := range []Plan{{}, {TransientProb: 0.5}} {
+			if err := p.Validate(devices); err == nil {
+				t.Errorf("plan %+v validated for %d devices", p, devices)
+			}
+		}
+	}
 	if _, err := NewInjector(Plan{}, 0); err == nil {
 		t.Error("injector accepted zero devices")
 	}

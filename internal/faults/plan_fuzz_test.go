@@ -25,10 +25,10 @@ func fuzzSchedule(p *Plan, b []byte) {
 }
 
 // FuzzPlanValidate fuzzes the fault-plan trust boundary: Validate must
-// not panic on any plan and device count, and every plan it accepts must
-// hold both probabilities in [0, 1] and drive an injector (on at least one
-// device, NewInjector's own precondition) through 64 submissions and 64
-// clock sets per device, each fault naming its device and each aborted
+// not panic on any plan and device count, must reject every device count
+// below 1, and every plan it accepts must hold both probabilities in
+// [0, 1] and drive an injector through 64 submissions and 64 clock sets
+// per device, each fault naming its device and each aborted
 // fraction in [0, 1). The checked-in corpus (testdata/fuzz/FuzzPlanValidate)
 // holds NaN probabilities (the canonical NaN and another payload), ±Inf,
 // the closed bounds 0 and 1, and accepted and rejected schedules.
@@ -39,16 +39,13 @@ func FuzzPlanValidate(f *testing.F) {
 		if p.Validate(int(devices)) != nil {
 			return
 		}
+		if devices < 1 {
+			t.Fatalf("plan validated for %d devices", devices)
+		}
 		if !(p.TransientProb >= 0 && p.TransientProb <= 1) || !(p.ClockRejectProb >= 0 && p.ClockRejectProb <= 1) {
 			t.Fatalf("accepted probabilities %v and %v outside [0, 1]", p.TransientProb, p.ClockRejectProb)
 		}
 		in, err := NewInjector(p, int(devices))
-		if devices < 1 {
-			if err == nil {
-				t.Fatalf("injector built for %d devices", devices)
-			}
-			return
-		}
 		if err != nil {
 			t.Fatalf("plan validated for %d devices, but NewInjector failed: %v", devices, err)
 		}

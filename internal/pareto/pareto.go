@@ -7,8 +7,9 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Point is one frequency configuration's outcome: speedup and normalized
@@ -26,37 +27,52 @@ func Front(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
-	sorted := append([]Point(nil), points...)
+	return AppendFront(nil, append([]Point(nil), points...))
+}
+
+// AppendFront sorts scratch in place and appends its Pareto-optimal subset,
+// as Front returns it, to dst. dst may be scratch[:0]: the scan never
+// writes past the point it has read, so the front then fills scratch's
+// prefix and nothing is allocated.
+func AppendFront(dst, scratch []Point) []Point {
 	// Sort by speedup descending; ties by energy ascending, then frequency
-	// ascending, so the scan below keeps the preferred representative.
-	sort.Slice(sorted, func(i, j int) bool {
+	// ascending, so the scan below keeps the preferred representative. The
+	// sort tests only for a negative result, which the comparator gives
+	// exactly when a must precede b; a NaN in the deciding field gives a
+	// positive result both ways round, so neither point precedes the other.
+	slices.SortFunc(scratch, func(a, b Point) int {
 		// Exact stored-value tie-breaks: identical predictions must compare
 		// equal so the comparator stays a strict weak ordering.
 		//dsalint:ignore floateq
-		if sorted[i].Speedup != sorted[j].Speedup {
-			return sorted[i].Speedup > sorted[j].Speedup
+		if a.Speedup != b.Speedup {
+			if a.Speedup > b.Speedup {
+				return -1
+			}
+			return 1
 		}
 		//dsalint:ignore floateq
-		if sorted[i].NormEnergy != sorted[j].NormEnergy {
-			return sorted[i].NormEnergy < sorted[j].NormEnergy
+		if a.NormEnergy != b.NormEnergy {
+			if a.NormEnergy < b.NormEnergy {
+				return -1
+			}
+			return 1
 		}
-		return sorted[i].FreqMHz < sorted[j].FreqMHz
+		return cmp.Compare(a.FreqMHz, b.FreqMHz)
 	})
-	var front []Point
 	bestEnergy := math.Inf(1)
 	lastSpeedup := math.Inf(1)
-	for _, p := range sorted {
+	for _, p := range scratch {
 		// Strictly lower energy than everything faster -> non-dominated.
 		// lastSpeedup is copied verbatim from a scanned point, so exact
 		// identity is the correct same-speedup-group test.
 		//dsalint:ignore floateq
 		if p.NormEnergy < bestEnergy && p.Speedup != lastSpeedup {
-			front = append(front, p)
+			dst = append(dst, p)
 			bestEnergy = p.NormEnergy
 			lastSpeedup = p.Speedup
 		}
 	}
-	return front
+	return dst
 }
 
 // Frequencies extracts the frequency set of the points.

@@ -64,12 +64,12 @@ func (ms *ModelSet) curves(j Job, freqs []int) ([]prediction, error) {
 	if m.Normalized {
 		return nil, fmt.Errorf("sched: app %s model is normalized; the scheduler needs raw time/energy predictions", j.App)
 	}
-	curves, err := m.PredictCurvesBatch([][]float64{j.Features()}, freqs)
+	points, err := m.AppendCurve(nil, j.Features(), freqs)
 	if err != nil {
 		return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
 	}
-	curve := make([]prediction, len(curves[0]))
-	for i, c := range curves[0] {
+	curve := make([]prediction, len(points))
+	for i, c := range points {
 		curve[i] = prediction{FreqMHz: c.FreqMHz, TimeS: c.TimeS, EnergyJ: c.EnergyJ}
 	}
 	return curve, nil

@@ -160,6 +160,24 @@ func GenerateStream(cfg StreamConfig, ref gpusim.Spec) ([]Job, error) {
 		return nil, err
 	}
 	fmax := ref.FMaxMHz()
+	// A job's nominal time depends only on its rung, so each rung is
+	// evaluated once, before any draw.
+	ligenNominalS := make([]float64, len(ligenSizes))
+	for i, in := range ligenSizes {
+		w, err := ligen.NewWorkload(in)
+		if err != nil {
+			return nil, err
+		}
+		ligenNominalS[i], _ = w.AnalyticOn(dev, fmax)
+	}
+	cronosNominalS := make([]float64, len(cronosSizes))
+	for i, sz := range cronosSizes {
+		w, err := cronos.NewWorkload(sz.Grid[0], sz.Grid[1], sz.Grid[2], sz.Steps)
+		if err != nil {
+			return nil, err
+		}
+		cronosNominalS[i], _ = w.AnalyticOn(dev, fmax)
+	}
 
 	tenants := DefaultTenants()
 	rng := xrand.New(cfg.Seed)
@@ -174,22 +192,13 @@ func GenerateStream(cfg StreamConfig, ref gpusim.Spec) ([]Job, error) {
 			ArrivalS: clock,
 		}
 		if rng.Float64() < LiGenFrac {
+			rung := rng.Intn(len(ligenSizes))
 			j.App = AppLiGen
-			j.LiGen = ligenSizes[rng.Intn(len(ligenSizes))]
-			w, err := ligen.NewWorkload(j.LiGen)
-			if err != nil {
-				return nil, err
-			}
-			j.NominalS, _ = w.AnalyticOn(dev, fmax)
+			j.LiGen, j.NominalS = ligenSizes[rung], ligenNominalS[rung]
 		} else {
+			rung := rng.Intn(len(cronosSizes))
 			j.App = AppCronos
-			sz := cronosSizes[rng.Intn(len(cronosSizes))]
-			j.Grid, j.Steps = sz.Grid, sz.Steps
-			w, err := cronos.NewWorkload(sz.Grid[0], sz.Grid[1], sz.Grid[2], sz.Steps)
-			if err != nil {
-				return nil, err
-			}
-			j.NominalS, _ = w.AnalyticOn(dev, fmax)
+			j.Grid, j.Steps, j.NominalS = cronosSizes[rung].Grid, cronosSizes[rung].Steps, cronosNominalS[rung]
 		}
 		slack := SlackMin + (SlackMax-SlackMin)*rng.Float64()
 		slackS := slack * j.NominalS

@@ -30,11 +30,14 @@ func (e *Entry) AdviseFromCurve(curve []core.CurvePoint, deadlineS float64) Resp
 		}
 	}
 	resp.PredEnergyMaxJ = curve[maxIdx].EnergyJ
-	pts := make([]pareto.Point, len(curve))
-	for i, c := range curve {
-		pts[i] = pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
+	// The front is computed in a stack copy of the curve; only a menu
+	// longer than core.SmallMenu spills to the heap.
+	var buf [core.SmallMenu]pareto.Point
+	pts := buf[:0]
+	for _, c := range curve {
+		pts = append(pts, pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy})
 	}
-	for _, p := range pareto.Front(pts) {
+	for _, p := range pareto.AppendFront(pts[:0], pts) {
 		if p.FreqMHz == resp.RecommendedMHz {
 			resp.OnPareto = true
 			break

@@ -23,8 +23,8 @@ func BenchmarkServeCampaign(b *testing.B) {
 }
 
 // BenchmarkAdvise measures one uncached advisory query end to end — lookup,
-// batched curve prediction and the deadline decision — the service's
-// cache-miss hot path.
+// curve prediction and the deadline decision — the service's cache-miss
+// hot path, and reports its allocations (none on this menu).
 func BenchmarkAdvise(b *testing.B) {
 	reg := NewRegistry("v100")
 	if _, err := reg.Publish("ligen", testPayload(b, 1)); err != nil {
@@ -32,6 +32,7 @@ func BenchmarkAdvise(b *testing.B) {
 	}
 	feats := testShapeFeatures[2]
 	deadline := 2 * feats[0] * feats[1] * feats[2] / 4e6
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := reg.Advise("ligen", feats, deadline, testFreqs)

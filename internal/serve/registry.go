@@ -96,7 +96,9 @@ func (r *Registry) Advise(app string, features []float64, deadlineS float64, fre
 	return e.Advise(features, deadlineS, freqs)
 }
 
-// Advise evaluates one query against this pinned model version.
+// Advise evaluates one query against this pinned model version. On a menu
+// of at most core.SmallMenu clocks it allocates nothing: the curve and the
+// Pareto check both live on the stack.
 func (e *Entry) Advise(features []float64, deadlineS float64, freqs []int) (Response, error) {
 	if len(freqs) == 0 {
 		return Response{}, fmt.Errorf("%w: no candidate frequencies", ErrBadRequest)
@@ -105,9 +107,10 @@ func (e *Entry) Advise(features []float64, deadlineS float64, freqs []int) (Resp
 		return Response{}, fmt.Errorf("%w: got %d features, %s schema wants %d",
 			ErrBadRequest, len(features), e.App, e.Model.FeatureDim())
 	}
-	curves, err := e.Model.PredictCurvesBatch([][]float64{features}, freqs)
+	var buf [core.SmallMenu]core.CurvePoint
+	curve, err := e.Model.AppendCurve(buf[:0], features, freqs)
 	if err != nil {
 		return Response{}, err
 	}
-	return e.AdviseFromCurve(curves[0], deadlineS), nil
+	return e.AdviseFromCurve(curve, deadlineS), nil
 }

@@ -24,11 +24,14 @@
 // free lists, each model version's response count lives in a slot resolved
 // once per miss, the latency buffer is sized once from the shard's request
 // budget, and the LRU is an index-linked list over a fixed array, so a
-// cache-hit request allocates nothing. A closed- and open-loop synthetic
-// load generator drives the service to millions of requests per campaign,
-// per-device shards fan out through internal/parallel, and p50/p99 latency
-// plus throughput publish through internal/obs: each shard sorts its own
-// latencies, and the merge reads the percentiles from the sorted runs.
+// cache-hit request allocates nothing. An uncached Registry.Advise
+// allocates nothing either on a menu of up to core.SmallMenu clocks: its
+// curve and its Pareto check live on the stack. A closed- and open-loop
+// synthetic load generator drives the service to millions of requests per
+// campaign, per-device shards fan out through internal/parallel, and
+// p50/p99 latency plus throughput publish through internal/obs: each shard
+// sorts its own latencies, and the merge reads the percentiles from the
+// sorted runs.
 //
 // Everything runs on simulated time and seeded randomness: a fixed Config
 // produces a byte-identical Report for any worker count.

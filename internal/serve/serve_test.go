@@ -13,6 +13,7 @@ import (
 	"dsenergy/internal/core"
 	"dsenergy/internal/ml"
 	"dsenergy/internal/obs"
+	"dsenergy/internal/pareto"
 	"dsenergy/internal/xrand"
 )
 
@@ -237,6 +238,78 @@ func TestBatchedAdviceBitIdenticalToSingle(t *testing.T) {
 		if batched := e.AdviseFromCurve(curves[i], deadline); batched != single {
 			t.Errorf("input %d: batched advice %+v != single %+v", i, batched, single)
 		}
+	}
+}
+
+// TestAdviseAllocs guards the uncached query path: on the test menu and on
+// a menu of core.SmallMenu clocks, Registry.Advise and AdviseFromCurve
+// allocate nothing.
+func TestAdviseAllocs(t *testing.T) {
+	reg := NewRegistry("v100")
+	if _, err := reg.Publish("ligen", testPayload(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := reg.Lookup("ligen")
+	wide := make([]int, core.SmallMenu)
+	for i := range wide {
+		wide[i] = 700 + 25*i
+	}
+	feats := testShapeFeatures[2]
+	deadline := 2 * testShapes()[2].NominalS
+	for _, freqs := range [][]int{testFreqs, wide} {
+		curve := e.Model.PredictCurves(feats, freqs)
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"Registry.Advise", func() {
+				if _, err := reg.Advise("ligen", feats, deadline, freqs); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Entry.AdviseFromCurve", func() { e.AdviseFromCurve(curve, deadline) }},
+		} {
+			if avg := testing.AllocsPerRun(100, c.call); avg != 0 {
+				t.Errorf("%s on a %d-clock menu allocates %.1f objects per call, want 0", c.name, len(freqs), avg)
+			}
+		}
+	}
+}
+
+// TestAdviseOnParetoMatchesFront holds AdviseFromCurve's OnPareto to its
+// definition, membership of the recommended clock in pareto.Front of the
+// curve, on random curves over a few clocks (so clocks repeat) whose
+// values come from a palette of two NaN payloads, ±Inf, ±0, a subnormal
+// and tied values, on menus both within and beyond core.SmallMenu.
+func TestAdviseOnParetoMatchesFront(t *testing.T) {
+	palette := []float64{
+		math.NaN(), math.Float64frombits(0xfff8_0000_0000_0bad), math.Inf(1), math.Inf(-1),
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0.5, 1, 1.25, 2,
+	}
+	clocks := []int{800, 1000, 1200, 1380}
+	rng := xrand.New(25)
+	pick := func() float64 { return palette[rng.Intn(len(palette))] }
+	e := &Entry{App: "ligen", Device: "v100", Version: 1}
+	onFront := 0
+	for trial := 0; trial < 4000; trial++ {
+		curve := make([]core.CurvePoint, 1+rng.Intn(2*core.SmallMenu))
+		pts := make([]pareto.Point, len(curve))
+		for i := range curve {
+			curve[i] = core.CurvePoint{FreqMHz: clocks[rng.Intn(len(clocks))],
+				Speedup: pick(), NormEnergy: pick(), TimeS: pick(), EnergyJ: pick()}
+			pts[i] = pareto.Point{FreqMHz: curve[i].FreqMHz, Speedup: curve[i].Speedup, NormEnergy: curve[i].NormEnergy}
+		}
+		resp := e.AdviseFromCurve(curve, pick())
+		want := slices.ContainsFunc(pareto.Front(pts), func(p pareto.Point) bool { return p.FreqMHz == resp.RecommendedMHz })
+		if resp.OnPareto != want {
+			t.Fatalf("trial %d: OnPareto = %v for %d MHz, Front membership %v; curve %+v", trial, resp.OnPareto, resp.RecommendedMHz, want, curve)
+		}
+		if want {
+			onFront++
+		}
+	}
+	if onFront == 0 || onFront == 4000 {
+		t.Fatalf("%d of 4000 recommendations on the front: the curves exercise only one answer", onFront)
 	}
 }
 

@@ -123,11 +123,11 @@ func (t *PerKernelTuner) PlanFor(features []float64) (Plan, error) {
 		Predicted:    map[string]core.CurvePoint{},
 	}
 	for name, m := range t.models {
-		curves, err := m.PredictCurvesBatch([][]float64{features}, t.freqs)
+		curve, err := m.AppendCurve(nil, features, t.freqs)
 		if err != nil {
 			return Plan{}, fmt.Errorf("tuner: kernel %s: %w", name, err)
 		}
-		choice := t.Policy.Select(curves[0])
+		choice := t.Policy.Select(curve)
 		plan.FreqByKernel[name] = choice.FreqMHz
 		plan.Predicted[name] = choice
 	}

@@ -166,10 +166,10 @@ func (t *Tuner) FreqFor(features []float64, freqs []int) (int, core.CurvePoint, 
 	}
 	sorted := append([]int(nil), freqs...)
 	sort.Ints(sorted)
-	curves, err := t.Model.PredictCurvesBatch([][]float64{features}, sorted)
+	curve, err := t.Model.AppendCurve(nil, features, sorted)
 	if err != nil {
 		return 0, core.CurvePoint{}, fmt.Errorf("tuner: %w", err)
 	}
-	choice := t.Policy.Select(curves[0])
+	choice := t.Policy.Select(curve)
 	return choice.FreqMHz, choice, nil
 }
