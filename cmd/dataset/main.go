@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"dsenergy/internal/cliutil"
+	"dsenergy/internal/core"
 	"dsenergy/internal/experiments"
 	"dsenergy/internal/synergy"
 )
@@ -32,6 +33,22 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Check every argument before the output file is created, so a bad one
+	// leaves an existing file as it was.
+	queue, ok := map[string]int{"v100": 0, "mi100": 1}[*device]
+	if !ok {
+		fail(fmt.Errorf("unknown device %q (want v100 or mi100)", *device))
+	}
+	var build func(experiments.Config, *synergy.Queue) (*core.Dataset, []core.FeaturedWorkload, error)
+	switch *app {
+	case "cronos":
+		build = experiments.Config.BuildCronosDataset
+	case "ligen":
+		build = experiments.Config.BuildLiGenDataset
+	default:
+		fail(fmt.Errorf("unknown app %q (want cronos or ligen)", *app))
+	}
+
 	cfg := experiments.DefaultConfig()
 	if *quick {
 		cfg = experiments.QuickConfig()
@@ -42,50 +59,27 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var q *synergy.Queue
-	switch *device {
-	case "v100":
-		q = p.Queues()[0]
-	case "mi100":
-		q = p.Queues()[1]
-	default:
-		fail(fmt.Errorf("unknown device %q (want v100 or mi100)", *device))
-	}
 
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		w = f
 	}
-
-	switch *app {
-	case "cronos":
-		ds, _, err := cfg.BuildCronosDataset(q)
-		if err != nil {
-			fail(err)
-		}
-		if err := ds.WriteCSV(w); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "dataset: wrote %d cronos samples (%d inputs) from %s\n",
-			len(ds.Samples), len(ds.Inputs()), ds.Device)
-	case "ligen":
-		ds, _, err := cfg.BuildLiGenDataset(q)
-		if err != nil {
-			fail(err)
-		}
-		if err := ds.WriteCSV(w); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "dataset: wrote %d ligen samples (%d inputs) from %s\n",
-			len(ds.Samples), len(ds.Inputs()), ds.Device)
-	default:
-		fail(fmt.Errorf("unknown app %q (want cronos or ligen)", *app))
+	ds, _, err := build(cfg, p.Queues()[queue])
+	if err != nil {
+		fail(err)
 	}
+	if err := ds.WriteCSV(w); err != nil {
+		fail(err)
+	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			fail(err)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "dataset: wrote %d %s samples (%d inputs) from %s\n",
+		len(ds.Samples), *app, len(ds.Inputs()), ds.Device)
 	if err := obsFlags.Write(cfg.Obs); err != nil {
 		fail(err)
 	}

@@ -4,7 +4,8 @@
 // the §5.2.1 regressor comparison, the ablations, the tuner comparison, the
 // per-kernel scaling experiment, the strong-scaling study, the resilience
 // demonstration and the deadline-aware scheduling campaign — each written to
-// its own file under the output directory.
+// its own file under the output directory, in the order of
+// experiments.ResultFiles.
 //
 // Usage:
 //
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"dsenergy/internal/cliutil"
 	"dsenergy/internal/experiments"
@@ -45,147 +45,10 @@ func main() {
 
 	// Per-file wall time lands in the quarantined -profile dump; stdout
 	// stays deterministic so progress output is byte-identical across runs.
-	write := func(name string, gen func(f *os.File) error) {
-		stop := cfg.Obs.Profile().Phase("reproduce/" + name).Start()
-		defer stop()
-		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		if err := gen(f); err != nil {
-			f.Close()
-			fail(fmt.Errorf("%s: %w", name, err))
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	// Tables.
-	write("tables.txt", func(f *os.File) error {
-		experiments.RenderTable1(f)
-		fmt.Fprintln(f)
-		experiments.RenderTable2(f)
-		return nil
-	})
-
-	// Characterization figures.
-	figGens := []struct {
-		name string
-		gen  func() (experiments.Figure, error)
-	}{
-		{"fig01.txt", cfg.Fig1}, {"fig02.txt", cfg.Fig2}, {"fig03.txt", cfg.Fig3},
-		{"fig04.txt", cfg.Fig4}, {"fig05.txt", cfg.Fig5}, {"fig06.txt", cfg.Fig6},
-		{"fig07.txt", cfg.Fig7}, {"fig08.txt", cfg.Fig8}, {"fig09.txt", cfg.Fig9},
-		{"fig10.txt", cfg.Fig10},
-	}
-	for _, fg := range figGens {
-		fg := fg
-		write(fg.name, func(f *os.File) error {
-			fig, err := fg.gen()
-			if err != nil {
-				return err
-			}
-			experiments.RenderFigure(f, fig)
-			return nil
-		})
-	}
-
-	// Model evaluation.
-	write("fig13.txt", func(f *os.File) error {
-		r, err := cfg.Fig13()
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig13(f, r)
-		return nil
-	})
-	write("fig14.txt", func(f *os.File) error {
-		panels, err := cfg.Fig14()
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig14(f, panels)
-		return nil
-	})
-	write("regressors.txt", func(f *os.File) error {
-		cmp, err := cfg.CompareRegressors()
-		if err != nil {
-			return err
-		}
-		experiments.RenderAlgorithmComparison(f, cmp)
-		return nil
-	})
-	write("ablations.txt", func(f *os.File) error {
-		return cfg.RenderAblations(f)
-	})
-	write("gridsearch.txt", func(f *os.File) error {
-		gs, err := cfg.GridSearchRF()
-		if err != nil {
-			return err
-		}
-		experiments.RenderGridSearch(f, gs)
-		return nil
-	})
-	write("tuners.txt", func(f *os.File) error {
-		r, err := cfg.CompareTuners()
-		if err != nil {
-			return err
-		}
-		experiments.RenderTuningComparison(f, r)
-		return nil
-	})
-	write("perkernel.txt", func(f *os.File) error {
-		r, err := cfg.FutureWorkPerKernel()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "== per-kernel frequency scaling (§7 future work), Cronos 160x64x64 ==")
-		kernels := make([]string, 0, len(r.Plan))
-		for k := range r.Plan {
-			kernels = append(kernels, k)
-		}
-		sort.Strings(kernels)
-		for _, k := range kernels {
-			fmt.Fprintf(f, "   %-16s -> %d MHz\n", k, r.Plan[k])
-		}
-		fmt.Fprintf(f, "   measured: speedup %.3f, energy saving %.1f%%\n",
-			r.Outcome.Speedup(), r.Outcome.EnergySaving()*100)
-		return nil
-	})
-	write("scaling.txt", func(f *os.File) error {
-		lr, cr, err := cfg.StrongScaling([]int{1, 2, 4, 8, 16})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(f, "== strong scaling (V100 cluster) ==")
-		fmt.Fprintf(f, "%-8s %12s %12s %12s %12s\n", "devices", "ligen t(s)", "ligen eff", "cronos t(s)", "cronos eff")
-		for i := range lr {
-			fmt.Fprintf(f, "%-8d %12.4f %12.2f %12.4f %12.2f\n",
-				lr[i].Devices, lr[i].TimeS, lr[i].Efficiency, cr[i].TimeS, cr[i].Efficiency)
-		}
-		return nil
-	})
-	write("resilience.txt", func(f *os.File) error {
-		return cfg.RenderResilience(f)
-	})
-	// Machine-checkable verification of every headline claim.
 	var failed int
-	write("schedule.txt", func(f *os.File) error {
-		n, err := cfg.RenderSchedule(f)
-		failed += n
-		return err
-	})
-	write("shapechecks.txt", func(f *os.File) error {
-		checks, err := cfg.VerifyShapes()
-		if err != nil {
-			return err
-		}
-		failed += experiments.RenderShapeChecks(f, checks)
-		return nil
-	})
+	for _, rf := range experiments.ResultFiles {
+		failed += write(cfg, *out, rf)
+	}
 	if err := obsFlags.Write(cfg.Obs); err != nil {
 		fail(err)
 	}
@@ -194,6 +57,27 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("done — all checks passed")
+}
+
+// write generates one result file under dir and returns its failed checks.
+func write(cfg experiments.Config, dir string, rf experiments.ResultFile) int {
+	stop := cfg.Obs.Profile().Phase("reproduce/" + rf.Name).Start()
+	defer stop()
+	path := filepath.Join(dir, rf.Name)
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	failed, err := rf.Write(cfg, f)
+	if err != nil {
+		f.Close()
+		fail(fmt.Errorf("%s: %w", rf.Name, err))
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	fmt.Printf("wrote %s\n", path)
+	return failed
 }
 
 func fail(err error) {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -25,6 +26,9 @@ import (
 //     interface;
 //   - calls through values of function type: every in-module function or
 //     literal whose address is taken somewhere and whose signature matches;
+//   - in-module functions named as arguments of an out-of-module call (a
+//     comparator handed to slices.SortFunc): dynamic callees of that call,
+//     because the standard library calls them where the graph cannot see;
 //   - function literals: charged to the function that lexically contains
 //     them with a "contains" edge, because closures in this codebase are
 //     overwhelmingly invoked by the orchestration code they are handed to
@@ -291,9 +295,18 @@ func (p *Program) resolveBody(n *FuncNode) {
 	walkShallow(n.Body, func(m ast.Node) {
 		switch x := m.(type) {
 		case *ast.CallExpr:
-			for _, callee := range p.resolveCall(n.Pkg, x) {
+			callees := p.resolveCall(n.Pkg, x)
+			for _, callee := range callees {
 				p.addEdge(CallEdge{Caller: n, Callee: callee, Site: x, Kind: edgeKindFor(n.Pkg, x, callee)})
 				p.siteEdges[x] = append(p.siteEdges[x], callee)
+			}
+			if slices.ContainsFunc(callees, (*FuncNode).External) {
+				for _, arg := range x.Args {
+					if target := p.funcRef(n.Pkg, arg); target != nil {
+						p.addEdge(CallEdge{Caller: n, Callee: target, Site: x, Kind: EdgeDynamic})
+						p.siteEdges[x] = append(p.siteEdges[x], target)
+					}
+				}
 			}
 		case *ast.FuncLit:
 			if lit := p.byLit[x]; lit != nil {
@@ -341,6 +354,25 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []*FuncNode {
 		if sig, ok := typeOf(pkg, call.Fun).(*types.Signature); ok {
 			return p.funcValueTargets(sig)
 		}
+	}
+	return nil
+}
+
+// funcRef returns the in-module function or method that e names without
+// calling it (f, pkg.F, f[int], a method value or method expression), or
+// nil.
+func (p *Program) funcRef(pkg *Package, e ast.Expr) *FuncNode {
+	var id *ast.Ident
+	switch x := calleeExpr(e).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
+	}
+	if obj, ok := pkg.Info.Uses[id].(*types.Func); ok {
+		return p.byObj[obj.Origin()]
 	}
 	return nil
 }

@@ -2,7 +2,10 @@
 // graph must follow, and roots it has no edge to.
 package lib
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stack is a generic type: main pushes onto a Stack[int].
 type Stack[T any] struct{ items []T }
@@ -31,6 +34,13 @@ type Table struct{}
 
 // Row is called only through a method value.
 func (Table) Row(k string, v int) { fmt.Println(k, v) }
+
+// SortDesc sorts xs in descending order: main calls it.
+func SortDesc(xs []int) { slices.SortFunc(xs, byDesc) }
+
+// byDesc is reached only through slices.SortFunc, which the standard library
+// calls with no edge in the graph.
+func byDesc(a, b int) int { return b - a }
 
 // Scale is a package-level variable: the function it holds is a root.
 var Scale = double

@@ -1,6 +1,6 @@
 // Package cliutil holds the flag plumbing the experiment CLIs share: the
 // observability output flags (-metrics, -trace, -profile) and validation of
-// the worker-count flag. Keeping it in one place is what keeps the five
+// the worker-count flag. Keeping it in one place is what keeps the four
 // commands' flags and error conventions identical.
 package cliutil
 

@@ -5,8 +5,8 @@
 // and grid search of §5.2.1, and the ablation studies listed in DESIGN.md.
 //
 // Each generator returns a typed result that the renderers print as the
-// rows/series the paper plots. Everything is deterministic in the config
-// seed.
+// rows/series the paper plots; ResultFiles pairs them into the result files
+// cmd/reproduce writes. Everything is deterministic in the config seed.
 package experiments
 
 import (

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dsenergy/internal/ligen"
 	"dsenergy/internal/pareto"
+	"dsenergy/internal/tuner"
 )
 
 // testConfig is even lighter than QuickConfig, for unit-test latency.
@@ -350,6 +354,49 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if !strings.Contains(buf.String(), "f_ligands") {
 		t.Error("table2 renderer missing feature")
 	}
+	buf.Reset()
+	RenderPerKernel(&buf, PerKernelResult{
+		Plan: map[string]int{"update": 1380, "flux": 1005},
+		Outcome: tuner.Outcome{BaselineTimeS: 1, BaselineEnergyJ: 100,
+			TunedTimeS: 1.02, TunedEnergyJ: 88},
+	})
+	out := buf.String()
+	if flux, update := strings.Index(out, "flux"), strings.Index(out, "update"); flux < 0 || flux > update {
+		t.Errorf("per-kernel renderer lists kernels out of name order:\n%s", out)
+	}
+	if !strings.Contains(out, "speedup 0.980, energy saving 12.0%") {
+		t.Errorf("per-kernel renderer missing outcome:\n%s", out)
+	}
+	buf.Reset()
+	RenderScaling(&buf,
+		[]ScalingRow{{Devices: 1, TimeS: 2, Efficiency: 1}, {Devices: 2, TimeS: 1.1, Efficiency: 0.91}},
+		[]ScalingRow{{Devices: 1, TimeS: 4, Efficiency: 1}, {Devices: 2, TimeS: 2.5, Efficiency: 0.8}})
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 4 ||
+		!strings.HasPrefix(lines[3], "2 ") || !strings.HasSuffix(lines[3], "0.80") {
+		t.Errorf("scaling renderer rows:\n%s", buf.String())
+	}
+}
+
+// TestResultFilesMatchSnapshot pins the result-file table to the checked-in
+// reproduce -quick snapshot: one row per file of results/quick. A
+// directory's names are unique, so a name listed twice fails too.
+func TestResultFilesMatchSnapshot(t *testing.T) {
+	snapshot, err := os.ReadDir(filepath.Join("..", "..", "results", "quick"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, 0, len(snapshot))
+	for _, e := range snapshot {
+		want = append(want, e.Name())
+	}
+	got := make([]string, 0, len(ResultFiles))
+	for _, rf := range ResultFiles {
+		got = append(got, rf.Name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("result files %v, want the %d files of results/quick %v", got, len(want), want)
+	}
 }
 
 func TestSweepFreqsIncludesBaselineAndTop(t *testing.T) {
@@ -406,26 +453,6 @@ func TestAblationBaselinesOrdering(t *testing.T) {
 	if r.DomainSpecificMAPE >= r.GPClusteredMAPE {
 		t.Errorf("domain-specific %.4f not below GP clustered %.4f",
 			r.DomainSpecificMAPE, r.GPClusteredMAPE)
-	}
-}
-
-func TestCSVRenderers(t *testing.T) {
-	cfg := testConfig()
-	fig, err := cfg.Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RenderFigureCSV(&buf, fig); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	wantRows := 1 + len(fig.Series[0].Points) + len(fig.Series[1].Points)
-	if len(lines) != wantRows {
-		t.Errorf("csv rows %d, want %d", len(lines), wantRows)
-	}
-	if !strings.HasPrefix(lines[0], "figure,series,device,freq_mhz") {
-		t.Errorf("csv header %q", lines[0])
 	}
 }
 

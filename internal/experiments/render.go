@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
+	"sort"
 
 	"dsenergy/internal/kernels"
 	"dsenergy/internal/pareto"
@@ -32,36 +31,6 @@ func RenderFigure(w io.Writer, f Figure) {
 		}
 		fmt.Fprintf(w, "   pareto-optimal frequencies: %v\n", s.ParetoFreqs)
 	}
-}
-
-// RenderFigureCSV writes a characterization figure in long CSV format for
-// external plotting: one row per (series, frequency) with raw and normalized
-// values and the Pareto marker.
-func RenderFigureCSV(w io.Writer, f Figure) error {
-	cw := csv.NewWriter(w)
-	header := []string{"figure", "series", "device", "freq_mhz", "time_s", "energy_j",
-		"speedup", "norm_energy", "pareto"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			row := []string{
-				f.ID, s.Label, s.Device,
-				strconv.Itoa(p.FreqMHz),
-				strconv.FormatFloat(p.TimeS, 'g', -1, 64),
-				strconv.FormatFloat(p.EnergyJ, 'g', -1, 64),
-				strconv.FormatFloat(p.Speedup, 'g', -1, 64),
-				strconv.FormatFloat(p.NormEnergy, 'g', -1, 64),
-				strconv.FormatBool(p.OnPareto),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // RenderFig13 prints the accuracy comparison as the four bar groups of
@@ -136,6 +105,32 @@ func RenderGridSearch(w io.Writer, results []GridSearchResult) {
 			fmt.Fprintf(w, "   max_depth=%-4g n_estimators=%-4g max_features=%-4g  MAPE %.4f\n",
 				p.Params["max_depth"], p.Params["n_estimators"], p.Params["max_features"], p.MAPE)
 		}
+	}
+}
+
+// RenderPerKernel prints the §7 per-kernel frequency plan and its measured
+// outcome.
+func RenderPerKernel(w io.Writer, r PerKernelResult) {
+	fmt.Fprintln(w, "== per-kernel frequency scaling (§7 future work), Cronos 160x64x64 ==")
+	names := make([]string, 0, len(r.Plan))
+	for k := range r.Plan {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		fmt.Fprintf(w, "   %-16s -> %d MHz\n", k, r.Plan[k])
+	}
+	fmt.Fprintf(w, "   measured: speedup %.3f, energy saving %.1f%%\n",
+		r.Outcome.Speedup(), r.Outcome.EnergySaving()*100)
+}
+
+// RenderScaling prints the strong-scaling study, one row per cluster size.
+func RenderScaling(w io.Writer, ligenRows, cronosRows []ScalingRow) {
+	fmt.Fprintln(w, "== strong scaling (V100 cluster) ==")
+	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s\n", "devices", "ligen t(s)", "ligen eff", "cronos t(s)", "cronos eff")
+	for i, l := range ligenRows {
+		c := cronosRows[i]
+		fmt.Fprintf(w, "%-8d %12.4f %12.2f %12.4f %12.2f\n", l.Devices, l.TimeS, l.Efficiency, c.TimeS, c.Efficiency)
 	}
 }
 
