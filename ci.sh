@@ -16,10 +16,12 @@
 #                   allocation guard at GOMAXPROCS 1, 2, 4 and 8, and the
 #                   worker gang's tests ten times under the race detector
 #   5. results      reproduce -quick regenerated and diffed against the
-#                   checked-in results/quick snapshot (drift guard); schedule
-#                   at its default config diffed against results/schedule.txt;
-#                   the examples' stdout diffed against examples/*/output.txt;
-#                   serve -quick diffed against cmd/serve/testdata/quick.txt
+#                   checked-in results/quick snapshot (drift guard); one
+#                   default-fidelity reproduce run diffed against the 22
+#                   checked-in results/*.txt; schedule at its default config
+#                   diffed against results/schedule.txt; the examples' stdout
+#                   diffed against examples/*/output.txt; serve -quick
+#                   diffed against cmd/serve/testdata/quick.txt
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes, the interprocedural determinism contracts
 #                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc)
@@ -187,6 +189,14 @@ diff "$obsdir/t1.txt" "$obsdir/t2.txt"
 # output at the default flags, so it is diffed here instead of a fourth run.
 echo "==> results drift guard (reproduce -quick vs results/quick)"
 diff -r results/quick "$obsdir/plain"
+
+# Default-fidelity drift guard: results/quick holds only the -quick run, so
+# the 22 default-fidelity files under results/ (regressors.txt, fed by every
+# SVR and forest fit, among them) are checked by one default reproduce run,
+# about 70 s on a 2-vCPU host.
+echo "==> results drift guard (reproduce vs results/*.txt)"
+"$obsdir/reproduce" -out "$obsdir/full" >/dev/null
+diff -r -x quick results "$obsdir/full"
 
 # Scheduler -j invariance smoke: the scheduling campaign must emit
 # byte-identical reports whether its six cells run serially or fan out.

@@ -1,14 +1,17 @@
 package ml
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestSolverFitAllocationGuard pins the allocation counts of the Lasso and
 // SVR fits. Both solvers front-load their allocations — flat feature
-// buffers, the Gram/kernel matrix, the shrinking bookkeeping — and the sweep
-// loops themselves must run allocation-free, so the per-fit count is a small
-// constant independent of the iteration count. A per-sweep or per-update
-// allocation sneaking into a hot loop multiplies by MaxIter·n and trips the
-// bound at once.
+// buffers, the Gram/kernel matrix, the coefficient and prediction vectors —
+// and the sweep loops themselves must run allocation-free, so the per-fit
+// count is a small constant independent of the iteration count. A per-sweep
+// or per-update allocation sneaking into a hot loop multiplies by MaxIter·n
+// and trips the bound at once.
 func TestSolverFitAllocationGuard(t *testing.T) {
 	X, y := benchDataWide(300, 8)
 
@@ -31,10 +34,28 @@ func TestSolverFitAllocationGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Fixed setup allocations plus the bounded growth of the update log
-		// and the packed-kernel buffers.
-		if avg > 64 {
-			t.Fatalf("SVR.Fit allocates %.1f objects per fit, want <= 64", avg)
+		if avg > 8 {
+			t.Fatalf("SVR.Fit allocates %.1f objects per fit, want <= 8", avg)
 		}
 	})
+}
+
+// TestSVRFitAllocs pins SVR.Fit to the same handful of allocations at any
+// size: the column statistics, the standardized rows, the kernel, β and f.
+// None of them may grow into one object per coordinate update.
+func TestSVRFitAllocs(t *testing.T) {
+	for _, n := range []int{60, 300} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			X, y := benchData(n)
+			m := NewSVR(10, 0.01, 0)
+			avg := testing.AllocsPerRun(3, func() {
+				if err := m.Fit(X, y); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 8 {
+				t.Fatalf("SVR.Fit allocates %.1f objects per fit at n=%d, want <= 8", avg, n)
+			}
+		})
+	}
 }

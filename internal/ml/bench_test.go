@@ -67,6 +67,8 @@ func BenchmarkLassoFit(b *testing.B) {
 
 func BenchmarkSVRFit(b *testing.B) {
 	X, y := benchData(300) // kernel methods are quadratic; keep modest
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewSVR(10, 0.01, 0)
 		if err := m.Fit(X, y); err != nil {
@@ -185,9 +187,8 @@ func BenchmarkLassoFitWide(b *testing.B) {
 	}
 }
 
-// BenchmarkSVRFitLarge is the shrinking acceptance shape: n=600 doubles the
-// kernel matrix rows of BenchmarkSVRFit, so bound-clipped coordinates
-// dominate the dual sweeps.
+// BenchmarkSVRFitLarge is the large fit shape: n=600 doubles the kernel
+// matrix rows of BenchmarkSVRFit, so the n² sweep work outgrows the cache.
 func BenchmarkSVRFitLarge(b *testing.B) {
 	X, y := benchDataWide(600, 8)
 	b.ReportAllocs()

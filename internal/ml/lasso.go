@@ -46,7 +46,7 @@ func (l *Lasso) Fit(X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	if l.Alpha < 0 {
+	if !(l.Alpha >= 0) {
 		return fmt.Errorf("ml: lasso alpha must be non-negative, got %g", l.Alpha)
 	}
 

@@ -181,9 +181,11 @@ func TestLassoZeroAlphaMatchesOLS(t *testing.T) {
 }
 
 func TestLassoRejectsNegativeAlpha(t *testing.T) {
-	m := NewLasso(-1)
-	if err := m.Fit([][]float64{{1}, {2}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for negative alpha")
+	for _, alpha := range []float64{-1, math.NaN()} {
+		m := NewLasso(alpha)
+		if err := m.Fit([][]float64{{1}, {2}}, []float64{1, 2}); err == nil {
+			t.Errorf("alpha=%g: expected an error, fitted coef %v", alpha, m.Coef)
+		}
 	}
 }
 
@@ -245,12 +247,28 @@ func TestSVRRespectsBoxConstraint(t *testing.T) {
 	}
 }
 
+// TestSVRParameterValidation rejects every hyper-parameter the solver cannot
+// use. Unchecked, a NaN C fits as an unbounded box, a negative gamma blows the
+// kernel up, and a NaN gamma or epsilon predicts NaN or 0.
 func TestSVRParameterValidation(t *testing.T) {
-	if err := NewSVR(0, 0.1, 1).Fit([][]float64{{1}, {2}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for C=0")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		c, eps, g float64
+	}{
+		{"C=0", 0, 0.1, 1},
+		{"C=NaN", nan, 0.1, 1},
+		{"negative epsilon", 1, -0.1, 1},
+		{"epsilon=NaN", 1, nan, 1},
+		{"epsilon=+Inf", 1, inf, 1},
+		{"negative gamma", 1, 0.1, -1},
+		{"gamma=NaN", 1, 0.1, nan},
+		{"gamma=+Inf", 1, 0.1, inf},
 	}
-	if err := NewSVR(1, -0.1, 1).Fit([][]float64{{1}, {2}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for negative epsilon")
+	for _, tc := range cases {
+		if err := NewSVR(tc.c, tc.eps, tc.g).Fit([][]float64{{1}, {2}}, []float64{1, 2}); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
 }
 
@@ -490,52 +508,45 @@ func TestDefaultSpecsConstructible(t *testing.T) {
 
 func almostEqf(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// TestPersistRoundTripAllKinds round-trips a fitted forest, the only kind a
+// program persists, and checks that every other regressor is refused on save
+// and its old envelope kind rejected on load.
 func TestPersistRoundTripAllKinds(t *testing.T) {
 	X, y := synthLinear(xrand.New(21), 150, 0.1)
 	probe := []float64{4.2, 6.6}
-	models := []Regressor{}
-
-	lin := NewLinear()
-	if err := lin.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	models = append(models, lin)
-
-	lasso := NewLasso(0.01)
-	if err := lasso.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	models = append(models, lasso)
-
-	svr := NewSVR(10, 0.05, 0)
-	if err := svr.Fit(X[:80], y[:80]); err != nil {
-		t.Fatal(err)
-	}
-	models = append(models, svr)
-
-	tree := NewTree(6, 2)
-	if err := tree.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	models = append(models, tree)
 
 	forest := NewForest(ForestConfig{NumTrees: 12, Seed: 3})
 	if err := forest.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	models = append(models, forest)
+	var buf bytes.Buffer
+	if err := SaveRegressor(&buf, forest); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, err := LoadRegressor(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if want, have := forest.Predict(probe), got.Predict(probe); want != have {
+		t.Errorf("prediction changed after round trip: %g vs %g", want, have)
+	}
 
-	for _, m := range models {
-		var buf bytes.Buffer
-		if err := SaveRegressor(&buf, m); err != nil {
-			t.Fatalf("%T: save: %v", m, err)
+	for _, m := range []Regressor{NewLinear(), NewLasso(0.01), NewSVR(10, 0.05, 0), NewTree(6, 2)} {
+		if err := m.Fit(X[:80], y[:80]); err != nil {
+			t.Fatal(err)
 		}
-		got, err := LoadRegressor(&buf)
-		if err != nil {
-			t.Fatalf("%T: load: %v", m, err)
+		if err := SaveRegressor(&buf, m); err == nil {
+			t.Errorf("%T: saved, want a refusal", m)
 		}
-		if want, have := m.Predict(probe), got.Predict(probe); want != have {
-			t.Errorf("%T: prediction changed after round trip: %g vs %g", m, want, have)
+	}
+	for _, payload := range []string{
+		`{"kind":"linear","payload":{"coef":[1,2],"intercept":1}}`,
+		`{"kind":"lasso","payload":{"alpha":0.1,"coef":[0,1],"intercept":0}}`,
+		`{"kind":"svr","payload":{"c":1,"epsilon":0.1,"x":[[1,2]],"beta":[0.5],"mean":[0,0],"scale":[1,1],"gamma_fitted":0.5}}`,
+		`{"kind":"tree","payload":{"d":1,"root":{"leaf":true,"value":3}}}`,
+	} {
+		if _, err := LoadRegressor(strings.NewReader(payload)); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("retired kind loaded with error %v, want ErrCorruptModel\n%s", err, payload)
 		}
 	}
 }

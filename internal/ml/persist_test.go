@@ -11,7 +11,9 @@ import (
 // every payload below parses as JSON but could not have been written by
 // SaveRegressor over a fitted model, and before validation each one loaded
 // "successfully" only to panic or return garbage at the first Predict. All
-// must now fail with ErrCorruptModel.
+// must now fail with ErrCorruptModel. The linear, lasso and svr payloads are
+// kinds no program persists any more, so they are rejected by kind; the tree
+// cases sit inside one-tree forests, the only kind a program writes.
 func TestLoadRegressorRejectsCorruptShapes(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,29 +35,29 @@ func TestLoadRegressorRejectsCorruptShapes(t *testing.T) {
 			`{"kind":"svr","payload":{"c":1,"x":[[1,2]],"beta":[0.5],"mean":[0],"scale":[1,1]}}`},
 		{"svr scale length mismatch",
 			`{"kind":"svr","payload":{"c":1,"x":[[1,2]],"beta":[0.5],"mean":[0,0],"scale":[1]}}`},
-		{"tree negative dimension", `{"kind":"tree","payload":{"d":-1,"root":{"leaf":true,"value":3}}}`},
+		{"tree negative dimension", `{"kind":"forest","payload":{"trees":[{"d":-1,"root":{"leaf":true,"value":3}}]}}`},
 		{"tree split missing child",
-			`{"kind":"tree","payload":{"d":2,"root":{"leaf":false,"feature":0,"thresh":1}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":2,"root":{"leaf":false,"feature":0,"thresh":1}}]}}`},
 		{"tree negative split feature",
-			`{"kind":"tree","payload":{"d":2,"root":{"feature":-3,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":2,"root":{"feature":-3,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		{"tree split feature out of range",
-			`{"kind":"tree","payload":{"d":1,"root":{"feature":4,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":1,"root":{"feature":4,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		// Split indices past int32: each once narrowed to a leaf marker or
 		// to an in-range feature before the range check saw it.
 		{"tree split feature 2^31",
-			`{"kind":"tree","payload":{"d":3,"root":{"feature":2147483648,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":3,"root":{"feature":2147483648,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		{"tree split feature 2^32",
-			`{"kind":"tree","payload":{"d":3,"root":{"feature":4294967296,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":3,"root":{"feature":4294967296,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		{"tree split feature 2^32+1",
-			`{"kind":"tree","payload":{"d":3,"root":{"feature":4294967297,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":3,"root":{"feature":4294967297,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		{"tree dimension past int32",
-			`{"kind":"tree","payload":{"d":4294967299,"root":{"feature":4294967297,"thresh":1,` +
-				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}}`},
+			`{"kind":"forest","payload":{"trees":[{"d":4294967299,"root":{"feature":4294967297,"thresh":1,` +
+				`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`},
 		{"forest no trees", `{"kind":"forest","payload":{"trees":[]}}`},
 		{"forest disagreeing tree dimensions",
 			`{"kind":"forest","payload":{"trees":[` +
@@ -80,7 +82,8 @@ func TestLoadRegressorRejectsCorruptShapes(t *testing.T) {
 // TestLoadRegressorTruncatedPayloads covers payloads cut off mid-stream: a
 // JSON decode error, not a shape error, but still a load failure.
 func TestLoadRegressorTruncatedPayloads(t *testing.T) {
-	whole := `{"kind":"lasso","payload":{"alpha":0.1,"coef":[1,2,3],"intercept":2}}`
+	whole := `{"kind":"forest","payload":{"trees":[{"d":2,"root":{"feature":1,"thresh":0.5,` +
+		`"left":{"leaf":true,"value":1},"right":{"leaf":true,"value":2}}}]}}`
 	for _, cut := range []int{1, len(whole) / 3, len(whole) - 2} {
 		if _, err := LoadRegressor(strings.NewReader(whole[:cut])); err == nil {
 			t.Errorf("payload truncated at %d bytes loaded successfully", cut)
@@ -93,11 +96,8 @@ func TestLoadRegressorTruncatedPayloads(t *testing.T) {
 // fitted path; this covers the minimal hand-written envelopes).
 func TestLoadRegressorAcceptsValidShapes(t *testing.T) {
 	for _, payload := range []string{
-		`{"kind":"linear","payload":{"coef":[1,2],"intercept":1}}`,
-		`{"kind":"lasso","payload":{"alpha":0.1,"coef":[0,1],"intercept":0}}`,
-		`{"kind":"svr","payload":{"c":1,"epsilon":0.1,"x":[[1,2]],"beta":[0.5],"mean":[0,0],"scale":[1,1],"gamma_fitted":0.5}}`,
-		`{"kind":"tree","payload":{"d":1,"root":{"leaf":true,"value":3}}}`,
-		`{"kind":"tree","payload":{"d":0}}`, // unfitted tree round-trips
+		`{"kind":"forest","payload":{"trees":[{"d":1,"root":{"leaf":true,"value":3}}]}}`,
+		`{"kind":"forest","payload":{"trees":[{"d":0}]}}`, // an unfitted tree round-trips
 		`{"kind":"forest","payload":{"trees":[{"d":2,"root":{"leaf":true,"value":1}}]}}`,
 	} {
 		if _, err := LoadRegressor(strings.NewReader(payload)); err != nil {

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// referenceSVRBetas is a verbatim port of the pre-shrinking SVR dual solver:
-// a dense [][]float64 kernel and plain cyclic sweeps with eager f updates
-// and no working-set skipping. The production solver's certificates and
-// lazy-replay bookkeeping must reproduce this trajectory bit-for-bit.
+// referenceSVRBetas is the SVR dual solver spelled out plainly: a dense
+// [][]float64 kernel and cyclic sweeps with one scalar f update per kernel
+// entry. The production solver's flat row-major kernel and 4-wide axpy must
+// reproduce this trajectory bit-for-bit.
 func referenceSVRBetas(c, epsilon, gamma float64, maxIter int, tol float64, X [][]float64, y []float64) []float64 {
 	n, d := len(X), len(X[0])
 	mean := make([]float64, d)
@@ -89,12 +89,11 @@ func referenceSVRBetas(c, epsilon, gamma float64, maxIter int, tol float64, X []
 	return beta
 }
 
-// TestSVRShrinkingMatchesReference locks the shrinking solver to the plain
-// cyclic reference: identical dual coefficients, bit for bit, on converging
-// fits, MaxIter-bound fits, and box constraints tight enough to pin a large
-// fraction of the coordinates at ±C (the regime where certificates, lazy
-// replay and kernel repacking all engage).
-func TestSVRShrinkingMatchesReference(t *testing.T) {
+// TestSVRMatchesReference locks the production solver to the plain cyclic
+// reference: identical dual coefficients, bit for bit, on converging fits,
+// MaxIter-bound fits, a zero-width tube, discrete-valued features and box
+// constraints tight enough to pin a large fraction of the coordinates at ±C.
+func TestSVRMatchesReference(t *testing.T) {
 	smoothX, smoothY := benchData(120)
 	largeX, largeY := benchData(300)
 	wideX, wideY := benchDataWide(250, 8)

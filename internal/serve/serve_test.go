@@ -471,7 +471,7 @@ func TestRegistryRejectsCorruptAndKeepsServing(t *testing.T) {
 	corrupts := map[string][]byte{
 		"truncated": valid[:len(valid)/2],
 		"garbage":   []byte("not json"),
-		"empty lasso time model": []byte(
+		"retired lasso kind": []byte(
 			`{"schema":{"App":"ligen","Features":["a","b","c"]},"device":"v100",` +
 				`"baseline_freq_mhz":1380,` +
 				`"time_model":{"kind":"lasso","payload":{"alpha":1}},` +
@@ -480,7 +480,7 @@ func TestRegistryRejectsCorruptAndKeepsServing(t *testing.T) {
 	for name, payload := range corrupts {
 		if _, err := reg.Publish("ligen", payload); err == nil {
 			t.Errorf("%s: corrupt payload published", name)
-		} else if name == "empty lasso time model" && !errors.Is(err, ml.ErrCorruptModel) {
+		} else if name == "retired lasso kind" && !errors.Is(err, ml.ErrCorruptModel) {
 			t.Errorf("%s: error %v does not wrap ml.ErrCorruptModel", name, err)
 		}
 	}
