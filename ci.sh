@@ -21,7 +21,9 @@
 #                   checked-in results/*.txt; schedule at its default config
 #                   diffed against results/schedule.txt; the examples' stdout
 #                   diffed against examples/*/output.txt; serve -quick
-#                   diffed against cmd/serve/testdata/quick.txt
+#                   diffed against cmd/serve/testdata/quick.txt; the serve
+#                   report and its -metrics and -trace exports diffed
+#                   between -j 1 and -j 0
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes, the interprocedural determinism contracts
 #                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc)
@@ -215,13 +217,18 @@ echo "==> schedule report drift guard (schedule vs results/schedule.txt)"
 diff results/schedule.txt "$obsdir/schedule.txt"
 
 # Serving -j invariance smoke: the four advisor shards must emit
-# byte-identical SLO reports whether they run serially or fan out, even with
-# a hot-reload and a rejected corrupt upload mid-load.
-echo "==> serve -j invariance smoke (-j 1 vs -j 0)"
+# byte-identical SLO reports, and byte-identical -metrics and -trace
+# exports, whether they run serially or fan out, even with a hot-reload and
+# a rejected corrupt upload mid-load.
+echo "==> serve -j invariance smoke (-j 1 vs -j 0, report and exports)"
 go build -o "$obsdir/serve" ./cmd/serve
-"$obsdir/serve" -quick -requests 20000 -j 1 > "$obsdir/serve1.txt"
-"$obsdir/serve" -quick -requests 20000 -j 0 > "$obsdir/serveN.txt"
+"$obsdir/serve" -quick -requests 20000 -j 1 \
+    -metrics "$obsdir/serve-m1.json" -trace "$obsdir/serve-t1.txt" > "$obsdir/serve1.txt"
+"$obsdir/serve" -quick -requests 20000 -j 0 \
+    -metrics "$obsdir/serve-mN.json" -trace "$obsdir/serve-tN.txt" > "$obsdir/serveN.txt"
 diff "$obsdir/serve1.txt" "$obsdir/serveN.txt"
+diff "$obsdir/serve-m1.json" "$obsdir/serve-mN.json"
+diff "$obsdir/serve-t1.txt" "$obsdir/serve-tN.txt"
 
 # Serve report drift guard: the full 2M-request quick campaign must match
 # its checked-in report. A request key that merged or split cache entries

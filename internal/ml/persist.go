@@ -1,166 +1,154 @@
 package ml
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
-// Model persistence: trained forests serialize to a self-describing JSON
-// envelope, so a model trained from an expensive measurement campaign can be
-// stored next to its dataset and reloaded without refitting.
+// Model persistence: a trained forest serializes to a flat JSON document,
+// so a model trained from an expensive measurement campaign can be stored
+// next to its dataset and reloaded without refitting. Each tree is two
+// arrays over its nodes in preorder (node, left subtree, right subtree), the
+// order fit grows it in: feature holds a node's split feature, or -1 for a
+// leaf, and value holds its split threshold, or a leaf's mean target. The
+// children follow from the order, so they are not stored.
 
-// ErrCorruptModel is the typed error LoadRegressor wraps every rejection in:
-// malformed JSON, an unknown model kind, and a payload that decodes but
-// cannot have been written by SaveRegressor over a fitted model
-// (out-of-range tree feature indices, disagreeing tree dimensions, an empty
+// ErrCorruptModel is the typed error DecodeForest wraps every rejection in:
+// an unknown model kind, and a document that decodes but cannot have been
+// written by EncodeForest over a fitted forest (out-of-range split
+// features, malformed preorder arrays, disagreeing tree dimensions, an empty
 // forest). Callers that hot-reload persisted models match it with errors.Is
 // to reject the new version and keep serving the old one, instead of loading
 // a model that panics or predicts garbage at first use.
 var ErrCorruptModel = errors.New("ml: corrupt persisted model")
 
-// envelope is the on-disk wrapper; Kind names the model family, and
-// "forest" is the only one written or read.
-type envelope struct {
-	Kind    string          `json:"kind"`
-	Payload json.RawMessage `json:"payload"`
+// leafMarker is the feature entry of a persisted leaf.
+const leafMarker = -1
+
+// ForestDoc is the persisted form of a forest. A model document embeds it
+// as a typed field, so one JSON decode reads the whole model; Kind is
+// always "forest".
+type ForestDoc struct {
+	Kind  string    `json:"kind"`
+	Trees []treeDoc `json:"trees"`
 }
 
-type nodeJSON struct {
-	Leaf    bool      `json:"leaf"`
-	Value   float64   `json:"value,omitempty"`
-	Feature int       `json:"feature,omitempty"`
-	Thresh  float64   `json:"thresh,omitempty"`
-	Left    *nodeJSON `json:"left,omitempty"`
-	Right   *nodeJSON `json:"right,omitempty"`
-}
-
-type treeJSON struct {
+// treeDoc is one persisted tree: its limits, its training width and its
+// preorder feature and value arrays.
+type treeDoc struct {
 	MaxDepth int       `json:"max_depth"`
 	MinLeaf  int       `json:"min_leaf"`
 	D        int       `json:"d"`
-	Root     *nodeJSON `json:"root"`
+	Feature  []int     `json:"feature"`
+	Value    []float64 `json:"value"`
 }
 
-type forestJSON struct {
-	Trees []treeJSON `json:"trees"`
-}
-
-// SaveRegressor writes a fitted forest to w. Forests are the only regressors
-// a program persists, so any other type is refused.
-func SaveRegressor(w io.Writer, r Regressor) error {
-	m, ok := r.(*Forest)
+// EncodeForest returns the persisted form of a fitted forest. Forests are
+// the only regressors a program persists, so any other type is refused.
+func EncodeForest(r Regressor) (ForestDoc, error) {
+	f, ok := r.(*Forest)
 	if !ok {
-		return fmt.Errorf("ml: cannot persist regressor type %T", r)
+		return ForestDoc{}, fmt.Errorf("ml: cannot persist regressor type %T", r)
 	}
-	fj := forestJSON{Trees: make([]treeJSON, len(m.trees))}
-	for i, t := range m.trees {
-		fj.Trees[i] = encodeTree(t)
+	doc := ForestDoc{Kind: "forest", Trees: make([]treeDoc, len(f.trees))}
+	for i, t := range f.trees {
+		td := treeDoc{MaxDepth: t.MaxDepth, MinLeaf: t.MinLeaf, D: t.d,
+			Feature: make([]int, len(t.feature)), Value: make([]float64, len(t.feature))}
+		for j, feat := range t.feature {
+			td.Feature[j] = int(feat)
+			if feat < 0 {
+				td.Value[j] = t.value[j]
+			} else {
+				td.Value[j] = t.thresh[j]
+			}
+		}
+		doc.Trees[i] = td
 	}
-	raw, err := json.Marshal(fj)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(envelope{Kind: "forest", Payload: raw})
+	return doc, nil
 }
 
-// LoadRegressor reads a forest written by SaveRegressor.
-func LoadRegressor(r io.Reader) (Regressor, error) {
-	var env envelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("%w: decoding model envelope: %w", ErrCorruptModel, err)
+// DecodeForest rebuilds the forest doc holds. Every rejection wraps
+// ErrCorruptModel.
+func DecodeForest(doc *ForestDoc) (*Forest, error) {
+	if doc.Kind != "forest" {
+		return nil, fmt.Errorf("%w: unknown model kind %q", ErrCorruptModel, doc.Kind)
 	}
-	if env.Kind != "forest" {
-		return nil, fmt.Errorf("%w: unknown model kind %q", ErrCorruptModel, env.Kind)
+	if len(doc.Trees) == 0 {
+		return nil, fmt.Errorf("%w: forest has no trees", ErrCorruptModel)
 	}
-	var p forestJSON
-	if err := json.Unmarshal(env.Payload, &p); err != nil {
-		return nil, fmt.Errorf("%w: decoding forest payload: %w", ErrCorruptModel, err)
-	}
-	if len(p.Trees) == 0 {
-		return nil, fmt.Errorf("%w: forest payload has no trees", ErrCorruptModel)
-	}
-	f := NewForest(ForestConfig{NumTrees: len(p.Trees)})
-	f.trees = make([]*Tree, len(p.Trees))
-	for i, tj := range p.Trees {
-		t, err := decodeTree(tj)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && t.d != f.trees[0].d {
+	f := NewForest(ForestConfig{NumTrees: len(doc.Trees)})
+	f.trees = make([]*Tree, len(doc.Trees))
+	for i := range doc.Trees {
+		td := &doc.Trees[i]
+		if td.D != doc.Trees[0].D {
 			return nil, fmt.Errorf("%w: forest tree %d trained on %d features, tree 0 on %d",
-				ErrCorruptModel, i, t.d, f.trees[0].d)
+				ErrCorruptModel, i, td.D, doc.Trees[0].D)
+		}
+		t, err := decodeTree(td)
+		if err != nil {
+			return nil, fmt.Errorf("%w: forest tree %d: %v", ErrCorruptModel, i, err)
 		}
 		f.trees[i] = t
 	}
 	return f, nil
 }
 
-// encodeTree renders the flat preorder node arrays back into the nested
-// nodeJSON envelope, byte-identical to what the legacy pointer trees wrote.
-func encodeTree(t *Tree) treeJSON {
-	tj := treeJSON{MaxDepth: t.MaxDepth, MinLeaf: t.MinLeaf, D: t.d}
-	if len(t.feature) > 0 {
-		tj.Root = encodeNode(t, 0)
+// decodeTree rebuilds one tree's node arrays in a single pass over its
+// preorder arrays. Node i is the left child of node i-1 when that node is a
+// split; otherwise node i-1 closed a subtree and node i is the right child
+// of the nearest split still waiting for one. The waiting splits form a
+// stack, threaded through their own right entries until each is filled, so
+// the pass allocates only the tree and needs no recursion. Every split must
+// route through a feature the tree was trained on: an out-of-range index
+// would read past the end of the prediction row. The index is checked as
+// the persisted int, before it narrows to the int32 of the node arrays,
+// which d bounds.
+func decodeTree(td *treeDoc) (*Tree, error) {
+	if td.D < 0 || td.D > math.MaxInt32 {
+		return nil, fmt.Errorf("feature dimension %d outside [0, %d]", td.D, math.MaxInt32)
 	}
-	return tj
-}
-
-func encodeNode(t *Tree, i int32) *nodeJSON {
-	if t.feature[i] < 0 {
-		return &nodeJSON{Leaf: true, Value: t.value[i]}
+	n := len(td.Feature)
+	if len(td.Value) != n {
+		return nil, fmt.Errorf("%d features but %d values", n, len(td.Value))
 	}
-	return &nodeJSON{
-		Feature: int(t.feature[i]), Thresh: t.thresh[i],
-		Left: encodeNode(t, t.left[i]), Right: encodeNode(t, t.right[i]),
+	t := NewTree(td.MaxDepth, td.MinLeaf)
+	t.d = td.D
+	if n == 0 {
+		return t, nil // an unfitted tree
 	}
-}
-
-func decodeTree(p treeJSON) (*Tree, error) {
-	if p.D < 0 || p.D > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: tree feature dimension %d outside [0, %d]",
-			ErrCorruptModel, p.D, math.MaxInt32)
+	ints, floats := make([]int32, 3*n), make([]float64, 2*n)
+	t.feature, t.left, t.right = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	t.thresh, t.value = floats[:n:n], floats[n:]
+	waiting := int32(-1) // the nearest split without a right child
+	for i, feat := range td.Feature {
+		node := int32(i)
+		if i > 0 {
+			switch {
+			case t.feature[i-1] >= 0:
+				t.left[i-1] = node
+			case waiting < 0:
+				return nil, fmt.Errorf("node %d follows the closed tree", i)
+			default:
+				p := waiting
+				waiting, t.right[p] = t.right[p], node
+			}
+		}
+		switch {
+		case feat == leafMarker:
+			t.feature[i], t.left[i], t.right[i] = -1, -1, -1
+			t.value[i] = td.Value[i]
+		case feat >= 0 && feat < td.D:
+			t.feature[i] = int32(feat)
+			t.thresh[i] = td.Value[i]
+			t.right[i], waiting = waiting, node
+		default:
+			return nil, fmt.Errorf("node %d has feature %d, want %d (a leaf) or a split feature in [0, %d)",
+				i, feat, leafMarker, td.D)
+		}
 	}
-	t := NewTree(p.MaxDepth, p.MinLeaf)
-	t.d = p.D
-	if p.Root == nil {
-		return t, nil
-	}
-	if err := decodeNode(t, p.Root, 0); err != nil {
-		return nil, err
+	if waiting >= 0 {
+		return nil, fmt.Errorf("split node %d is missing a child", waiting)
 	}
 	return t, nil
-}
-
-// decodeNode appends the nested payload into the tree's SoA arrays in
-// preorder (node, left subtree, right subtree) — the same layout fit
-// produces, so loaded and freshly trained trees are indistinguishable.
-// Every split must route through a feature the tree was trained on: an
-// out-of-range index would read past the end of the prediction row. The
-// index is checked as the persisted int, before it narrows to the int32 of
-// the node arrays, which t.d bounds.
-func decodeNode(t *Tree, p *nodeJSON, depth int) error {
-	if depth > 10000 {
-		return fmt.Errorf("%w: persisted tree deeper than 10000 levels", ErrCorruptModel)
-	}
-	if p.Leaf {
-		t.pushLeaf(p.Value)
-		return nil
-	}
-	if p.Left == nil || p.Right == nil {
-		return fmt.Errorf("%w: persisted split node missing a child", ErrCorruptModel)
-	}
-	if p.Feature < 0 || p.Feature >= t.d {
-		return fmt.Errorf("%w: persisted split on feature %d but dimension is %d",
-			ErrCorruptModel, p.Feature, t.d)
-	}
-	node := t.pushSplit(p.Feature, p.Thresh)
-	t.left[node] = int32(len(t.feature))
-	if err := decodeNode(t, p.Left, depth+1); err != nil {
-		return err
-	}
-	t.right[node] = int32(len(t.feature))
-	return decodeNode(t, p.Right, depth+1)
 }

@@ -18,8 +18,10 @@
 // and the single-flight table index that id, so no request hashes its key.
 // Run decodes each distinct model payload once, on the pool, before the
 // shards start, and shards that publish equal bytes share the decoded
-// model read-only. Each shard's loop pops pointer-free events (a kind and
-// an int32 slot) from an internal/eventq queue in (time, push order).
+// model read-only; a payload is one JSON document whose forests are flat
+// preorder arrays, read by one decode and one validating pass per tree.
+// Each shard's loop pops pointer-free events (a kind and an int32 slot)
+// from an internal/eventq queue in (time, push order).
 // Requests, flights and batches live in per-shard slabs recycled through
 // free lists, each model version's response count lives in a slot resolved
 // once per miss, the latency buffer is sized once from the shard's request
@@ -28,7 +30,11 @@
 // allocates nothing either on a menu of up to core.SmallMenu clocks: its
 // curve and its Pareto check live on the stack. A closed- and open-loop
 // synthetic load generator drives the service to millions of requests per
-// campaign, per-device shards fan out through internal/parallel, and
+// campaign. Each generator, a shard's open loop or one closed-loop client,
+// draws its requests' gaps, shapes and tiers 64 requests ahead from its
+// own rng, in the order drawing one request at a time would, so the
+// logarithms of a block wait neither on each other nor on the event loop.
+// Per-device shards fan out through internal/parallel, and
 // p50/p99 latency plus throughput publish through internal/obs: each shard
 // sorts its own latencies, and the merge reads the percentiles from the
 // sorted runs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/list"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -709,6 +710,58 @@ func TestSharedDecode(t *testing.T) {
 		}
 		if rejected != 1 {
 			t.Errorf("workers %d: %d rejection trace records, want 1", w, rejected)
+		}
+	}
+}
+
+// TestBlockDrawsMatchOneAtATime checks the request streams against the
+// one-at-a-time draws they replace. For open and closed streams of 0, 1,
+// 63, 64, 65 and 10,000 requests, built the way a shard builds them, each
+// request's gap (by its bits) and cell equal those of a reference that
+// draws gap, shape and tier request by request from an equal rng; the
+// stream ends at its budget, and its rng has then drawn exactly what the
+// reference has.
+func TestBlockDrawsMatchOneAtATime(t *testing.T) {
+	shapes := testShapes()
+	load := Load{}.withDefaults()
+	tiers := len(load.Tiers)
+	check := func(name string, st *stream, ref *xrand.Rand, n int, meanS float64) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			gap, cell, ok := st.take(len(shapes), tiers)
+			wantGap := -meanS * math.Log(1-ref.Float64())
+			u := ref.Float64()
+			idx := min(int(u*u*float64(len(shapes))), len(shapes)-1)
+			wantCell := int32(2 * (idx*tiers + ref.Intn(tiers)))
+			if !ok || math.Float64bits(gap) != math.Float64bits(wantGap) || cell != wantCell {
+				t.Fatalf("%s, %d requests: request %d drew (%v, %d, %v), want (%v, %d, true)",
+					name, n, k, gap, cell, ok, wantGap, wantCell)
+			}
+		}
+		if _, _, ok := st.take(len(shapes), tiers); ok {
+			t.Errorf("%s: a stream of %d requests gave one more", name, n)
+		}
+		if st.rng.Uint64() != ref.Uint64() {
+			t.Errorf("%s: a stream of %d requests drew more or less than its requests need", name, n)
+		}
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 10_000} {
+		if n == 0 { // a zero Load count selects its default, so no shard has an empty stream
+			open := newStream(xrand.New(1), 0, load.MeanInterarrivalS)
+			check("open", &open, xrand.New(1), 0, load.MeanInterarrivalS)
+			closed := newStream(xrand.New(1), 0, load.MeanThinkS)
+			check("closed", &closed, xrand.New(1), 0, load.MeanThinkS)
+			continue
+		}
+		sc := ShardConfig{Device: "v100", Freqs: testFreqs, Shapes: shapes}
+		sc.Load = Load{Mode: "open", Requests: n}
+		s := testShard(t, sc)
+		check("open", &s.arrivals, xrand.New(1), n, load.MeanInterarrivalS)
+
+		sc.Load = Load{Mode: "closed", Clients: 3, RequestsPerClient: n}
+		s = testShard(t, sc)
+		for i, ref := range xrand.New(1).Split().SplitN(3) {
+			check(fmt.Sprintf("closed client %d", i), &s.clients[i], ref, n, load.MeanThinkS)
 		}
 	}
 }

@@ -217,10 +217,59 @@ type batch struct {
 	queued  int
 }
 
-// client is one closed-loop load generator.
-type client struct {
-	rng    *xrand.Rand
-	issued int
+// drawBlock is the number of requests whose randomness a stream draws at
+// once.
+const drawBlock = 64
+
+// stream is one request generator: a shard's open loop or one closed-loop
+// client. It draws its requests' randomness drawBlock requests ahead, each
+// request's gap, shape Float64 and tier Intn in that order from its own
+// rng, so the stream is the one drawing a request at a time would give,
+// and it never draws past its request budget. The logarithms of a block
+// do not wait on each other, and none waits on the event loop.
+type stream struct {
+	rng     *xrand.Rand
+	meanS   float64 // mean gap between the stream's requests
+	undrawn int     // requests of the budget not yet drawn
+	next, n int     // the block's next unread request and its length
+	gapS    [drawBlock]float64
+	cell    [drawBlock]int32 // 2*(shape*tiers+tier): the cell before the malformed cadence
+}
+
+func newStream(rng *xrand.Rand, budget int, meanS float64) stream {
+	return stream{rng: rng, meanS: meanS, undrawn: budget}
+}
+
+// take returns the next request's gap and cell over shapes shapes and
+// tiers deadline tiers, drawing the next block when the last is spent, or
+// false once the budget is.
+func (st *stream) take(shapes, tiers int) (gapS float64, cell int32, ok bool) {
+	if st.next == st.n {
+		if st.undrawn == 0 {
+			return 0, 0, false
+		}
+		st.fill(shapes, tiers)
+	}
+	k := st.next
+	st.next++
+	return st.gapS[k], st.cell[k], true
+}
+
+// fill draws the next block: an exponential gap, then a popularity-skewed
+// shape (low indices dominate, which is what gives the LRU a working set),
+// then a deadline tier, for each request.
+func (st *stream) fill(shapes, tiers int) {
+	st.next, st.n = 0, min(drawBlock, st.undrawn)
+	st.undrawn -= st.n
+	for k := 0; k < st.n; k++ {
+		st.gapS[k] = -st.meanS * math.Log(1-st.rng.Float64())
+		u := st.rng.Float64()
+		idx := int(u * u * float64(shapes))
+		if idx >= shapes {
+			idx = shapes - 1
+		}
+		st.cell[k] = int32(2 * (idx*tiers + st.rng.Intn(tiers)))
+	}
 }
 
 // shardResult is one shard's raw accounting, merged in shard order.
@@ -256,10 +305,9 @@ type shard struct {
 	batches   slab[batch]
 	open      int32 // the open batch's slot; -1 when none
 	events    eventq.Queue[event]
-	rng       *xrand.Rand // open-loop arrivals and request content
-	remaining int         // open-loop arrivals not yet scheduled
-	clients   []*client
-	generated int // requests generated, for the malformed cadence
+	arrivals  stream   // the open loop
+	clients   []stream // the closed loop, one per client
+	generated int      // requests generated, for the malformed cadence
 	res       *shardResult
 
 	// Scratch of handleBatchDone, reused across batches.
@@ -340,16 +388,28 @@ func newShard(sc ShardConfig, models []decoded, rng *xrand.Rand, o *obs.Observer
 		return nil, fmt.Errorf("serve: shard %s: %w", sc.Device, err)
 	}
 	load := sc.Load.withDefaults()
-	var budget int // the most requests the shard can answer
+	var (
+		budget   int // the most requests the shard can answer
+		arrivals stream
+		clients  []stream
+	)
 	switch load.Mode {
 	case "open":
 		budget = load.Requests
+		arrivals = newStream(rng, load.Requests, load.MeanInterarrivalS)
 	case "closed":
 		if load.RequestsPerClient > math.MaxInt/load.Clients {
 			return nil, fmt.Errorf("serve: shard %s: %d clients x %d requests overflows",
 				sc.Device, load.Clients, load.RequestsPerClient)
 		}
 		budget = load.Clients * load.RequestsPerClient
+		// Each client owns a pre-split stream: its think times and request
+		// content depend only on its own draws and its response times.
+		crngs := rng.Split().SplitN(load.Clients)
+		clients = make([]stream, load.Clients)
+		for i := range clients {
+			clients[i] = newStream(crngs[i], load.RequestsPerClient, load.MeanThinkS)
+		}
 	default:
 		return nil, fmt.Errorf("serve: shard %s has unknown load mode %q", sc.Device, load.Mode)
 	}
@@ -388,7 +448,8 @@ func newShard(sc ShardConfig, models []decoded, rng *xrand.Rand, o *obs.Observer
 		versionOf: map[*Entry]int32{},
 		cache:     newLRU(CacheCap),
 		open:      -1,
-		rng:       rng,
+		arrivals:  arrivals,
+		clients:   clients,
 		res:       &shardResult{device: sc.Device, latencies: make([]float64, 0, budget)},
 
 		ctrSubmitted:  m.Counter("serve_requests_total", dev),
@@ -413,19 +474,11 @@ func (s *shard) start() {
 	for i := range s.sc.Reloads {
 		s.events.Push(s.sc.Reloads[i].AtS, event{kind: evReload, idx: int32(i)})
 	}
-	switch s.load.Mode {
-	case "open":
-		s.remaining = s.load.Requests
+	if s.load.Mode == "open" {
 		s.scheduleArrival(0)
-	case "closed":
-		// Each client owns a pre-split stream: its think times and request
-		// content depend only on its own draws and its response times.
-		crngs := s.rng.Split().SplitN(s.load.Clients)
-		s.clients = make([]*client, s.load.Clients)
-		for i := range s.clients {
-			s.clients[i] = &client{rng: crngs[i]}
-			s.issueFromClient(0, i)
-		}
+	}
+	for i := range s.clients {
+		s.issueFromClient(0, i)
 	}
 }
 
@@ -472,48 +525,31 @@ func (s *shard) versionSlot(e *Entry) int32 {
 }
 
 // scheduleArrival pushes the arrival of the next open-loop request, if any
-// remain. At most one open-loop arrival is ever queued, so the shard's
-// own rng serves the whole arrival process in order.
+// remain. At most one open-loop arrival is ever queued, so the arrivals
+// stream serves the whole arrival process in order.
 func (s *shard) scheduleArrival(nowS float64) {
-	if s.remaining <= 0 {
-		return
+	if gap, c, ok := s.arrivals.take(len(s.sc.Shapes), len(s.load.Tiers)); ok {
+		s.newRequest(nowS+gap, c, -1)
 	}
-	s.remaining--
-	gap := -s.load.MeanInterarrivalS * math.Log(1-s.rng.Float64())
-	t := nowS + gap
-	s.events.Push(t, event{kind: evArrive, idx: s.newRequest(s.rng, t, -1)})
 }
 
 // issueFromClient generates client i's next request at or after nowS.
 func (s *shard) issueFromClient(nowS float64, i int) {
-	c := s.clients[i]
-	if c.issued >= s.load.RequestsPerClient {
-		return
+	if gap, c, ok := s.clients[i].take(len(s.sc.Shapes), len(s.load.Tiers)); ok {
+		s.newRequest(nowS+gap, c, i)
 	}
-	c.issued++
-	gap := -s.load.MeanThinkS * math.Log(1-c.rng.Float64())
-	t := nowS + gap
-	s.events.Push(t, event{kind: evArrive, idx: s.newRequest(c.rng, t, i)})
 }
 
-// newRequest draws one request's content into a free slot: a
-// popularity-skewed shape (low indices dominate, which is what gives the
-// LRU a working set) and a deadline tier, which with the malformed cadence
-// select its cell.
-func (s *shard) newRequest(rng *xrand.Rand, arriveS float64, clientIdx int) int32 {
-	u := rng.Float64()
-	idx := int(u * u * float64(len(s.sc.Shapes)))
-	if idx >= len(s.sc.Shapes) {
-		idx = len(s.sc.Shapes) - 1
-	}
-	c := 2 * (idx*len(s.load.Tiers) + rng.Intn(len(s.load.Tiers)))
+// newRequest puts a request of the drawn cell into a free slot, marking it
+// malformed on the cadence, and queues its arrival.
+func (s *shard) newRequest(arriveS float64, cell int32, clientIdx int) {
 	s.generated++
 	if s.load.MalformedEvery > 0 && s.generated%s.load.MalformedEvery == 0 {
-		c++
+		cell++
 	}
 	ri := s.reqs.alloc()
-	s.reqs.items[ri] = request{arriveS: arriveS, client: clientIdx, cell: int32(c)}
-	return ri
+	s.reqs.items[ri] = request{arriveS: arriveS, client: clientIdx, cell: cell}
+	s.events.Push(arriveS, event{kind: evArrive, idx: ri})
 }
 
 // appendCacheKey appends the identity of a request against the model
