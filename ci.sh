@@ -27,12 +27,16 @@
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
 #                   passes, the interprocedural determinism contracts
 #                   (forkabsorb, wallclock, detloop, sharedwrite, floatacc)
-#                   and the unreachable-code report over the call graph;
-#                   self-lint must report zero unsuppressed findings, and a
-#                   per-package run must pass too
+#                   and the unreachable-code report over the call graph,
+#                   in which an interface call reaches only methods of types
+#                   non-test code names, and a call through a function value
+#                   only functions and literals whose address non-test code
+#                   takes; self-lint must report zero unsuppressed findings,
+#                   and a per-package run must pass too
 #
 # Run from the repository root: ./ci.sh
-# Artifacts (dsalint JSON report) land in ci-artifacts/.
+# Artifacts (the dsalint JSON report and the call-graph dump) land in
+# ci-artifacts/.
 set -eu
 
 cd "$(dirname "$0")"
@@ -259,6 +263,12 @@ go run ./cmd/dsalint -json ./... > ci-artifacts/dsalint.json || {
     echo "dsalint: unsuppressed findings (see ci-artifacts/dsalint.json)" >&2
     exit 1
 }
+
+# Call-graph dump: the graph the unreachable pass walks, one line per edge,
+# byte-stable across runs and load orders (TestWriteCallsDeterministic), so
+# the copies archived at two commits can be diffed.
+echo "==> dsalint -calls ./... (call graph archived)"
+go run ./cmd/dsalint -calls ./... > ci-artifacts/calls.txt
 
 # Per-package lint: README documents running dsalint on single packages. Such
 # a run cannot see the programs, so the unreachable pass must stay silent.

@@ -193,12 +193,6 @@ func TestFacadeTuningPolicies(t *testing.T) {
 	if got := (tuner.MaxPerformance{}).Select(curve).FreqMHz; got != 1597 {
 		t.Errorf("max-performance chose %d", got)
 	}
-	if got := (tuner.MinEnergy{}).Select(curve).FreqMHz; got != 1000 {
-		t.Errorf("min-energy chose %d", got)
-	}
-	if got := (tuner.EnergyTarget{Target: 0.9}).Select(curve).FreqMHz; got != 1000 {
-		t.Errorf("energy-target chose %d", got)
-	}
 	if got := (tuner.PerfConstraint{MinSpeedup: 0.95}).Select(curve).FreqMHz; got != 1297 {
 		t.Errorf("perf-constraint chose %d", got)
 	}

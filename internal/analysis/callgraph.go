@@ -10,10 +10,10 @@ import (
 	"sort"
 )
 
-// This file is the interprocedural core of the suite: a CHA-style call graph
-// built once per Runner.Run over every loaded package, shared by all passes
-// through Pass.Prog. The graph is deliberately conservative in the direction
-// the determinism passes need — it may over-approximate callees (flagging is
+// This file is the interprocedural core of the suite: a call graph built
+// once per Runner.Run over every loaded package, shared by all passes through
+// Pass.Prog. The graph is deliberately conservative in the direction the
+// determinism passes need — it may over-approximate callees (flagging is
 // then suppressed case by case) but must not silently drop reachable code,
 // because a missed edge is a missed wall-clock read or output sink.
 //
@@ -21,11 +21,12 @@ import (
 //
 //   - static calls (package-level functions, concrete methods, method
 //     values): the *types.Func the identifier resolves to;
-//   - interface method calls: class-hierarchy analysis — every method of a
-//     named in-module type whose (pointer) method set satisfies the
-//     interface;
+//   - interface method calls: rapid type analysis by syntax (Bacon and
+//     Sweeney, OOPSLA '96) — every non-test method of an in-module type that
+//     non-test code names (in Go, the only way to make a T) and whose
+//     (pointer) method set satisfies the interface;
 //   - calls through values of function type: every in-module function or
-//     literal whose address is taken somewhere and whose signature matches;
+//     literal whose address non-test code takes and whose signature matches;
 //   - in-module functions named as arguments of an out-of-module call (a
 //     comparator handed to slices.SortFunc): dynamic callees of that call,
 //     because the standard library calls them where the graph cannot see;
@@ -80,7 +81,7 @@ type EdgeKind uint8
 const (
 	// EdgeStatic is a direct call of a known function or concrete method.
 	EdgeStatic EdgeKind = iota
-	// EdgeDynamic is a CHA-resolved interface or function-value call.
+	// EdgeDynamic is a resolved interface or function-value call.
 	EdgeDynamic
 	// EdgeContains links a function to a literal defined inside it.
 	EdgeContains
@@ -122,9 +123,10 @@ type Program struct {
 	callers   map[*FuncNode][]CallEdge
 	siteEdges map[*ast.CallExpr][]*FuncNode
 
-	// addrTaken lists in-module functions/literals whose address escapes,
-	// grouped for function-value CHA.
+	// addrTaken and named are what non-test code can make: the targets of
+	// function-value calls, and the receivers of interface calls.
 	addrTaken []*FuncNode
+	named     map[*types.TypeName]bool
 
 	// reached caches programReach; reachDone marks it computed (nil when the
 	// run is partial).
@@ -150,7 +152,7 @@ func NewProgram(pkgs []*Package) *Program {
 		p.ModulePath = pkgs[0].ModulePath
 	}
 	p.indexFuncs()
-	p.collectAddrTaken()
+	p.collectRefs()
 	for _, n := range p.Funcs {
 		p.resolveBody(n)
 	}
@@ -239,19 +241,30 @@ func (p *Program) external(obj *types.Func) *FuncNode {
 	return n
 }
 
-// collectAddrTaken records every in-module function or method referenced
-// outside call position (method values included) and every literal not
-// immediately invoked: the candidate targets of calls through function-typed
-// values.
-func (p *Program) collectAddrTaken() {
+// collectRefs walks the non-test files. It records every in-module function
+// or method referenced outside call position (method values included) and
+// every literal not immediately invoked, the candidate targets of calls
+// through function-typed values; and every type named, through an alias too,
+// outside a method receiver, which names the type a method belongs to rather
+// than a value of it.
+func (p *Program) collectRefs() {
 	seen := map[*FuncNode]bool{}
+	p.named = map[*types.TypeName]bool{}
 	for _, pkg := range p.Packages {
 		// called holds the names in call position. ast.Inspect visits a call
 		// before its Fun, so the name is excluded before it is reached.
 		called := map[*ast.Ident]bool{}
 		for _, f := range pkg.Files {
+			if isTestFile(p.Fset, f.Pos()) {
+				continue
+			}
+			var recv *ast.FieldList
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
+				case *ast.FuncDecl:
+					recv = x.Recv // visited next, before the signature and body
+				case *ast.FieldList:
+					return x != recv
 				case *ast.CallExpr:
 					switch fun := calleeExpr(x.Fun).(type) {
 					case *ast.Ident:
@@ -262,6 +275,9 @@ func (p *Program) collectAddrTaken() {
 				case *ast.Ident:
 					if !called[x] {
 						p.markAddrTaken(pkg, x, seen)
+					}
+					if tn, ok := pkg.Info.Uses[x].(*types.TypeName); ok {
+						p.named[ownerOf(types.Unalias(tn.Type()))] = true
 					}
 				case *ast.FuncLit:
 					if node := p.byLit[x]; node != nil && !seen[node] {
@@ -338,8 +354,9 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []*FuncNode {
 		if iface := interfaceMethodOf(obj); iface == nil {
 			return []*FuncNode{p.external(obj)}
 		}
-		// Interface method: CHA over in-module implementations, keeping the
-		// external leaf so predicates on the interface method still fire.
+		// Interface method: the in-module implementations non-test code can
+		// make, keeping the external leaf so predicates on the interface
+		// method still fire.
 		targets := p.implementationsOf(obj)
 		return append(targets, p.external(obj))
 	}
@@ -349,9 +366,10 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) []*FuncNode {
 			return []*FuncNode{node}
 		}
 	default:
-		// Call through a function-typed value: CHA over address-taken
-		// functions and literals with an identical signature.
-		if sig, ok := typeOf(pkg, call.Fun).(*types.Signature); ok {
+		// Call through a function-typed value: the functions and literals
+		// whose address non-test code takes, with an identical signature. A
+		// builtin such as min has a signature at each call but is no value.
+		if sig, ok := typeOf(pkg, call.Fun).(*types.Signature); ok && !pkg.Info.Types[call.Fun].IsBuiltin() {
 			return p.funcValueTargets(sig)
 		}
 	}
@@ -429,7 +447,8 @@ func interfaceMethodOf(obj *types.Func) *types.Interface {
 }
 
 // implementationsOf expands an interface method call to every in-module
-// concrete method satisfying the interface, sorted by position.
+// concrete method satisfying the interface whose receiver type non-test code
+// names, declared outside _test.go files, sorted by position.
 func (p *Program) implementationsOf(m *types.Func) []*FuncNode {
 	iface := interfaceMethodOf(m)
 	if iface == nil {
@@ -437,12 +456,12 @@ func (p *Program) implementationsOf(m *types.Func) []*FuncNode {
 	}
 	var out []*FuncNode
 	for _, n := range p.Funcs {
-		if n.Obj == nil {
+		if n.Obj == nil || p.inTestFile(n) {
 			continue
 		}
 		sig := n.Obj.Type().(*types.Signature)
 		recv := sig.Recv()
-		if recv == nil || n.Obj.Name() != m.Name() {
+		if recv == nil || n.Obj.Name() != m.Name() || !p.named[ownerOf(recv.Type())] {
 			continue
 		}
 		rt := recv.Type()

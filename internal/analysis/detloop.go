@@ -22,8 +22,8 @@ var DetLoop = &Analyzer{
 }
 
 // sinkLeaves are the stdlib emission points. Interface writes resolve to
-// (io.Writer).Write through the call graph's CHA expansion, so writing to
-// any w io.Writer matches without enumerating concrete types.
+// (io.Writer).Write through the call graph's interface expansion, so writing
+// to any w io.Writer matches without enumerating concrete types.
 var sinkLeaves = map[string]bool{
 	"fmt.Fprint":        true,
 	"fmt.Fprintf":       true,

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -160,4 +162,59 @@ func TestWriteCallsDeterministic(t *testing.T) {
 	if got := dump([]string{dirs[2], dirs[1], dirs[0]}); got != base {
 		t.Errorf("call-graph dump depends on package load order\n--- forward ---\n%s--- reversed ---\n%s", base, got)
 	}
+}
+
+// TestNoProgramEdgeIntoTests requires that no dynamic edge from a function
+// outside _test.go files lands in a function or literal declared in one,
+// first over the unreachable fixture (whose lib_test.go makes a Reader and
+// hands Twice a func() literal), then over the whole module loaded the way
+// `dsalint ./...` loads it. A program is built without test files, so such
+// an edge is one no program can take.
+func TestNoProgramEdgeIntoTests(t *testing.T) {
+	if into := edgesIntoTests(NewProgram(loadFixtures(t, "unreachable", "unreachable/lib"))); len(into) > 0 {
+		t.Errorf("unreachable fixture: %d dynamic edges into _test.go files:\n%s", len(into), strings.Join(into, "\n"))
+	}
+
+	l, err := NewLoader(filepath.Join("..", ".."), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := l.GoDirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, d := range dirs {
+		pkg, err := l.LoadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	prog := NewProgram(pkgs)
+	if !prog.wholeModule() {
+		t.Fatal("the run did not load every package of the module")
+	}
+	if into := edgesIntoTests(prog); len(into) > 0 {
+		t.Errorf("module: %d dynamic edges from non-test functions into _test.go files, the first:\n%s",
+			len(into), strings.Join(into[:min(len(into), 10)], "\n"))
+	}
+}
+
+// edgesIntoTests lists the dynamic edges from functions outside _test.go
+// files into functions or literals declared in one.
+func edgesIntoTests(prog *Program) []string {
+	var into []string
+	for _, n := range prog.Funcs {
+		if prog.inTestFile(n) {
+			continue
+		}
+		for _, e := range prog.Callees(n) {
+			if e.Kind == EdgeDynamic && !e.Callee.External() && prog.inTestFile(e.Callee) {
+				pos := prog.Fset.Position(e.Site.Pos())
+				into = append(into, fmt.Sprintf("%s:%d: %s -> %s", pos.Filename, pos.Line, n.Name, e.Callee.Name))
+			}
+		}
+	}
+	return into
 }

@@ -53,6 +53,37 @@ type Celsius float64
 
 func (c Celsius) String() string { return fmt.Sprintf("%g°C", float64(c)) }
 
+// Reader is the interface Total calls through.
+type Reader interface{ Read() int }
+
+// Counter is a Reader main makes.
+type Counter struct{ N int }
+
+func (c Counter) Read() int { return c.N }
+
+// tally is named only as the field Tallied embeds, whose Read it promotes.
+type tally struct{ n int }
+
+func (t tally) Read() int { return t.n }
+
+// Tallied is a Reader main makes; its Read is tally's.
+type Tallied struct{ tally }
+
+// Total sums what every Reader reads.
+func Total(rs ...Reader) int {
+	sum := 0
+	for _, r := range rs {
+		sum += r.Read()
+	}
+	return sum
+}
+
+// Twice runs fn two times: main hands it a closure.
+func Twice(fn func()) {
+	fn()
+	fn()
+}
+
 // legacy is unreached but suppressed.
 //
 //dsalint:ignore unreachable

@@ -1,9 +1,14 @@
 // The one program of the unreachable fixture. What it reaches, directly or
 // through a generic type's method, a closure handed to a generic function, a
-// method value or a function handed to the standard library, is live.
+// method value, a function handed to the standard library or an interface
+// holding a type it names, is live.
 package main
 
-import "fixture/unreachable/lib"
+import (
+	"os"
+
+	"fixture/unreachable/lib"
+)
 
 func main() {
 	s := lib.NewStack[int]()
@@ -12,4 +17,8 @@ func main() {
 	emit := lib.Table{}.Row
 	emit("a", 1)
 	lib.SortDesc([]int{1, 2})
+	lib.Show(lib.Total(lib.Counter{N: 1}, lib.Tallied{}))
+	lib.Twice(func() { lib.Show(0) })
+	_ = lib.Larger
+	lib.Show(max(1, len(os.Args)))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,8 +53,12 @@ func TestModelSaveUntrained(t *testing.T) {
 
 // TestLoadModelRejectsGarbage: every malformed upload is rejected with the
 // typed ml.ErrCorruptModel, from bytes that are not JSON to a payload of the
-// wrong shape.
+// wrong shape and a valid model followed by more than white space.
 func TestLoadModelRejectsGarbage(t *testing.T) {
+	valid := string(corpusBytes(t, filepath.Join("testdata", "fuzz", "FuzzLoadModel", "small_forest")))
+	if _, err := LoadModel(strings.NewReader(valid + " \t\r\n")); err != nil {
+		t.Fatalf("trailing white space rejected: %v", err)
+	}
 	cases := map[string]string{
 		"not json":        "nope",
 		"torn object":     "{",
@@ -65,6 +70,9 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		"unknown field":   `{"schema":{},"time_model":{"kind":"forest","trees":[]},"comment":"x"}`,
 		"nested tree": `{"time_model":{"kind":"forest","trees":[{"d":1,"root":{"leaf":true,"value":3}}]},` +
 			`"energy_model":{"kind":"forest","trees":[{"d":1,"feature":[-1],"value":[3]}]}}`,
+		"trailing garbage":       valid + "garbage",
+		"trailing brackets":      valid + "]]]",
+		"trailing second upload": valid + `{"schema":`,
 	}
 	for name, payload := range cases {
 		if _, err := LoadModel(strings.NewReader(payload)); !errors.Is(err, ml.ErrCorruptModel) {

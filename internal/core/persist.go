@@ -48,13 +48,17 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // LoadModel reads a model written by Save. A field Save does not write is
-// rejected. Every rejection wraps ml.ErrCorruptModel.
+// rejected, and so is anything but white space after the document. Every
+// rejection wraps ml.ErrCorruptModel.
 func LoadModel(r io.Reader) (*Model, error) {
 	var mj modelJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&mj); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w: %w", ml.ErrCorruptModel, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: decoding model: %w: data after the model document", ml.ErrCorruptModel)
 	}
 	tm, err := ml.DecodeForest(&mj.TimeModel)
 	if err != nil {

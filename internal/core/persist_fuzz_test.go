@@ -14,10 +14,11 @@ import (
 
 // FuzzLoadModel feeds arbitrary bytes to LoadModel, the decode behind every
 // model upload the advisor service accepts. No input may make it panic,
-// every rejection must be a typed ml.ErrCorruptModel, and every model it
-// accepts must answer PredictCurvesBatch on a schema-wide input with curves
-// or an error, never a panic. The checked-in corpus
-// (testdata/fuzz/FuzzLoadModel) is the table of TestLoadModelCorpus.
+// every rejection must be a typed ml.ErrCorruptModel, every upload it
+// accepts must be rejected once a byte other than white space follows it,
+// and every model it accepts must answer PredictCurvesBatch on a
+// schema-wide input with curves or an error, never a panic. The checked-in
+// corpus (testdata/fuzz/FuzzLoadModel) is the table of TestLoadModelCorpus.
 func FuzzLoadModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := LoadModel(bytes.NewReader(payload))
@@ -26,6 +27,11 @@ func FuzzLoadModel(f *testing.F) {
 				t.Fatalf("rejection is not ErrCorruptModel: %v", err)
 			}
 			return
+		}
+		for _, tail := range []byte("x0]}{\"") {
+			if _, err := LoadModel(bytes.NewReader(append(payload[:len(payload):len(payload)], tail))); !errors.Is(err, ml.ErrCorruptModel) {
+				t.Fatalf("upload followed by %q: error %v, want ErrCorruptModel", tail, err)
+			}
 		}
 		in := make([]float64, m.FeatureDim())
 		for i := range in {
@@ -56,6 +62,7 @@ func TestLoadModelCorpus(t *testing.T) {
 		"length_mismatch":    false, // feature and value lengths differ
 		"leaf_marker_minus2": false, // -1 is the only leaf marker
 		"nested_form":        false, // small_forest in the retired nested form
+		"trailing_bytes":     false, // small_forest, then a second upload begins
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzLoadModel")
 	files, err := os.ReadDir(dir)

@@ -26,18 +26,6 @@ type ScalarLaw interface {
 	MaxSpeed(u float64, dir int) float64
 }
 
-// AdvectionLaw is linear advection with velocity V — the canonical smoke
-// test (exact solution: translation).
-type AdvectionLaw struct {
-	V [3]float64
-}
-
-// Flux implements ScalarLaw.
-func (l AdvectionLaw) Flux(u float64, dir int) float64 { return l.V[dir] * u }
-
-// MaxSpeed implements ScalarLaw.
-func (l AdvectionLaw) MaxSpeed(_ float64, dir int) float64 { return math.Abs(l.V[dir]) }
-
 // BurgersLaw is the inviscid Burgers equation along x (F = u²/2), the
 // canonical nonlinear law that steepens smooth data into shocks.
 type BurgersLaw struct{}

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// AdvectionLaw is linear advection with velocity V — the canonical smoke
+// test (exact solution: translation).
+type AdvectionLaw struct {
+	V [3]float64
+}
+
+// Flux implements ScalarLaw.
+func (l AdvectionLaw) Flux(u float64, dir int) float64 { return l.V[dir] * u }
+
+// MaxSpeed implements ScalarLaw.
+func (l AdvectionLaw) MaxSpeed(_ float64, dir int) float64 { return math.Abs(l.V[dir]) }
+
 func TestAdvectionTranslatesProfile(t *testing.T) {
 	s, err := NewScalarSolver(AdvectionLaw{V: [3]float64{1, 0, 0}}, 64, 4, 4, Periodic)
 	if err != nil {

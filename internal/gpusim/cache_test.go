@@ -155,12 +155,9 @@ func TestPowerCapThrottleSameWithCacheDisabled(t *testing.T) {
 		{"off-menu clock, walk to the lowest clock", offMenu, 1, true},
 	}
 	run := func(spec Spec, capW float64, p kernels.Profile, disable bool) Result {
-		d := mustNew(t, spec, 7)
+		d := mustNew(t, withCapW(spec, capW), 7)
 		if disable {
 			d.DisableAnalyticCache()
-		}
-		if err := d.SetPowerCapW(capW); err != nil {
-			t.Fatal(err)
 		}
 		if spec.HasFreq(spec.DefaultFreqMHz) {
 			if err := d.SetCoreFreqMHz(spec.FMaxMHz()); err != nil {
@@ -203,12 +200,9 @@ func TestPowerCapThrottleSameWithCacheDisabled(t *testing.T) {
 	// RunAt refuses an off-menu clock whether or not the cache is attached,
 	// and charges nothing for the refusal.
 	for _, disable := range []bool{false, true} {
-		d := mustNew(t, V100Spec(), 7)
+		d := mustNew(t, withCapW(V100Spec(), 180), 7)
 		if disable {
 			d.DisableAnalyticCache()
-		}
-		if err := d.SetPowerCapW(180); err != nil {
-			t.Fatal(err)
 		}
 		for _, f := range offMenuProbes(t, d.Spec()) {
 			if _, err := d.RunAt(computeBound(), f); err == nil {
@@ -362,8 +356,9 @@ func sameBits(x, y any) bool {
 // again through one cached device and one cacheless device built alike.
 // Every AnalyzeAt, AnalyzeCurve, Run and RunAt result, and the energy
 // counter, must agree bit for bit, at on-menu and off-menu clocks, with the
-// power and thermal caps off, on, and below the lowest clock's power. A key
-// that dropped or merged a field would serve b from a's entry.
+// thermal cap off, at the preset's ceiling, at 180 W and below the lowest
+// clock's power. A key that dropped or merged a field would serve b from
+// a's entry.
 func FuzzAnalyticCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
@@ -383,26 +378,20 @@ func FuzzAnalyticCache(f *testing.F) {
 		}
 		spec := V100Spec()
 		spec.DefaultFreqMHz = offMenuProbes(t, spec)[1] // Run walks from an off-menu clock
-		capW := 0.0
 		switch b.next() % 4 {
 		case 0:
 			spec.TThrottleC = 0 // no cap at all
 		case 1:
-			// the thermal ceiling alone
+			// the preset's thermal ceiling
 		case 2:
-			capW = 180
+			spec = withCapW(spec, 180)
 		case 3:
-			capW = 1 // below every clock's power
+			spec = withCapW(spec, 1) // below every clock's power
 		}
 		on := spec.CoreFreqsMHz[int(b.next())%len(spec.CoreFreqsMHz)]
 		off := spec.DefaultFreqMHz
 		cached, direct := mustNew(t, spec, 3), mustNew(t, spec, 3)
 		direct.DisableAnalyticCache()
-		for _, d := range []*Device{cached, direct} {
-			if err := d.SetPowerCapW(capW); err != nil {
-				t.Fatal(err)
-			}
-		}
 		pa, pb := fuzzProfile("a", &va), fuzzProfile("b", &vb)
 		for _, p := range []kernels.Profile{pa, pb, pa} {
 			for _, mhz := range []int{on, off} {

@@ -233,7 +233,6 @@ func hasFreq(table []int, mhz int) bool {
 type Device struct {
 	spec        Spec
 	coreFreqMHz int
-	powerCapW   float64
 	energyJ     float64
 	noise       *NoiseModel
 	// rng is the noise stream behind the noise model, retained so Fork can
@@ -278,16 +277,15 @@ func New(spec Spec, seed uint64) (*Device, error) {
 }
 
 // Fork derives a child device for one task of a pre-split parallel
-// execution: same spec, clock and power cap, a fresh energy counter, a noise
-// stream split off the parent's (so the child's draws are deterministic in
-// the fork order, not in the schedule), and the parent's shared analytic
+// execution: same spec and clock, a fresh energy counter, a noise stream
+// split off the parent's (so the child's draws are deterministic in the
+// fork order, not in the schedule), and the parent's shared analytic
 // cache. Forking advances the parent's noise stream by exactly one draw,
 // like any other stream split.
 func (d *Device) Fork() *Device {
 	child := &Device{
 		spec:        d.spec,
 		coreFreqMHz: d.coreFreqMHz,
-		powerCapW:   d.powerCapW,
 		rng:         d.rng.Split(),
 		tables:      d.tables,
 		cache:       d.cache,
@@ -346,18 +344,16 @@ func (d *Device) ResetCoreFreq() {
 	}
 }
 
-// effectiveCapW combines the explicit power cap with the thermal ceiling
-// (the sustained power at which the die reaches the throttle temperature).
-func (d *Device) effectiveCapW() float64 {
-	cap := d.powerCapW
+// thermalCapW is the thermal ceiling: the sustained power at which the die
+// reaches the throttle temperature, or 0 when the spec never throttles.
+func (d *Device) thermalCapW() float64 {
 	s := &d.spec
 	if s.TThrottleC > 0 && s.ThermalResKW > 0 {
-		thermal := (s.TThrottleC - s.TAmbientC) / s.ThermalResKW
-		if thermal > 0 && (cap == 0 || thermal < cap) {
-			cap = thermal
+		if thermal := (s.TThrottleC - s.TAmbientC) / s.ThermalResKW; thermal > 0 {
+			return thermal
 		}
 	}
-	return cap
+	return 0
 }
 
 // EnergyCounterJ returns the cumulative energy consumed by all kernels run on
@@ -379,8 +375,8 @@ type Result struct {
 }
 
 // Run executes the profile at the current core frequency (possibly
-// throttled by the power cap) with measurement noise applied, advances the
-// energy counter, and returns the observation.
+// throttled by the thermal ceiling) with measurement noise applied, advances
+// the energy counter, and returns the observation.
 func (d *Device) Run(p kernels.Profile) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -399,9 +395,9 @@ func (d *Device) RunAt(p kernels.Profile, mhz int) (Result, error) {
 	return d.observe(&p, mhz), nil
 }
 
-// observe runs a validated profile requested at mhz. The power/thermal
-// governor keeps the requested clock when the model's power there fits the
-// effective cap; otherwise it runs the highest table clock at or below the
+// observe runs a validated profile requested at mhz. The thermal governor
+// keeps the requested clock when the model's power there fits the thermal
+// ceiling; otherwise it runs the highest table clock at or below the
 // request whose power fits, or the lowest clock when none does (a real
 // governor cannot stop the clock entirely). The throttle check and the
 // result both read the profile's one cache entry. The noiseless result is
@@ -410,7 +406,7 @@ func (d *Device) observe(p *kernels.Profile, mhz int) Result {
 	var scratch Breakdown
 	e := d.entryFor(p)
 	b := d.breakdownAt(&scratch, e, p, mhz)
-	if cap := d.effectiveCapW(); cap != 0 && !(b.TotalPowerW <= cap) {
+	if cap := d.thermalCapW(); cap != 0 && !(b.TotalPowerW <= cap) {
 		freqs := d.spec.CoreFreqsMHz
 		i := min(sort.SearchInts(freqs, mhz), len(freqs)-1)
 		for i > 0 && !(d.breakdownAt(&scratch, e, p, freqs[i]).TotalPowerW <= cap) {

@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -412,20 +411,23 @@ func BenchmarkAnalyzeAt(b *testing.B) {
 	})
 }
 
-func TestPowerCapThrottles(t *testing.T) {
-	d := mustNew(t, V100Spec(), 1)
-	d.SetNoiseSigma(0)
-	p := computeBound()
-	fmax := d.Spec().FMaxMHz()
+// withCapW returns spec with its thermal ceiling at watts: ThermalResKW set
+// so that a sustained draw of watts heats the die to TThrottleC.
+func withCapW(spec Spec, watts float64) Spec {
+	spec.ThermalResKW = (spec.TThrottleC - spec.TAmbientC) / watts
+	return spec
+}
 
-	uncapped := d.Analytic(p, fmax)
+func TestPowerCapThrottles(t *testing.T) {
+	p := computeBound()
+	fmax := V100Spec().FMaxMHz()
+	uncapped := mustNew(t, V100Spec(), 1).Analytic(p, fmax)
 	if uncapped.AvgPowerW < 150 {
 		t.Fatalf("test premise broken: uncapped power %g too low", uncapped.AvgPowerW)
 	}
 	cap := uncapped.AvgPowerW * 0.7
-	if err := d.SetPowerCapW(cap); err != nil {
-		t.Fatal(err)
-	}
+	d := mustNew(t, withCapW(V100Spec(), cap), 1)
+	d.SetNoiseSigma(0)
 	r, err := d.RunAt(p, fmax)
 	if err != nil {
 		t.Fatal(err)
@@ -439,30 +441,23 @@ func TestPowerCapThrottles(t *testing.T) {
 }
 
 func TestPowerCapDisabledByZero(t *testing.T) {
-	d := mustNew(t, V100Spec(), 1)
+	spec := withCapW(V100Spec(), 100)
+	spec.TThrottleC = 0
+	d := mustNew(t, spec, 1)
 	d.SetNoiseSigma(0)
 	p := computeBound()
 	fmax := d.Spec().FMaxMHz()
-	if err := d.SetPowerCapW(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetPowerCapW(0); err != nil {
-		t.Fatal(err)
-	}
 	r, _ := d.RunAt(p, fmax)
 	exact := d.Analytic(p, fmax)
 	if r.TimeS != exact.TimeS {
-		t.Error("cap=0 should disable throttling")
+		t.Error("TThrottleC=0 should disable throttling")
 	}
 }
 
 func TestPowerCapBelowMinimumUsesLowestClock(t *testing.T) {
-	d := mustNew(t, V100Spec(), 1)
+	d := mustNew(t, withCapW(V100Spec(), 1), 1) // unachievable
 	d.SetNoiseSigma(0)
 	p := computeBound()
-	if err := d.SetPowerCapW(1); err != nil { // unachievable
-		t.Fatal(err)
-	}
 	r, err := d.RunAt(p, d.Spec().FMaxMHz())
 	if err != nil {
 		t.Fatal(err)
@@ -470,19 +465,6 @@ func TestPowerCapBelowMinimumUsesLowestClock(t *testing.T) {
 	lowest := d.Analytic(p, d.Spec().FMinMHz())
 	if r.TimeS != lowest.TimeS {
 		t.Errorf("unachievable cap should pin the lowest clock: %g vs %g", r.TimeS, lowest.TimeS)
-	}
-}
-
-func TestPowerCapValidation(t *testing.T) {
-	d := mustNew(t, V100Spec(), 1)
-	if err := d.SetPowerCapW(-5); err == nil {
-		t.Error("expected error for negative cap")
-	}
-	if err := d.SetPowerCapW(250); err != nil {
-		t.Fatal(err)
-	}
-	if d.powerCapW != 250 {
-		t.Errorf("cap %g, want 250", d.powerCapW)
 	}
 }
 
@@ -572,19 +554,6 @@ func TestAddEnergyAdvancesCounter(t *testing.T) {
 // AllSpecs returns every preset, including devices beyond the paper's
 // testbed.
 func AllSpecs() []Spec { return []Spec{V100Spec(), MI100Spec(), A100Spec()} }
-
-// SetPowerCapW sets a board power limit in the style of NVML's power
-// management limit / ROCm-SMI's power cap: when a kernel's steady-state
-// power at the selected clock would exceed the cap, the device throttles to
-// the highest table frequency that satisfies it. A cap of 0 disables
-// limiting. Negative caps are rejected.
-func (d *Device) SetPowerCapW(watts float64) error {
-	if watts < 0 {
-		return fmt.Errorf("gpusim: %s: negative power cap %g W", d.spec.Name, watts)
-	}
-	d.powerCapW = watts
-	return nil
-}
 
 // SetNoiseSigma replaces the relative noise level (0 disables noise).
 func (d *Device) SetNoiseSigma(sigma float64) { d.noise.Sigma = sigma }
