@@ -21,7 +21,9 @@
 #                   checked-in results/*.txt; schedule at its default config
 #                   diffed against results/schedule.txt; the examples' stdout
 #                   diffed against examples/*/output.txt; serve -quick
-#                   diffed against cmd/serve/testdata/quick.txt; the serve
+#                   diffed against cmd/serve/testdata/quick.txt; features
+#                   -predict on cmd/features/testdata/saxpy.k diffed against
+#                   cmd/features/testdata/saxpy-predict.txt; the serve
 #                   report and its -metrics and -trace exports diffed
 #                   between -j 1 and -j 0
 #   6. dsalint      the domain-aware suite (internal/analysis): syntactic
@@ -240,6 +242,14 @@ diff "$obsdir/serve-t1.txt" "$obsdir/serve-tN.txt"
 echo "==> serve report drift guard (serve -quick vs cmd/serve/testdata/quick.txt)"
 "$obsdir/serve" -quick > "$obsdir/serve-quick.txt"
 diff cmd/serve/testdata/quick.txt "$obsdir/serve-quick.txt"
+
+# Features prediction drift guard: cmd/features is the only program that
+# prints a general-purpose model's curve, so its -predict output on a
+# checked-in listing (about 0.15 s) must match its checked-in report.
+echo "==> features -predict drift guard (features -predict vs cmd/features/testdata/saxpy-predict.txt)"
+go build -o "$obsdir/features" ./cmd/features
+"$obsdir/features" -predict cmd/features/testdata/saxpy.k > "$obsdir/features-predict.txt"
+diff cmd/features/testdata/saxpy-predict.txt "$obsdir/features-predict.txt"
 
 # Example drift guard: the examples are the only programs that run the CPU
 # MHD solver, the user-law scalar solver and the docking engine end to end,

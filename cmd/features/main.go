@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("\ngeneral-purpose prediction on %s (baseline %d MHz):\n",
 		q.Spec().Name, gp.BaselineFreqMHz)
 	fmt.Printf("%10s %10s %12s\n", "freq(MHz)", "speedup", "norm energy")
-	for _, c := range gp.PredictCurves(mix, freqs) {
+	for _, c := range gp.PredictCurves(feats, freqs) {
 		fmt.Printf("%10d %10.4f %12.4f\n", c.FreqMHz, c.Speedup, c.NormEnergy)
 	}
 }

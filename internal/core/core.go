@@ -239,6 +239,33 @@ func Train(ds *Dataset, spec ml.Spec, seed uint64) (*Model, error) {
 		yt[i] = s.TimeS
 		ye[i] = s.EnergyJ
 	}
+	m := &Model{Schema: ds.Schema, Device: ds.Device, BaselineFreqMHz: ds.BaselineFreqMHz}
+	return m.Fit(X, yt, ye, spec, seed)
+}
+
+// TrainNormalized fits the two models on per-input normalized targets:
+// speedup t(baseline)/t(c) and normalized energy e(c)/e(baseline), as
+// §5.2.1 formulates the models for the accuracy comparison. Every input must
+// include the baseline frequency in its sweep.
+func TrainNormalized(ds *Dataset, spec ml.Spec, seed uint64) (*Model, error) {
+	if len(ds.Samples) == 0 {
+		return nil, fmt.Errorf("core: empty dataset")
+	}
+	X, ySp, yNe, err := NormalizedXY(ds)
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{Schema: ds.Schema, Device: ds.Device, BaselineFreqMHz: ds.BaselineFreqMHz, Normalized: true}
+	return m.Fit(X, ySp, yNe, spec, seed)
+}
+
+// Fit fits m's two regressors on an assembled design and returns m. Each
+// row of X is the schema's features followed by the clock in MHz; yt and ye
+// are the time and energy targets, or speedup and normalized energy when
+// m.Normalized. Train and TrainNormalized fit through it, and so does a
+// caller that assembles its own rows, as the general-purpose baseline does
+// from its micro-benchmark suite.
+func (m *Model) Fit(X [][]float64, yt, ye []float64, spec ml.Spec, seed uint64) (*Model, error) {
 	tm, err := spec.New(seed)
 	if err != nil {
 		return nil, err
@@ -253,58 +280,8 @@ func Train(ds *Dataset, spec ml.Spec, seed uint64) (*Model, error) {
 	if err := em.Fit(X, ye); err != nil {
 		return nil, fmt.Errorf("core: fitting energy model: %w", err)
 	}
-	return &Model{
-		Schema:          ds.Schema,
-		Device:          ds.Device,
-		BaselineFreqMHz: ds.BaselineFreqMHz,
-		timeModel:       tm,
-		energyModel:     em,
-	}, nil
-}
-
-// TrainNormalized fits the two models on per-input normalized targets:
-// speedup t(baseline)/t(c) and normalized energy e(c)/e(baseline), as
-// §5.2.1 formulates the models for the accuracy comparison. Every input must
-// include the baseline frequency in its sweep.
-func TrainNormalized(ds *Dataset, spec ml.Spec, seed uint64) (*Model, error) {
-	if len(ds.Samples) == 0 {
-		return nil, fmt.Errorf("core: empty dataset")
-	}
-	var X [][]float64
-	var ySp, yNe []float64
-	for _, input := range ds.Inputs() {
-		curves, err := ds.TrueCurves(input)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range curves {
-			X = append(X, sampleRow(input, c.FreqMHz))
-			ySp = append(ySp, c.Speedup)
-			yNe = append(yNe, c.NormEnergy)
-		}
-	}
-	sm, err := spec.New(seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := sm.Fit(X, ySp); err != nil {
-		return nil, fmt.Errorf("core: fitting speedup model: %w", err)
-	}
-	em, err := spec.New(seed + 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := em.Fit(X, yNe); err != nil {
-		return nil, fmt.Errorf("core: fitting normalized-energy model: %w", err)
-	}
-	return &Model{
-		Schema:          ds.Schema,
-		Device:          ds.Device,
-		BaselineFreqMHz: ds.BaselineFreqMHz,
-		Normalized:      true,
-		timeModel:       sm,
-		energyModel:     em,
-	}, nil
+	m.timeModel, m.energyModel = tm, em
+	return m, nil
 }
 
 // sampleRow assembles a model input row from features and frequency.
@@ -464,9 +441,13 @@ func (m *Model) deriveCurve(dst []CurvePoint, times, energies []float64, freqs [
 // PredictPareto returns the predicted Pareto-optimal frequency
 // configurations (Figure 12's final step).
 func (m *Model) PredictPareto(features []float64, freqs []int) []pareto.Point {
-	curves := m.PredictCurves(features, freqs)
-	pts := make([]pareto.Point, len(curves))
-	for i, c := range curves {
+	return front(m.PredictCurves(features, freqs))
+}
+
+// front returns the Pareto-optimal points of a curve.
+func front(curve []CurvePoint) []pareto.Point {
+	pts := make([]pareto.Point, len(curve))
+	for i, c := range curve {
 		pts[i] = pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
 	}
 	return pareto.Front(pts)
@@ -511,9 +492,5 @@ func (d *Dataset) TruePareto(features []float64) ([]pareto.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]pareto.Point, len(curves))
-	for i, c := range curves {
-		pts[i] = pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
-	}
-	return pareto.Front(pts), nil
+	return front(curves), nil
 }

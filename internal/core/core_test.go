@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"dsenergy/internal/cronos"
-	"dsenergy/internal/gpmodel"
 	"dsenergy/internal/gpusim"
 	"dsenergy/internal/ligen"
 	"dsenergy/internal/ml"
@@ -137,7 +136,8 @@ func TestTrainAndPredictCurves(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-sample prediction should track the measurements closely.
-	acc, err := ScoreModel(ds, m, []float64{40, 16, 16})
+	input := []float64{40, 16, 16}
+	acc, err := ScoreModel(ds, m, input, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,64 +168,6 @@ func TestLeaveOneInputOutAccuracy(t *testing.T) {
 		if a.NormEnergyMAPE > 0.06 {
 			t.Errorf("input %s: energy MAPE %.4f too high", a.Label, a.NormEnergyMAPE)
 		}
-	}
-}
-
-func TestDomainSpecificBeatsGeneralPurpose(t *testing.T) {
-	// The paper's central claim (Figure 13): the domain-specific model has
-	// an error at least ~10x lower than the general-purpose model on
-	// average. At the reduced test scale we require a 3x margin; the full
-	// benchmark harness reproduces the 10x figure.
-	q := testQueue(t)
-	ds := cronosDataset(t, q, paperGrids)
-
-	gpFreqs := everyNth(q.Spec().FreqsAbove(0.4), 10)
-	gp, err := gpmodel.Train(q, gpmodel.TrainConfig{
-		Freqs: gpFreqs, Reps: 2,
-		Spec: ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}},
-		Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dsAccs, err := LeaveOneInputOut(ds, ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var gpSum float64
-	for _, input := range ds.Inputs() {
-		truth, err := ds.TrueCurves(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freqs := make([]int, len(truth))
-		for j, c := range truth {
-			freqs[j] = c.FreqMHz
-		}
-		w, _ := cronos.NewWorkload(int(input[0]), int(input[1]), int(input[2]), 8)
-		mix := gpmodel.AppStaticFeatures(w.Profiles())
-		gpCurves := gp.PredictCurves(mix, freqs)
-		conv := make([]CurvePoint, len(gpCurves))
-		for j, c := range gpCurves {
-			conv[j] = CurvePoint{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
-		}
-		gpAcc, err := CurveMAPE(ds, input, conv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpSum += gpAcc.SpeedupMAPE + gpAcc.NormEnergyMAPE
-	}
-	var dsSum float64
-	for _, a := range dsAccs {
-		dsSum += a.SpeedupMAPE + a.NormEnergyMAPE
-	}
-	dsMean := dsSum / float64(len(dsAccs))
-	gpMean := gpSum / float64(len(ds.Inputs()))
-	t.Logf("mean MAPE (speedup+energy): domain-specific %.4f, general-purpose %.4f", dsMean, gpMean)
-	if gpMean < 3*dsMean {
-		t.Errorf("domain-specific model not clearly better: DS %.4f vs GP %.4f", dsMean, gpMean)
 	}
 }
 

@@ -77,7 +77,7 @@ func EvalHeldOut(ds *Dataset, spec ml.Spec, seed uint64, held []float64) (InputA
 	if err != nil {
 		return InputAccuracy{}, err
 	}
-	return ScoreModel(ds, model, held)
+	return ScoreModel(ds, model, held, held)
 }
 
 // NormalizedXY flattens the dataset into the normalized design matrix and
@@ -98,9 +98,21 @@ func NormalizedXY(ds *Dataset) (X [][]float64, speedup, normEnergy []float64, er
 	return X, speedup, normEnergy, nil
 }
 
-// ScoreModel compares a model's predicted curves for one input against the
-// dataset's measured truth and returns the MAPE pair.
-func ScoreModel(ds *Dataset, model *Model, input []float64) (InputAccuracy, error) {
+// ScoreModel compares the curve a model predicts at features against the
+// dataset's measured truth for input and returns the MAPE pair. features
+// is what the model was trained on: the input itself for a domain-specific
+// model, an application's static code features for the general-purpose
+// one, zeros for a model trained blind to its inputs.
+func ScoreModel(ds *Dataset, model *Model, input, features []float64) (InputAccuracy, error) {
+	return ScoreCurve(ds, input, func(freqs []int) ([]CurvePoint, error) {
+		return model.AppendCurve(nil, features, freqs)
+	})
+}
+
+// ScoreCurve compares the curve predict returns for the input's swept
+// clocks, in the dataset's order, against the dataset's measured truth and
+// returns the MAPE pair.
+func ScoreCurve(ds *Dataset, input []float64, predict func(freqs []int) ([]CurvePoint, error)) (InputAccuracy, error) {
 	truth, err := ds.TrueCurves(input)
 	if err != nil {
 		return InputAccuracy{}, err
@@ -109,46 +121,18 @@ func ScoreModel(ds *Dataset, model *Model, input []float64) (InputAccuracy, erro
 	for i, c := range truth {
 		freqs[i] = c.FreqMHz
 	}
-	pred := model.PredictCurves(input, freqs)
-
+	pred, err := predict(freqs)
+	if err != nil {
+		return InputAccuracy{}, err
+	}
+	if len(pred) != len(truth) {
+		return InputAccuracy{}, fmt.Errorf("core: predicted %d points, truth has %d", len(pred), len(truth))
+	}
 	ts, tn := make([]float64, len(truth)), make([]float64, len(truth))
 	ps, pn := make([]float64, len(truth)), make([]float64, len(truth))
 	for i := range truth {
 		ts[i], tn[i] = truth[i].Speedup, truth[i].NormEnergy
 		ps[i], pn[i] = pred[i].Speedup, pred[i].NormEnergy
-	}
-	return InputAccuracy{
-		Input:          append([]float64(nil), input...),
-		Label:          FeatureKey(input),
-		SpeedupMAPE:    ml.MAPE(ts, ps),
-		NormEnergyMAPE: ml.MAPE(tn, pn),
-	}, nil
-}
-
-// CurveMAPE scores an externally produced curve (e.g. the general-purpose
-// model's) against the dataset truth for one input. The prediction must
-// cover exactly the dataset's swept frequencies for that input.
-func CurveMAPE(ds *Dataset, input []float64, predicted []CurvePoint) (InputAccuracy, error) {
-	truth, err := ds.TrueCurves(input)
-	if err != nil {
-		return InputAccuracy{}, err
-	}
-	if len(predicted) != len(truth) {
-		return InputAccuracy{}, fmt.Errorf("core: predicted %d points, truth has %d", len(predicted), len(truth))
-	}
-	byFreq := make(map[int]CurvePoint, len(predicted))
-	for _, p := range predicted {
-		byFreq[p.FreqMHz] = p
-	}
-	ts, tn := make([]float64, len(truth)), make([]float64, len(truth))
-	ps, pn := make([]float64, len(truth)), make([]float64, len(truth))
-	for i, c := range truth {
-		p, ok := byFreq[c.FreqMHz]
-		if !ok {
-			return InputAccuracy{}, fmt.Errorf("core: prediction missing frequency %d MHz", c.FreqMHz)
-		}
-		ts[i], tn[i] = c.Speedup, c.NormEnergy
-		ps[i], pn[i] = p.Speedup, p.NormEnergy
 	}
 	return InputAccuracy{
 		Input:          append([]float64(nil), input...),

@@ -11,7 +11,6 @@ import (
 	"dsenergy/internal/gpusim"
 	"dsenergy/internal/kernels"
 	"dsenergy/internal/ligen"
-	"dsenergy/internal/ml"
 	"dsenergy/internal/obs"
 	"dsenergy/internal/parallel"
 	"dsenergy/internal/synergy"
@@ -117,23 +116,11 @@ func (c Config) AblationFeatures() (AblationFeaturesResult, error) {
 			return 0, err
 		}
 		// Score the blinded model's single curve against this input's truth.
-		truth, err := ds.TrueCurves(held)
+		a, err := core.ScoreModel(ds, m, held, make([]float64, len(held)))
 		if err != nil {
 			return 0, err
 		}
-		freqs := make([]int, len(truth))
-		for i, t := range truth {
-			freqs[i] = t.FreqMHz
-		}
-		pred := m.PredictCurves(make([]float64, len(held)), freqs)
-		var ts, tn, ps, pn []float64
-		for i := range truth {
-			ts = append(ts, truth[i].Speedup)
-			tn = append(tn, truth[i].NormEnergy)
-			ps = append(ps, pred[i].Speedup)
-			pn = append(pn, pred[i].NormEnergy)
-		}
-		return (ml.MAPE(ts, ps) + ml.MAPE(tn, pn)) / 2, nil
+		return (a.SpeedupMAPE + a.NormEnergyMAPE) / 2, nil
 	})
 	if err != nil {
 		return AblationFeaturesResult{}, err
@@ -302,31 +289,17 @@ func (c Config) AblationBaselines() (AblationBaselinesResult, error) {
 	inputs := ds.Inputs()
 	for i, input := range inputs {
 		w := wls[i].Workload.(interface{ Profiles() []kernels.Profile })
-		mix := gpmodel.AppStaticFeatures(w.Profiles())
+		static := staticFeatures(w.Profiles())
 
-		g, err := gpCurveMAPE(ds, gp, mix, input)
+		g, err := core.ScoreModel(ds, gp, input, static)
 		if err != nil {
 			return AblationBaselinesResult{}, err
 		}
 		r.GPRegressionMAPE += (g.SpeedupMAPE + g.NormEnergyMAPE) / 2
 
-		truth, err := ds.TrueCurves(input)
-		if err != nil {
-			return AblationBaselinesResult{}, err
-		}
-		freqs := make([]int, len(truth))
-		for j, t := range truth {
-			freqs[j] = t.FreqMHz
-		}
-		clCurves, err := cl.PredictCurves(mix, freqs)
-		if err != nil {
-			return AblationBaselinesResult{}, err
-		}
-		conv := make([]core.CurvePoint, len(clCurves))
-		for j, p := range clCurves {
-			conv[j] = core.CurvePoint{FreqMHz: p.FreqMHz, Speedup: p.Speedup, NormEnergy: p.NormEnergy}
-		}
-		ca, err := core.CurveMAPE(ds, input, conv)
+		ca, err := core.ScoreCurve(ds, input, func(freqs []int) ([]core.CurvePoint, error) {
+			return cl.PredictCurves(static, freqs)
+		})
 		if err != nil {
 			return AblationBaselinesResult{}, err
 		}

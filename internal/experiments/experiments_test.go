@@ -237,6 +237,16 @@ func TestFig13DomainSpecificWins(t *testing.T) {
 	}
 }
 
+func TestFig13RejectsConfigWithoutDisplayInputs(t *testing.T) {
+	// Figure 13c/d shows a fixed set of LiGen inputs; a config that
+	// measures none of them has no LiGen panels to draw.
+	c := testConfig()
+	c.LiGenInputs = []ligen.Input{{Ligands: 2, Atoms: 31, Fragments: 4}, {Ligands: 16, Atoms: 63, Fragments: 8}}
+	if _, err := c.Fig13(); err == nil || !strings.Contains(err.Error(), "none of the displayed LiGen inputs") {
+		t.Fatalf("Fig13 without a displayed LiGen input: err %v", err)
+	}
+}
+
 func TestFig14Panels(t *testing.T) {
 	panels, err := testConfig().Fig14()
 	if err != nil {

@@ -67,7 +67,7 @@ func (c Config) BuildLiGenDataset(q *synergy.Queue) (*core.Dataset, []core.Featu
 }
 
 // TrainGP trains the general-purpose baseline on q's micro-benchmark sweep.
-func (c Config) TrainGP(q *synergy.Queue) (*gpmodel.Model, error) {
+func (c Config) TrainGP(q *synergy.Queue) (*core.Model, error) {
 	return gpmodel.Train(q, gpmodel.TrainConfig{
 		Freqs: c.sweepFreqs(q.Spec()),
 		Reps:  c.Reps,
@@ -76,23 +76,10 @@ func (c Config) TrainGP(q *synergy.Queue) (*gpmodel.Model, error) {
 	})
 }
 
-// gpCurveMAPE scores the general-purpose model against the dataset truth for
-// one input, given the application's static mix.
-func gpCurveMAPE(ds *core.Dataset, gp *gpmodel.Model, mix kernels.InstructionMix, input []float64) (core.InputAccuracy, error) {
-	truth, err := ds.TrueCurves(input)
-	if err != nil {
-		return core.InputAccuracy{}, err
-	}
-	freqs := make([]int, len(truth))
-	for i, t := range truth {
-		freqs[i] = t.FreqMHz
-	}
-	curves := gp.PredictCurves(mix, freqs)
-	conv := make([]core.CurvePoint, len(curves))
-	for i, p := range curves {
-		conv[i] = core.CurvePoint{FreqMHz: p.FreqMHz, Speedup: p.Speedup, NormEnergy: p.NormEnergy}
-	}
-	return core.CurveMAPE(ds, input, conv)
+// staticFeatures is the general-purpose model's input for an application:
+// the static code features of its kernels' combined mix.
+func staticFeatures(profiles []kernels.Profile) []float64 {
+	return gpmodel.AppStaticFeatures(profiles).StaticFeatures()
 }
 
 // AccuracyBar is one input's bar pair of Figure 13: domain-specific vs
@@ -127,6 +114,10 @@ func (r Fig13Result) MeanRatios() (speedupRatio, energyRatio float64) {
 // domain-specific models against the general-purpose model, for both
 // applications on the V100.
 func (c Config) Fig13() (Fig13Result, error) {
+	display, err := c.fig13Display()
+	if err != nil {
+		return Fig13Result{}, err
+	}
 	p, err := c.Platform()
 	if err != nil {
 		return Fig13Result{}, err
@@ -151,8 +142,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 	}
 	for i, a := range cAccs {
 		w := cwls[i].Workload.(cronos.Workload)
-		mix := gpmodel.AppStaticFeatures(w.Profiles())
-		g, err := gpCurveMAPE(cds, gp, mix, a.Input)
+		g, err := core.ScoreModel(cds, gp, a.Input, staticFeatures(w.Profiles()))
 		if err != nil {
 			return Fig13Result{}, err
 		}
@@ -168,7 +158,6 @@ func (c Config) Fig13() (Fig13Result, error) {
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	display := c.fig13Display(lds)
 	// Each displayed input retrains its own held-out model — independent
 	// work, fanned out on the config's worker pool.
 	out.LiGen, err = parallel.Map(context.Background(), len(display), c.Jobs, func(_ context.Context, i int) (AccuracyBar, error) {
@@ -182,8 +171,7 @@ func (c Config) Fig13() (Fig13Result, error) {
 		if err != nil {
 			return AccuracyBar{}, err
 		}
-		mix := gpmodel.AppStaticFeatures(w.Profiles())
-		g, err := gpCurveMAPE(lds, gp, mix, features)
+		g, err := core.ScoreModel(lds, gp, features, staticFeatures(w.Profiles()))
 		if err != nil {
 			return AccuracyBar{}, err
 		}
@@ -200,28 +188,20 @@ func (c Config) Fig13() (Fig13Result, error) {
 	return out, nil
 }
 
-// fig13Display returns the LiGen inputs shown in Figure 13c/d that exist in
-// the dataset (all of them under the paper config; a subset under quick
-// configs).
-func (c Config) fig13Display(ds *core.Dataset) []ligen.Input {
-	inputs := ds.Inputs()
+// fig13Display returns the LiGen inputs shown in Figure 13c/d that the
+// config measures (all of them under the paper config; a subset under quick
+// configs), and an error when it measures none of them.
+func (c Config) fig13Display() ([]ligen.Input, error) {
 	var out []ligen.Input
 	for _, in := range Fig13LiGenDisplay() {
-		features := []float64{float64(in.Ligands), float64(in.Fragments), float64(in.Atoms)}
-		if slices.ContainsFunc(inputs, func(have []float64) bool { return core.SameInput(have, features) }) {
+		if slices.Contains(c.LiGenInputs, in) {
 			out = append(out, in)
 		}
 	}
 	if len(out) == 0 {
-		// Quick configs without the display subset: take up to 12 inputs.
-		for i, in := range c.LiGenInputs {
-			if i >= 12 {
-				break
-			}
-			out = append(out, in)
-		}
+		return nil, fmt.Errorf("experiments: Figure 13: none of the displayed LiGen inputs is among the config's %d LiGen inputs", len(c.LiGenInputs))
 	}
-	return out
+	return out, nil
 }
 
 // Fig14Panel is one panel of Figure 14: the true Pareto set of one input and
@@ -276,7 +256,7 @@ func (c Config) Fig14() ([]Fig14Panel, error) {
 	}
 	lp, err := c.paretoPanel(lds, gp, "LiGen", fmt.Sprintf("%dx%dx%d", lin.Atoms, lin.Fragments, lin.Ligands),
 		[]float64{float64(lin.Ligands), float64(lin.Fragments), float64(lin.Atoms)},
-		gpmodel.AppStaticFeatures(lw.Profiles()))
+		staticFeatures(lw.Profiles()))
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +272,7 @@ func (c Config) Fig14() ([]Fig14Panel, error) {
 		return nil, err
 	}
 	cp, err := c.paretoPanel(cds, gp, "Cronos", "160x64x64",
-		[]float64{160, 64, 64}, gpmodel.AppStaticFeatures(cw.Profiles()))
+		[]float64{160, 64, 64}, staticFeatures(cw.Profiles()))
 	if err != nil {
 		return nil, err
 	}
@@ -300,9 +280,10 @@ func (c Config) Fig14() ([]Fig14Panel, error) {
 	return panels, nil
 }
 
-// paretoPanel evaluates both models' predicted Pareto sets for one input.
-func (c Config) paretoPanel(ds *core.Dataset, gp *gpmodel.Model, app, label string,
-	features []float64, mix kernels.InstructionMix) (Fig14Panel, error) {
+// paretoPanel evaluates both models' predicted Pareto sets for one input,
+// the general-purpose model's at the application's static features.
+func (c Config) paretoPanel(ds *core.Dataset, gp *core.Model, app, label string,
+	features, static []float64) (Fig14Panel, error) {
 
 	truth, err := ds.TrueCurves(features)
 	if err != nil {
@@ -325,7 +306,7 @@ func (c Config) paretoPanel(ds *core.Dataset, gp *gpmodel.Model, app, label stri
 		return Fig14Panel{}, err
 	}
 	dsFront := dsModel.PredictPareto(features, freqs)
-	gpFront := gp.PredictPareto(mix, freqs)
+	gpFront := gp.PredictPareto(static, freqs)
 
 	eval := func(front []pareto.Point) PredictedSet {
 		set := PredictedSet{Freqs: pareto.Frequencies(front)}

@@ -2,10 +2,9 @@ package gpmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"dsenergy/internal/kernels"
-	"dsenergy/internal/microbench"
+	"dsenergy/internal/core"
 	"dsenergy/internal/ml"
 	"dsenergy/internal/synergy"
 )
@@ -17,124 +16,81 @@ import (
 // an application's static features to the nearest cluster and returns that
 // cluster's curve — input-blind, like the regression-based model.
 type ClusteredModel struct {
-	BaselineFreqMHz int
-	TrainedOn       string
-
-	km     *ml.KMeans
-	freqs  []int
-	curves [][]CurvePoint // per cluster, aligned with freqs
+	km *ml.KMeans
+	// curves holds each cluster's mean member curve over the ascending
+	// training sweep, normalized to its point at the baseline clock.
+	curves [][]core.CurvePoint
 }
 
-// TrainClustered measures the micro-benchmark suite on q and builds a
-// k-cluster model.
+// TrainClustered measures the micro-benchmark suite on q, over the training
+// sweep in ascending order, and builds a k-cluster model.
 func TrainClustered(q *synergy.Queue, cfg TrainConfig, k int) (*ClusteredModel, error) {
-	freqs := cfg.Freqs
-	if freqs == nil {
-		freqs = q.SupportedFreqsMHz()
+	sorted := slices.Clone(cfg.Freqs)
+	slices.Sort(sorted)
+	features, benchCurves, err := measureSuite(q, sorted, cfg.Reps)
+	if err != nil {
+		return nil, err
 	}
-	if len(freqs) == 0 {
-		return nil, fmt.Errorf("gpmodel: empty frequency sweep")
-	}
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 5
-	}
-	sorted := append([]int(nil), freqs...)
-	sort.Ints(sorted)
-	base := q.BaselineFreqMHz()
-
-	suite := microbench.Suite()
-	features := make([][]float64, len(suite))
-	benchCurves := make([][]CurvePoint, len(suite))
-	for bi, b := range suite {
-		features[bi] = b.Profile.Mix.StaticFeatures()
-		w := synergy.Kernels{b.Profile}
-		ref, err := synergy.MeasureAt(q, w, base, reps)
-		if err != nil {
-			return nil, fmt.Errorf("gpmodel: clustered baseline for %s: %w", b.Name, err)
-		}
-		row := make([]CurvePoint, len(sorted))
-		for fi, f := range sorted {
-			m, err := synergy.MeasureAt(q, w, f, reps)
-			if err != nil {
-				return nil, err
-			}
-			row[fi] = CurvePoint{
-				FreqMHz:    f,
-				Speedup:    ref.TimeS / m.TimeS,
-				NormEnergy: m.EnergyJ / ref.EnergyJ,
-			}
-		}
-		benchCurves[bi] = row
-	}
-
 	km := ml.NewKMeans(k)
 	if err := km.Fit(features, cfg.Seed); err != nil {
 		return nil, fmt.Errorf("gpmodel: clustering suite: %w", err)
 	}
 
 	// Average the member curves of each cluster.
-	curves := make([][]CurvePoint, k)
+	sweep := benchCurves[0]
+	curves := make([][]core.CurvePoint, k)
 	counts := make([]int, k)
 	for c := range curves {
-		curves[c] = make([]CurvePoint, len(sorted))
-		for fi, f := range sorted {
-			curves[c][fi].FreqMHz = f
+		curves[c] = make([]core.CurvePoint, len(sweep))
+		for fi, p := range sweep {
+			curves[c][fi].FreqMHz = p.FreqMHz
 		}
 	}
-	for bi := range suite {
+	for bi, bench := range benchCurves {
 		c := km.Predict(features[bi])
 		counts[c]++
-		for fi := range sorted {
-			curves[c][fi].Speedup += benchCurves[bi][fi].Speedup
-			curves[c][fi].NormEnergy += benchCurves[bi][fi].NormEnergy
+		for fi, p := range bench {
+			curves[c][fi].Speedup += p.Speedup
+			curves[c][fi].NormEnergy += p.NormEnergy
 		}
 	}
-	for c := range curves {
+	base := q.BaselineFreqMHz()
+	for c, curve := range curves {
 		if counts[c] == 0 {
 			continue
 		}
 		inv := 1 / float64(counts[c])
-		for fi := range curves[c] {
-			curves[c][fi].Speedup *= inv
-			curves[c][fi].NormEnergy *= inv
+		for fi := range curve {
+			curve[fi].Speedup *= inv
+			curve[fi].NormEnergy *= inv
+		}
+		// Re-normalize to the baseline point, which the averaging moved off
+		// (1, 1); a sweep without the baseline is kept as averaged.
+		bi := slices.IndexFunc(curve, func(p core.CurvePoint) bool { return p.FreqMHz == base })
+		if bi < 0 || curve[bi].Speedup == 0 || curve[bi].NormEnergy == 0 {
+			continue
+		}
+		baseP := curve[bi]
+		for fi := range curve {
+			curve[fi].Speedup /= baseP.Speedup
+			curve[fi].NormEnergy /= baseP.NormEnergy
 		}
 	}
-
-	return &ClusteredModel{
-		BaselineFreqMHz: base,
-		TrainedOn:       q.Spec().Name,
-		km:              km,
-		freqs:           sorted,
-		curves:          curves,
-	}, nil
+	return &ClusteredModel{km: km, curves: curves}, nil
 }
 
-// PredictCurves returns the assigned cluster's curve at the requested
-// frequencies (which must be a subset of the training sweep), re-normalized
-// to the baseline point.
-func (m *ClusteredModel) PredictCurves(mix kernels.InstructionMix, freqs []int) ([]CurvePoint, error) {
-	cluster := m.km.Predict(mix.StaticFeatures())
-	curve := m.curves[cluster]
-	byFreq := make(map[int]CurvePoint, len(curve))
-	for _, p := range curve {
-		byFreq[p.FreqMHz] = p
-	}
-	baseP, ok := byFreq[m.BaselineFreqMHz]
-	if !ok || baseP.Speedup == 0 || baseP.NormEnergy == 0 {
-		baseP = CurvePoint{Speedup: 1, NormEnergy: 1}
-	}
-	out := make([]CurvePoint, 0, len(freqs))
+// PredictCurves returns the curve of the cluster nearest to an application's
+// static features at the requested frequencies, which must be part of the
+// training sweep.
+func (m *ClusteredModel) PredictCurves(features []float64, freqs []int) ([]core.CurvePoint, error) {
+	curve := m.curves[m.km.Predict(features)]
+	out := make([]core.CurvePoint, 0, len(freqs))
 	for _, f := range freqs {
-		p, ok := byFreq[f]
-		if !ok {
+		i := slices.IndexFunc(curve, func(p core.CurvePoint) bool { return p.FreqMHz == f })
+		if i < 0 {
 			return nil, fmt.Errorf("gpmodel: frequency %d MHz not in clustered training sweep", f)
 		}
-		out = append(out, CurvePoint{
-			FreqMHz:    f,
-			Speedup:    p.Speedup / baseP.Speedup,
-			NormEnergy: p.NormEnergy / baseP.NormEnergy,
-		})
+		out = append(out, curve[i])
 	}
 	return out, nil
 }

@@ -5,31 +5,24 @@
 // Table 1 plus the frequency configuration, predicting normalized energy and
 // speedup for unseen codes without executing them.
 //
-// Being input-blind is the point: the model sees an application's instruction
-// mix, not its workload, so one prediction curve serves every input size.
-// That is exactly the limitation the paper's domain-specific models remove.
+// The model is a normalized core.Model over the static-feature schema, so it
+// predicts, scores and takes its Pareto front exactly as a domain-specific
+// model does; only its features differ. Being input-blind is the point: the
+// model sees an application's instruction mix, not its workload, so one
+// prediction curve serves every input size. That is exactly the limitation
+// the paper's domain-specific models remove.
 package gpmodel
 
 import (
 	"fmt"
+	"slices"
 
+	"dsenergy/internal/core"
 	"dsenergy/internal/kernels"
 	"dsenergy/internal/microbench"
 	"dsenergy/internal/ml"
-	"dsenergy/internal/pareto"
 	"dsenergy/internal/synergy"
 )
-
-// Model predicts speedup and normalized energy from static code features and
-// a frequency configuration.
-type Model struct {
-	speedup ml.Regressor
-	energy  ml.Regressor
-	// BaselineFreqMHz is the clock all training targets were normalized to.
-	BaselineFreqMHz int
-	// TrainedOn names the device whose measurements trained the model.
-	TrainedOn string
-}
 
 // TrainConfig controls the micro-benchmark training sweep.
 type TrainConfig struct {
@@ -46,70 +39,77 @@ type TrainConfig struct {
 }
 
 // Train measures the micro-benchmark suite on q across the frequency sweep
-// and fits the speedup and normalized-energy models.
-func Train(q *synergy.Queue, cfg TrainConfig) (*Model, error) {
-	freqs := cfg.Freqs
-	if freqs == nil {
-		freqs = q.SupportedFreqsMHz()
-	}
-	if len(freqs) == 0 {
-		return nil, fmt.Errorf("gpmodel: empty frequency sweep")
-	}
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 5
+// and fits a normalized model of speedup and normalized energy whose schema
+// is the ten Table 1 static features (kernels.FeatureNames). Predict an
+// application's curve at the static features of its mix,
+// AppStaticFeatures(profiles).StaticFeatures().
+func Train(q *synergy.Queue, cfg TrainConfig) (*core.Model, error) {
+	features, curves, err := measureSuite(q, cfg.Freqs, cfg.Reps)
+	if err != nil {
+		return nil, err
 	}
 	spec := cfg.Spec
 	if spec.Algorithm == "" {
 		spec = ml.Spec{Algorithm: "forest"}
 	}
-	base := q.BaselineFreqMHz()
-
-	suite := microbench.Suite()
 	var X [][]float64
 	var ySpeed, yEnergy []float64
-	for _, b := range suite {
+	for bi, curve := range curves {
+		for _, c := range curve {
+			X = append(X, append(slices.Clip(features[bi]), float64(c.FreqMHz)))
+			ySpeed = append(ySpeed, c.Speedup)
+			yEnergy = append(yEnergy, c.NormEnergy)
+		}
+	}
+	m := &core.Model{
+		Schema:          core.Schema{App: "general-purpose", Features: kernels.FeatureNames},
+		Device:          q.Spec().Name,
+		BaselineFreqMHz: q.BaselineFreqMHz(),
+		Normalized:      true,
+	}
+	return m.Fit(X, ySpeed, yEnergy, spec, cfg.Seed)
+}
+
+// measureSuite measures each micro-benchmark of the suite on q, in suite
+// order, at the baseline clock and then at each clock of freqs (nil = every
+// device frequency) with reps repetitions (0 = the paper's 5). It returns
+// each benchmark's static features and its measured curve against its
+// baseline measurement.
+func measureSuite(q *synergy.Queue, freqs []int, reps int) (features [][]float64, curves [][]core.CurvePoint, err error) {
+	if freqs == nil {
+		freqs = q.SupportedFreqsMHz()
+	}
+	if len(freqs) == 0 {
+		return nil, nil, fmt.Errorf("gpmodel: empty frequency sweep")
+	}
+	if reps <= 0 {
+		reps = 5
+	}
+	base := q.BaselineFreqMHz()
+	suite := microbench.Suite()
+	features = make([][]float64, len(suite))
+	curves = make([][]core.CurvePoint, len(suite))
+	for bi, b := range suite {
+		features[bi] = b.Profile.Mix.StaticFeatures()
 		w := synergy.Kernels{b.Profile}
 		ref, err := synergy.MeasureAt(q, w, base, reps)
 		if err != nil {
-			return nil, fmt.Errorf("gpmodel: baseline for %s: %w", b.Name, err)
+			return nil, nil, fmt.Errorf("gpmodel: baseline for %s: %w", b.Name, err)
 		}
-		for _, f := range freqs {
+		curves[bi] = make([]core.CurvePoint, len(freqs))
+		for fi, f := range freqs {
 			m, err := synergy.MeasureAt(q, w, f, reps)
 			if err != nil {
-				return nil, fmt.Errorf("gpmodel: %s at %d MHz: %w", b.Name, f, err)
+				return nil, nil, fmt.Errorf("gpmodel: %s at %d MHz: %w", b.Name, f, err)
 			}
-			X = append(X, featureRow(b.Profile.Mix, f))
-			ySpeed = append(ySpeed, ref.TimeS/m.TimeS)
-			yEnergy = append(yEnergy, m.EnergyJ/ref.EnergyJ)
+			curves[bi][fi] = core.CurvePoint{
+				FreqMHz:    f,
+				Speedup:    ref.TimeS / m.TimeS,
+				NormEnergy: m.EnergyJ / ref.EnergyJ,
+			}
 		}
 	}
-
-	sp, err := spec.New(cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.Fit(X, ySpeed); err != nil {
-		return nil, fmt.Errorf("gpmodel: fitting speedup model: %w", err)
-	}
-	en, err := spec.New(cfg.Seed + 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := en.Fit(X, yEnergy); err != nil {
-		return nil, fmt.Errorf("gpmodel: fitting energy model: %w", err)
-	}
-	return &Model{
-		speedup: sp, energy: en,
-		BaselineFreqMHz: base,
-		TrainedOn:       q.Spec().Name,
-	}, nil
-}
-
-// featureRow assembles the model input: the ten Table 1 fractions plus the
-// frequency configuration.
-func featureRow(mix kernels.InstructionMix, freqMHz int) []float64 {
-	return append(mix.StaticFeatures(), float64(freqMHz))
+	return features, curves, nil
 }
 
 // AppStaticFeatures extracts the input-independent feature vector of an
@@ -122,61 +122,4 @@ func AppStaticFeatures(profiles []kernels.Profile) kernels.InstructionMix {
 		agg = agg.Add(p.Mix)
 	}
 	return agg
-}
-
-// CurvePoint is a predicted (speedup, normalized energy) at one frequency.
-type CurvePoint struct {
-	FreqMHz    int
-	Speedup    float64
-	NormEnergy float64
-}
-
-// PredictCurves evaluates the model for one application mix across freqs.
-// The curve is re-normalized so the baseline frequency maps to exactly
-// (1.0, 1.0), as the prediction workflow of Figure 12 prescribes.
-func (m *Model) PredictCurves(mix kernels.InstructionMix, freqs []int) []CurvePoint {
-	// One sweep per regressor, baseline first: ml.PredictSweep walks each
-	// tree once for the whole menu, bit-identical per clock to Predict on
-	// the featureRow. A width error means the regressors were not fitted
-	// on featureRow's layout, which only a bug can cause.
-	sweep := make([]float64, len(freqs)+1)
-	sweep[0] = float64(m.BaselineFreqMHz)
-	for i, f := range freqs {
-		sweep[i+1] = float64(f)
-	}
-	features := mix.StaticFeatures()
-	speeds := make([]float64, len(sweep))
-	energies := make([]float64, len(sweep))
-	if err := ml.PredictSweep(m.speedup, features, sweep, speeds); err != nil {
-		panic(fmt.Errorf("gpmodel: speedup model: %w", err))
-	}
-	if err := ml.PredictSweep(m.energy, features, sweep, energies); err != nil {
-		panic(fmt.Errorf("gpmodel: energy model: %w", err))
-	}
-	baseSpeed, baseEnergy := speeds[0], energies[0]
-	if baseSpeed == 0 {
-		baseSpeed = 1
-	}
-	if baseEnergy == 0 {
-		baseEnergy = 1
-	}
-	out := make([]CurvePoint, 0, len(freqs))
-	for i, f := range freqs {
-		out = append(out, CurvePoint{
-			FreqMHz:    f,
-			Speedup:    speeds[i+1] / baseSpeed,
-			NormEnergy: energies[i+1] / baseEnergy,
-		})
-	}
-	return out
-}
-
-// PredictPareto returns the model's predicted Pareto-optimal frequency set.
-func (m *Model) PredictPareto(mix kernels.InstructionMix, freqs []int) []pareto.Point {
-	curves := m.PredictCurves(mix, freqs)
-	pts := make([]pareto.Point, len(curves))
-	for i, c := range curves {
-		pts[i] = pareto.Point{FreqMHz: c.FreqMHz, Speedup: c.Speedup, NormEnergy: c.NormEnergy}
-	}
-	return pareto.Front(pts)
 }

@@ -4,15 +4,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"dsenergy/internal/core"
+	"dsenergy/internal/cronos"
 	"dsenergy/internal/gpusim"
 	"dsenergy/internal/kernels"
 	"dsenergy/internal/ml"
 	"dsenergy/internal/synergy"
 )
 
-func trainSmall(t *testing.T) (*Model, *synergy.Queue) {
+func trainSmall(t *testing.T) (*core.Model, *synergy.Queue) {
 	t.Helper()
 	p, err := synergy.NewPlatform(3, gpusim.V100Spec())
 	if err != nil {
@@ -36,8 +39,9 @@ func trainSmall(t *testing.T) (*Model, *synergy.Queue) {
 	return m, q
 }
 
-func computeMix() kernels.InstructionMix {
-	return kernels.InstructionMix{FloatAdd: 80, FloatMul: 80, IntAdd: 10, GlobalAcc: 4}
+// computeFeatures are the static features of a compute-bound mix.
+func computeFeatures() []float64 {
+	return kernels.InstructionMix{FloatAdd: 80, FloatMul: 80, IntAdd: 10, GlobalAcc: 4}.StaticFeatures()
 }
 
 func TestTrainProducesUsableModel(t *testing.T) {
@@ -45,14 +49,18 @@ func TestTrainProducesUsableModel(t *testing.T) {
 	if m.BaselineFreqMHz != q.BaselineFreqMHz() {
 		t.Errorf("baseline %d, want %d", m.BaselineFreqMHz, q.BaselineFreqMHz())
 	}
-	if m.TrainedOn != "NVIDIA V100" {
-		t.Errorf("trained-on %q", m.TrainedOn)
+	if m.Device != "NVIDIA V100" {
+		t.Errorf("trained on %q", m.Device)
+	}
+	if !m.Normalized || m.FeatureDim() != len(kernels.FeatureNames) {
+		t.Errorf("normalized %v over %d features, want a normalized model over the %d static features",
+			m.Normalized, m.FeatureDim(), len(kernels.FeatureNames))
 	}
 }
 
 func TestPredictCurvesBaselineIsUnity(t *testing.T) {
 	m, q := trainSmall(t)
-	curves := m.PredictCurves(computeMix(), []int{q.BaselineFreqMHz()})
+	curves := m.PredictCurves(computeFeatures(), []int{q.BaselineFreqMHz()})
 	if len(curves) != 1 {
 		t.Fatal("want one point")
 	}
@@ -67,8 +75,8 @@ func TestPredictCurvesInputBlind(t *testing.T) {
 	// channel at all).
 	m, q := trainSmall(t)
 	freqs := []int{q.Spec().NearestFreqMHz(900), q.BaselineFreqMHz(), q.Spec().FMaxMHz()}
-	a := m.PredictCurves(computeMix(), freqs)
-	b := m.PredictCurves(computeMix(), freqs)
+	a := m.PredictCurves(computeFeatures(), freqs)
+	b := m.PredictCurves(computeFeatures(), freqs)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("prediction not deterministic")
@@ -79,7 +87,7 @@ func TestPredictCurvesInputBlind(t *testing.T) {
 func TestPredictComputeMixSpeedsUpWithFrequency(t *testing.T) {
 	m, q := trainSmall(t)
 	freqs := []int{q.Spec().NearestFreqMHz(900), q.Spec().FMaxMHz()}
-	curves := m.PredictCurves(computeMix(), freqs)
+	curves := m.PredictCurves(computeFeatures(), freqs)
 	if curves[1].Speedup <= curves[0].Speedup {
 		t.Errorf("compute mix speedup not increasing: %g -> %g", curves[0].Speedup, curves[1].Speedup)
 	}
@@ -88,7 +96,7 @@ func TestPredictComputeMixSpeedsUpWithFrequency(t *testing.T) {
 func TestPredictParetoNonEmptySubset(t *testing.T) {
 	m, q := trainSmall(t)
 	band := q.Spec().FreqsAbove(0.5)
-	front := m.PredictPareto(computeMix(), band)
+	front := m.PredictPareto(computeFeatures(), band)
 	if len(front) == 0 {
 		t.Fatal("empty predicted front")
 	}
@@ -148,7 +156,7 @@ func TestClusteredModelTrainsAndPredicts(t *testing.T) {
 	if len(m.curves) != 6 {
 		t.Errorf("clusters %d, want 6", len(m.curves))
 	}
-	curves, err := m.PredictCurves(computeMix(), []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()})
+	curves, err := m.PredictCurves(computeFeatures(), []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +182,7 @@ func TestClusteredModelRejectsUnsweptFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PredictCurves(computeMix(), []int{q.Spec().FMinMHz()}); err == nil {
+	if _, err := m.PredictCurves(computeFeatures(), []int{q.Spec().FMinMHz()}); err == nil {
 		t.Error("expected error for frequency outside training sweep")
 	}
 }
@@ -224,8 +232,81 @@ func TestStaticFeaturesFromListings(t *testing.T) {
 
 	// Both feed the trained GP model like any other mix.
 	m, q := trainSmall(t)
-	curves := m.PredictCurves(dock, []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()})
+	curves := m.PredictCurves(df, []int{q.BaselineFreqMHz(), q.Spec().FMaxMHz()})
 	if len(curves) != 2 || curves[1].Speedup <= 0 {
 		t.Errorf("listing-derived prediction invalid: %+v", curves)
+	}
+}
+
+// everyNth subsamples a frequency table, keeping its top clock.
+func everyNth(fs []int, n int) []int {
+	var out []int
+	for i := 0; i < len(fs); i += n {
+		out = append(out, fs[i])
+	}
+	if out[len(out)-1] != fs[len(fs)-1] {
+		out = append(out, fs[len(fs)-1])
+	}
+	return out
+}
+
+func TestDomainSpecificBeatsGeneralPurpose(t *testing.T) {
+	// The paper's central claim (Figure 13): the domain-specific model has
+	// an error at least ~10x lower than the general-purpose model on
+	// average. At the reduced test scale we require a 3x margin; the full
+	// benchmark harness reproduces the 10x figure.
+	p, err := synergy.NewPlatform(101, gpusim.V100Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := p.Queues()[0]
+	var wls []core.FeaturedWorkload
+	for _, g := range [][3]int{{10, 4, 4}, {20, 8, 8}, {40, 16, 16}, {80, 32, 32}, {160, 64, 64}} {
+		w, err := cronos.NewWorkload(g[0], g[1], g[2], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wls = append(wls, core.FeaturedWorkload{
+			Workload: w,
+			Features: []float64{float64(g[0]), float64(g[1]), float64(g[2])},
+		})
+	}
+	freqs := everyNth(q.Spec().FreqsAbove(0.4), 8)
+	if i, found := slices.BinarySearch(freqs, q.BaselineFreqMHz()); !found {
+		freqs = slices.Insert(freqs, i, q.BaselineFreqMHz())
+	}
+	ds, err := core.BuildDataset(q, core.CronosSchema(), wls, core.BuildConfig{Freqs: freqs, Reps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	forest := ml.Spec{Algorithm: "forest", Params: map[string]float64{"n_estimators": 30}}
+	gp, err := Train(q, TrainConfig{Freqs: everyNth(q.Spec().FreqsAbove(0.4), 10), Reps: 2, Spec: forest, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsAccs, err := core.LeaveOneInputOut(ds, forest, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var gpSum float64
+	for i, input := range ds.Inputs() {
+		static := AppStaticFeatures(wls[i].Workload.(cronos.Workload).Profiles()).StaticFeatures()
+		gpAcc, err := core.ScoreModel(ds, gp, input, static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpSum += gpAcc.SpeedupMAPE + gpAcc.NormEnergyMAPE
+	}
+	var dsSum float64
+	for _, a := range dsAccs {
+		dsSum += a.SpeedupMAPE + a.NormEnergyMAPE
+	}
+	dsMean := dsSum / float64(len(dsAccs))
+	gpMean := gpSum / float64(len(ds.Inputs()))
+	t.Logf("mean MAPE (speedup+energy): domain-specific %.4f, general-purpose %.4f", dsMean, gpMean)
+	if gpMean < 3*dsMean {
+		t.Errorf("domain-specific model not clearly better: DS %.4f vs GP %.4f", dsMean, gpMean)
 	}
 }

@@ -277,11 +277,12 @@ func New(spec Spec, seed uint64) (*Device, error) {
 }
 
 // Fork derives a child device for one task of a pre-split parallel
-// execution: same spec and clock, a fresh energy counter, a noise stream
-// split off the parent's (so the child's draws are deterministic in the
-// fork order, not in the schedule), and the parent's shared analytic
-// cache. Forking advances the parent's noise stream by exactly one draw,
-// like any other stream split.
+// execution: same spec and clock, a fresh energy counter and fresh launch
+// and DVFS tallies (Absorb folds all three back), a noise stream split off
+// the parent's (so the child's draws are deterministic in the fork order,
+// not in the schedule), and the parent's shared analytic cache. Forking
+// advances the parent's noise stream by exactly one draw, like any other
+// stream split.
 func (d *Device) Fork() *Device {
 	child := &Device{
 		spec:        d.spec,
@@ -290,11 +291,20 @@ func (d *Device) Fork() *Device {
 		tables:      d.tables,
 		cache:       d.cache,
 		lastEntry:   d.lastEntry,
-		launches:    d.launches,
-		dvfs:        d.dvfs,
+		launches:    d.launches.Fork(),
+		dvfs:        d.dvfs.Fork(),
 	}
 	child.noise = NewNoiseModel(d.noise.Sigma, child.rng)
 	return child
+}
+
+// Absorb folds a child from Fork back into d: its energy and its launch and
+// DVFS counts. A child that is never absorbed leaves d's counters as they
+// were.
+func (d *Device) Absorb(child *Device) {
+	d.energyJ += child.energyJ
+	d.launches.Absorb(child.launches)
+	d.dvfs.Absorb(child.dvfs)
 }
 
 // SetObserver attaches an observability sink to the device: kernel-launch

@@ -51,6 +51,9 @@ func TestDeviceObserverCounters(t *testing.T) {
 }
 
 func TestForkSharesObserverHandles(t *testing.T) {
+	// A fork counts on the parent's handles through Absorb: its launches
+	// reach the parent's counter when the parent absorbs it, and not
+	// before, so a fork that is thrown away counts nothing.
 	o := obs.NewObserver()
 	d := mustNew(t, V100Spec(), 1)
 	d.SetObserver(o)
@@ -63,8 +66,12 @@ func TestForkSharesObserverHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	launches := o.Metrics().Counter("gpusim_kernel_launches_total", obs.L("device", d.Spec().Name))
+	if got := launches.Value(); got != 1 {
+		t.Fatalf("an unabsorbed fork's launch reached the parent's counter: got %d, want 1", got)
+	}
+	d.Absorb(child)
 	if got := launches.Value(); got != 2 {
-		t.Fatalf("fork must share the parent's launch counter: got %d, want 2", got)
+		t.Fatalf("absorbed fork's launch missing from the parent's counter: got %d, want 2", got)
 	}
 }
 

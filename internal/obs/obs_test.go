@@ -141,6 +141,54 @@ func TestHistogramOrderInvariance(t *testing.T) {
 	}
 }
 
+func TestForkedTalliesAbsorbAsDirectObservations(t *testing.T) {
+	// Counting on forks and absorbing them must export what counting on
+	// the parent does; a fork that is never absorbed counts nothing.
+	bounds := []float64{0.1, 1, 10}
+	kept := []float64{0.05, 0.5, 5, 0.5, 1, 10}
+	export := func(forked bool) string {
+		r := NewRegistry()
+		c, h := r.Counter("c"), r.Histogram("h", bounds)
+		if forked {
+			for _, v := range []float64{50, 0.01} { // dropped
+				c.Fork().Inc()
+				h.Fork().Observe(v)
+			}
+		}
+		for _, v := range kept {
+			if !forked {
+				c.Inc()
+				h.Observe(v)
+				continue
+			}
+			fc, fh := c.Fork(), h.Fork()
+			fc.Inc()
+			fh.Observe(v)
+			c.Absorb(fc)
+			h.Absorb(fh)
+		}
+		var buf bytes.Buffer
+		if err := r.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	direct, forked := export(false), export(true)
+	if forked != direct {
+		t.Fatalf("absorbed forks exported\n%s\ndirect counting exported\n%s", forked, direct)
+	}
+	if !strings.Contains(direct, "count=6 min=0.05 max=10") {
+		t.Fatalf("unexpected export: %s", direct)
+	}
+	var nc *Counter
+	var nh *Histogram
+	if nc.Fork() != nil || nh.Fork() != nil {
+		t.Fatal("forking a nil handle must give nil")
+	}
+	nc.Absorb(nil)
+	nh.Absorb(nil)
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("h", []float64{1})

@@ -39,6 +39,20 @@ func (c *Counter) Add(n uint64) {
 	c.v.Add(n)
 }
 
+// Fork returns a fresh zero counter for one pre-split task, or nil for a
+// nil counter. The task counts on it privately; the parent's Absorb adds
+// the tally once the task's result is kept, so a task that is thrown away
+// counts nothing.
+func (c *Counter) Fork() *Counter {
+	if c == nil {
+		return nil
+	}
+	return &Counter{}
+}
+
+// Absorb adds child's count to c. Safe on nil counters.
+func (c *Counter) Absorb(child *Counter) { c.Add(child.Value()) }
+
 // Value returns the current count (0 for nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -78,24 +92,52 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	h.widen(v, v)
+}
+
+// widen lowers the minimum to lo and raises the maximum to hi where they
+// extend the range.
+func (h *Histogram) widen(lo, hi float64) {
 	for {
 		cur := h.minBits.Load()
-		if v >= math.Float64frombits(cur) {
+		if lo >= math.Float64frombits(cur) {
 			break
 		}
-		if h.minBits.CompareAndSwap(cur, math.Float64bits(v)) {
+		if h.minBits.CompareAndSwap(cur, math.Float64bits(lo)) {
 			break
 		}
 	}
 	for {
 		cur := h.maxBits.Load()
-		if v <= math.Float64frombits(cur) {
+		if hi <= math.Float64frombits(cur) {
 			break
 		}
-		if h.maxBits.CompareAndSwap(cur, math.Float64bits(v)) {
+		if h.maxBits.CompareAndSwap(cur, math.Float64bits(hi)) {
 			break
 		}
 	}
+}
+
+// Fork returns an empty histogram with h's buckets for one pre-split task,
+// or nil for a nil histogram; Absorb folds it back like Counter.Fork's.
+func (h *Histogram) Fork() *Histogram {
+	if h == nil {
+		return nil
+	}
+	return newHistogram(h.bounds)
+}
+
+// Absorb adds child's observations to h, leaving h as if it had observed
+// them itself. Safe on nil histograms.
+func (h *Histogram) Absorb(child *Histogram) {
+	if h == nil || child == nil {
+		return
+	}
+	for i := range child.buckets {
+		h.buckets[i].Add(child.buckets[i].Load())
+	}
+	h.count.Add(child.Count())
+	h.widen(child.Min(), child.Max())
 }
 
 // Count returns the number of observations (0 for nil).

@@ -96,7 +96,8 @@ type Queue struct {
 	inj *faults.DeviceInjector
 	// obsv carries the queue's trace stream (forked per sweep clone, absorbed
 	// in task order); om holds the metric handles, resolved once in
-	// SetObserver and shared by every clone. Both are no-ops when unset.
+	// SetObserver, which each clone forks into private tallies that the
+	// parent absorbs with its trace. Both are no-ops when unset.
 	obsv *obs.Observer
 	om   queueObsHandles
 }
@@ -110,6 +111,28 @@ type queueObsHandles struct {
 	clockRejects *obs.Counter
 	measurements *obs.Counter
 	wasted       *obs.Histogram
+}
+
+// fork returns private tallies for one sweep clone.
+func (h queueObsHandles) fork() queueObsHandles {
+	return queueObsHandles{
+		transient:    h.transient.Fork(),
+		permanent:    h.permanent.Fork(),
+		throttled:    h.throttled.Fork(),
+		clockRejects: h.clockRejects.Fork(),
+		measurements: h.measurements.Fork(),
+		wasted:       h.wasted.Fork(),
+	}
+}
+
+// absorb adds a clone's tallies from fork to h.
+func (h queueObsHandles) absorb(c queueObsHandles) {
+	h.transient.Absorb(c.transient)
+	h.permanent.Absorb(c.permanent)
+	h.throttled.Absorb(c.throttled)
+	h.clockRejects.Absorb(c.clockRejects)
+	h.measurements.Absorb(c.measurements)
+	h.wasted.Absorb(c.wasted)
 }
 
 // wastedTimeBounds buckets the simulated seconds burned by aborted
@@ -499,10 +522,10 @@ func (q *Queue) forkSweepTasks(freqs []int) []sweepTask {
 	defer q.mu.Unlock()
 	tasks := make([]sweepTask, len(freqs))
 	for i, f := range freqs {
-		// Metric handles are shared (order-invariant accumulation); the trace
-		// is forked per clone and absorbed back in task order, exactly like
-		// the RNG and fault streams.
-		clone := &Queue{dev: q.dev.Fork(), pinned: q.pinned, obsv: q.obsv.Fork(), om: q.om}
+		// The clone counts and traces privately; absorbSweep folds both
+		// back in task order, exactly like the RNG and fault streams, so a
+		// failed sweep counts nothing.
+		clone := &Queue{dev: q.dev.Fork(), pinned: q.pinned, obsv: q.obsv.Fork(), om: q.om.fork()}
 		if q.inj != nil {
 			clone.inj = q.inj.Fork()
 		}
@@ -512,8 +535,8 @@ func (q *Queue) forkSweepTasks(freqs []int) []sweepTask {
 }
 
 // absorbSweep folds the clones' observable state back into q in task order:
-// event logs concatenate, energy counters accumulate, and injector state
-// merges. Because absorption is ordered by task index, the
+// event logs concatenate, energy counters and metric tallies accumulate, and
+// injector state merges. Because absorption is ordered by task index, the
 // parent's state after a sweep is independent of how the pool scheduled it.
 func (q *Queue) absorbSweep(tasks []sweepTask) {
 	q.mu.Lock()
@@ -521,7 +544,8 @@ func (q *Queue) absorbSweep(tasks []sweepTask) {
 	for _, t := range tasks {
 		c := t.clone
 		q.events = append(q.events, c.events...)
-		q.dev.AddEnergyJ(c.dev.EnergyCounterJ())
+		q.dev.Absorb(c.dev)
+		q.om.absorb(c.om)
 		if q.inj != nil && c.inj != nil {
 			q.inj.Absorb(c.inj)
 		}

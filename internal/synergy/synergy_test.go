@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -447,6 +448,29 @@ func TestSweepFailureLeavesQueueUntouched(t *testing.T) {
 		}
 		if !reflect.DeepEqual(q.EnergyCounterJ(), 0.0) {
 			t.Errorf("%s: failed sweep charged %v J to the parent queue", label, q.EnergyCounterJ())
+		}
+	}
+
+	// So are the metrics: clones count privately and a failed sweep absorbs
+	// no tally, so however far the pool got before the loss, every 8-worker
+	// run exports what the serial run does.
+	export := func(workers int) string {
+		q, _ := sweepPair(t, &plan)
+		o := obs.NewObserver()
+		q.SetObserver(o)
+		if _, err := sweepOn(q, sweepWorkload{testProfile()}, freqs, 3, workers); err == nil {
+			t.Fatal("sweep should fail on the scheduled device loss")
+		}
+		var b strings.Builder
+		if err := o.WriteMetricsText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	serial := export(1)
+	for run := 0; run < 20; run++ {
+		if got := export(8); got != serial {
+			t.Fatalf("run %d: failed 8-worker sweep exported\n%s\nserial run exported\n%s", run, got, serial)
 		}
 	}
 }
